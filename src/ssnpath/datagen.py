@@ -19,6 +19,13 @@ numpy's PCG64 via ``default_rng``; the instance seed is split with
 coefficients, and the noise, so the pieces are individually reproducible.
 Bitwise equality is guaranteed across runs with the same numpy generator;
 alternative generators need only match in distribution.
+
+Instances are built in place. The design is drawn a block of rows at a time
+into its column-major array and blended there; ``make_instance`` then
+centers, scales and norm-checks it a block of columns at a time. No n-by-p
+temporary is made, and every entry gets the same floating-point operations as
+the whole-array formulas above, so ``tests/test_datagen.py`` checks instances
+bitwise against a reference generator written with those formulas.
 """
 
 import math
@@ -32,6 +39,10 @@ from .problem import ProblemData, _center_scale_columns
 
 # Coherence is an O(p^2 n) dense computation; refuse silly sizes unless forced.
 COHERENCE_GUARD_P = 5000
+
+# Designs are drawn about this many entries (2 MiB) at a time, in row blocks
+# copied into the column-major design.
+_DRAW_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -101,23 +112,41 @@ class TruthModel:
         return float(mags.max() / mags.min())
 
 
+def _normal_row_blocks(n, p, rng):
+    """Yield ``(rows, E)``, ``E`` holding fresh N(0, 1) draws for a block of rows.
+
+    The generator fills arrays element by element in row-major order, so the
+    blocks stacked are bitwise ``rng.standard_normal((n, p))``. ``E`` is one
+    reused buffer, overwritten by the next block.
+    """
+    step = max(1, min(n, _DRAW_ENTRIES // max(p, 1)))
+    buf = np.empty((step, p))
+    for start in range(0, n, step):
+        E = buf[: min(step, n - start)]
+        rng.standard_normal(out=E)
+        yield slice(start, start + E.shape[0]), E
+
+
 def gen_classical(n, p, rho, rng):
     """Rows i.i.d. N(0, Sigma), Sigma_jk = rho^|j-k|, via the AR recursion."""
-    E = rng.standard_normal((n, p))
-    X = np.empty((n, p), order="F")
-    X[:, 0] = E[:, 0]
     c = math.sqrt(1.0 - rho * rho)
+    X = np.empty((n, p), order="F")
+    for rows, E in _normal_row_blocks(n, p, rng):
+        E[:, 1:] *= c
+        X[rows] = E
+    # X_j = c * E_j + rho * X_{j-1}, one column at a time in place.
     for j in range(1, p):
-        X[:, j] = rho * X[:, j - 1] + c * E[:, j]
+        X[:, j] += rho * X[:, j - 1]
     return X
 
 
 def gen_autocorr(n, p, nu, rng):
     """Neighbor-blended Gaussian design; first and last columns untouched."""
-    E = rng.standard_normal((n, p))
-    X = E.copy(order="F")
-    if p >= 3 and nu != 0.0:
-        X[:, 1 : p - 1] += nu * (E[:, : p - 2] + E[:, 2:])
+    X = np.empty((n, p), order="F")
+    for rows, E in _normal_row_blocks(n, p, rng):
+        if p >= 3 and nu != 0.0:
+            E[:, 1 : p - 1] += nu * (E[:, : p - 2] + E[:, 2:])
+        X[rows] = E
     return X
 
 
@@ -160,7 +189,7 @@ def make_instance(config, alpha=0.0):
     else:
         X = gen_autocorr(config.n, config.p, config.corr, rng_design)
     if config.normalize_after:
-        X = _center_scale_columns(X)
+        _center_scale_columns(X)
     beta_true = gen_beta(config.p, config.T, np.random.default_rng(s_coef))
     y = gen_response(X, beta_true, config.sigma, np.random.default_rng(s_noise))
     y = y - y.mean()

@@ -20,6 +20,10 @@ from .errors import DimensionMismatch, ZeroVarianceColumn
 # instance to count as normalized.
 NORMALIZED_TOL = 1e-8
 
+# Blocked passes over X take about this many entries (256 KiB) at a time, so a
+# block stays in cache across the steps of the pass.
+_BLOCK_ENTRIES = 1 << 15
+
 
 class ProblemData:
     """Immutable regression instance: design ``X``, response ``y``, ridge weight ``alpha``.
@@ -40,7 +44,11 @@ class ProblemData:
             raise DimensionMismatch(
                 f"response length {y.shape} does not match {X.shape[0]} rows"
             )
-        if not np.isfinite(X).all() or not np.isfinite(y).all():
+        norms = _column_norms(X)
+        # Finite norms imply a finite X; a non-finite norm can also come from
+        # squares that overflow, so only then is X checked entry by entry.
+        finite_X = np.isfinite(norms).all() or np.isfinite(X).all()
+        if not finite_X or not np.isfinite(y).all():
             raise ValueError("design and response must be finite")
         if not (alpha >= 0.0):
             raise ValueError(f"ridge weight must be >= 0, got {alpha}")
@@ -48,7 +56,6 @@ class ProblemData:
         self.y = y
         self.alpha = float(alpha)
         self.xty = X.T @ y
-        norms = np.linalg.norm(X, axis=0)
         self.normalized = bool(np.max(np.abs(norms - np.sqrt(X.shape[0]))) <= NORMALIZED_TOL)
         for arr in (self.X, self.y, self.xty):
             arr.flags.writeable = False
@@ -80,16 +87,55 @@ class ProblemData:
         )
 
 
+def _column_blocks(X):
+    """Slices that cover the columns of ``X`` in order, about ``_BLOCK_ENTRIES`` entries each.
+
+    A block is at least two columns wide unless ``X`` has one column, so a
+    reduction over axis 0 of a block runs in the same order as over all of
+    ``X``: pairwise down each column in column-major layout, row by row in
+    row-major layout. Blocked reductions are therefore bitwise equal to
+    whole-array ones.
+    """
+    n, p = X.shape
+    width = max(2, _BLOCK_ENTRIES // max(n, 1))
+    count = max(1, p // width)
+    edges = [p * k // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _block_norms(block):
+    """Column norms of one block, summed in the order ``np.linalg.norm(axis=0)`` uses."""
+    return np.sqrt(np.add.reduce(block * block, axis=0))
+
+
+def _column_norms(X):
+    """``np.linalg.norm(X, axis=0)`` without an n-by-p temporary."""
+    norms = np.empty(X.shape[1])
+    for cols in _column_blocks(X):
+        norms[cols] = _block_norms(X[:, cols])
+    return norms
+
+
 def _center_scale_columns(X):
-    """Center each column and rescale it to norm sqrt(n). Rejects constant columns."""
-    n = X.shape[0]
-    Xc = X - X.mean(axis=0)
-    norms = np.linalg.norm(Xc, axis=0)
-    raw_scale = np.maximum(1.0, np.abs(X).max(axis=0))
-    dead = norms <= 1e-10 * raw_scale * np.sqrt(n)
-    if dead.any():
-        raise ZeroVarianceColumn(np.flatnonzero(dead)[0])
-    return Xc * (np.sqrt(n) / norms)
+    """Center each column of ``X`` in place, rescale it to norm sqrt(n), and return ``X``.
+
+    Rejects constant columns. Each entry gets the same arithmetic as
+    ``(X - X.mean(0)) * (sqrt(n) / norm(X - X.mean(0), axis=0))``, one block of
+    columns at a time, so the result is bitwise equal to that expression. ``X``
+    is left partly transformed when ``ZeroVarianceColumn`` is raised.
+    """
+    root_n = np.sqrt(X.shape[0])
+    for cols in _column_blocks(X):
+        block = X[:, cols]
+        # max(X.max, -X.min) equals abs(X).max exactly, without the abs copy.
+        raw_scale = np.maximum(1.0, np.maximum(block.max(axis=0), -block.min(axis=0)))
+        block -= block.mean(axis=0)
+        norms = _block_norms(block)
+        dead = norms <= 1e-10 * raw_scale * root_n
+        if dead.any():
+            raise ZeroVarianceColumn(cols.start + np.flatnonzero(dead)[0])
+        block *= root_n / norms
+    return X
 
 
 def normalize(X, y, alpha=0.0):
@@ -115,7 +161,9 @@ def normalize(X, y, alpha=0.0):
     DimensionMismatch
         If ``len(y)`` differs from the number of rows.
     """
-    X = np.asarray(X, dtype=np.float64)
+    # A private copy in the input's memory layout: the caller's array is never
+    # written, and the centering sums run in the same order as on the input.
+    X = np.array(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch(f"design must be a 2-d matrix, got shape {X.shape}")

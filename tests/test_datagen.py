@@ -1,19 +1,109 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import ssnpath.datagen as datagen_module
+import ssnpath.problem as problem_module
 from ssnpath import (
+    PRESETS,
     ProblemData,
     SimConfig,
     TruthModel,
+    ZeroVarianceColumn,
     gen_autocorr,
     gen_beta,
     gen_classical,
     gen_response,
     make_instance,
     mutual_coherence,
+    normalize,
     theory_check,
 )
 from conftest import random_instance
+
+
+# Reference generator: the straightforward whole-array composition that the
+# in-place generator must reproduce bit for bit from the same seed.
+
+
+def _ref_gen_classical(n, p, rho, rng):
+    E = rng.standard_normal((n, p))
+    X = np.empty((n, p), order="F")
+    X[:, 0] = E[:, 0]
+    c = math.sqrt(1.0 - rho * rho)
+    for j in range(1, p):
+        X[:, j] = rho * X[:, j - 1] + c * E[:, j]
+    return X
+
+
+def _ref_gen_autocorr(n, p, nu, rng):
+    E = rng.standard_normal((n, p))
+    X = E.copy(order="F")
+    if p >= 3 and nu != 0.0:
+        X[:, 1 : p - 1] += nu * (E[:, : p - 2] + E[:, 2:])
+    return X
+
+
+def _ref_center_scale_columns(X):
+    n = X.shape[0]
+    Xc = X - X.mean(axis=0)
+    norms = np.linalg.norm(Xc, axis=0)
+    raw_scale = np.maximum(1.0, np.abs(X).max(axis=0))
+    dead = norms <= 1e-10 * raw_scale * np.sqrt(n)
+    if dead.any():
+        raise ZeroVarianceColumn(np.flatnonzero(dead)[0])
+    return Xc * (np.sqrt(n) / norms)
+
+
+def _ref_gen_beta(p, T, rng):
+    beta = np.zeros(p)
+    if T == 0:
+        return beta
+    support = rng.choice(p, size=T, replace=False)
+    signs = np.where(rng.random(T) < 0.5, -1.0, 1.0)
+    beta[support] = signs * 10.0 ** rng.random(T)
+    return beta
+
+
+def _ref_make_instance(config):
+    """(X, y, xty, beta_true, normalized) as the reference composition builds them."""
+    s_design, s_coef, s_noise = np.random.SeedSequence(config.seed).spawn(3)
+    gen = _ref_gen_classical if config.design == "classical" else _ref_gen_autocorr
+    X = gen(config.n, config.p, config.corr, np.random.default_rng(s_design))
+    if config.normalize_after:
+        X = _ref_center_scale_columns(X)
+    X = np.asfortranarray(X)
+    beta_true = _ref_gen_beta(config.p, config.T, np.random.default_rng(s_coef))
+    y = X @ beta_true
+    if config.sigma > 0.0:
+        y = y + config.sigma * np.random.default_rng(s_noise).standard_normal(config.n)
+    y = y - y.mean()
+    norms = np.linalg.norm(X, axis=0)
+    normalized = bool(np.max(np.abs(norms - np.sqrt(config.n))) <= 1e-8)
+    return X, y, X.T @ y, beta_true, normalized
+
+
+def _assert_matches_reference(config, alpha=0.0):
+    prob, truth = make_instance(config, alpha=alpha)
+    X, y, xty, beta_true, normalized = _ref_make_instance(config)
+    assert np.array_equal(prob.X, X)
+    assert np.array_equal(prob.y, y)
+    assert np.array_equal(prob.xty, xty)
+    assert np.array_equal(truth.beta_true, beta_true)
+    assert prob.normalized == normalized
+    assert prob.alpha == alpha
+    assert prob.X.flags.f_contiguous
+
+
+@pytest.fixture(params=["default-blocks", "tiny-blocks"])
+def block_sizes(request, monkeypatch):
+    """Run with the shipped block sizes, then with blocks so small that small
+    instances cross many block edges."""
+    if request.param == "tiny-blocks":
+        monkeypatch.setattr(datagen_module, "_DRAW_ENTRIES", 7)
+        monkeypatch.setattr(problem_module, "_BLOCK_ENTRIES", 5)
 
 
 class TestClassicalDesign:
@@ -248,3 +338,86 @@ class TestCoherenceInequalities:
                 assert lhs >= n * (1 - (a - 1) * nu) * np.max(np.abs(u)) - slack
                 v = np.linalg.solve(XA.T @ XA, u)
                 assert np.max(np.abs(v)) <= np.max(np.abs(u)) / (n * (1 - (a - 1) * nu)) + slack
+
+
+_PRESET_CELLS = [(name, i, cell) for name, grid in PRESETS.items() for i, cell in enumerate(grid)]
+
+
+class TestBitwiseAgainstReference:
+    @pytest.mark.parametrize("seed", [20240611, (5, 1, 3)], ids=["int-seed", "tuple-seed"])
+    @pytest.mark.parametrize(
+        "cell", [c for _, _, c in _PRESET_CELLS], ids=[f"{n}-{i}" for n, i, _ in _PRESET_CELLS]
+    )
+    def test_preset_cells(self, cell, seed):
+        _assert_matches_reference(replace(cell, seed=seed))
+
+    @pytest.mark.parametrize("design,corr", [("classical", 0.6), ("autocorr", 0.4), ("autocorr", 0.0)])
+    @pytest.mark.parametrize("p", [1, 2, 3, 17])
+    def test_edge_cells(self, design, corr, p, block_sizes):
+        cell = SimConfig(n=23, p=p, design=design, corr=corr, sigma=0.3, T=min(p, 2), seed=(9, p))
+        _assert_matches_reference(cell)
+        _assert_matches_reference(replace(cell, normalize_after=False))
+        _assert_matches_reference(cell, alpha=2.5)
+
+    def test_many_uneven_blocks(self):
+        # 3000 rows give column blocks of 10 or 11; 101 columns leave uneven edges.
+        cell = SimConfig(n=3000, p=101, design="autocorr", corr=0.3, sigma=0.1, T=4, seed=1)
+        _assert_matches_reference(cell)
+
+    @pytest.mark.parametrize("design,corr", [("classical", 0.3), ("autocorr", 0.5)])
+    def test_generators_alone(self, design, corr, block_sizes):
+        gen, ref = {
+            "classical": (gen_classical, _ref_gen_classical),
+            "autocorr": (gen_autocorr, _ref_gen_autocorr),
+        }[design]
+        for n, p in [(1, 1), (5, 1), (4, 2), (31, 3), (13, 40)]:
+            X = gen(n, p, corr, np.random.default_rng(n * 100 + p))
+            assert np.array_equal(X, ref(n, p, corr, np.random.default_rng(n * 100 + p)))
+            assert X.flags.f_contiguous
+
+
+def _ref_normalize(X, y):
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return np.asfortranarray(_ref_center_scale_columns(X)), y - y.mean()
+
+
+class TestNormalizeAgainstReference:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(40, 1), (40, 2), (25, 3), (300, 70), (3000, 13)])
+    def test_matches_and_leaves_input_alone(self, order, shape, block_sizes):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        X = np.array(3.0 + 2.0 * rng.standard_normal(shape), order=order)
+        y = rng.standard_normal(shape[0]) + 1.0
+        X_before, y_before = X.copy(order="K"), y.copy()
+        prob = normalize(X, y, alpha=0.5)
+        X_ref, y_ref = _ref_normalize(X, y)
+        assert np.array_equal(prob.X, X_ref)
+        assert np.array_equal(prob.y, y_ref)
+        assert np.array_equal(prob.xty, X_ref.T @ y_ref)
+        assert prob.normalized
+        assert np.array_equal(X, X_before) and np.array_equal(y, y_before)
+        assert X.flags.writeable and y.flags.writeable
+
+    def test_strided_view_input(self):
+        rng = np.random.default_rng(77)
+        base = rng.standard_normal((60, 30))
+        view = base[::3, 1::2]
+        before = base.copy()
+        prob = normalize(view, np.arange(20.0))
+        assert np.array_equal(prob.X, _ref_normalize(view, np.arange(20.0))[0])
+        assert np.array_equal(base, before)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dead", [[0], [2], [7, 11], [12]])
+    def test_constant_column_index(self, order, dead, block_sizes):
+        rng = np.random.default_rng(len(dead))
+        X = np.array(rng.standard_normal((9, 13)), order=order)
+        for j in dead:
+            X[:, j] = 4.25
+        with pytest.raises(ZeroVarianceColumn) as want:
+            _ref_center_scale_columns(X)
+        with pytest.raises(ZeroVarianceColumn) as got:
+            normalize(X, np.ones(9))
+        assert got.value.column == want.value.column == dead[0]
+        assert str(got.value) == str(want.value)

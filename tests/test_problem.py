@@ -87,6 +87,28 @@ class TestProblemData:
         with pytest.raises(ValueError):
             ProblemData([[np.nan], [1.0]], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_rejected_in_any_column(self, bad):
+        X = np.ones((4, 9))
+        X[2, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ProblemData(X, np.ones(4))
+
+    def test_huge_finite_design_accepted(self):
+        # squares overflow to inf, so the norms alone cannot vouch for finiteness
+        X = np.array([[1e200, 1.0], [-1e200, 2.0]])
+        with np.errstate(over="ignore"):
+            prob = ProblemData(X, np.ones(2))
+        assert not prob.normalized
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(1, 5), (7, 1), (50, 3), (2000, 41)])
+    def test_blocked_norms_match_linalg(self, order, shape):
+        from ssnpath.problem import _column_norms
+
+        X = np.array(np.random.default_rng(31).standard_normal(shape), order=order)
+        assert np.array_equal(_column_norms(X), np.linalg.norm(X, axis=0))
+
 
 class TestObjective:
     def test_zero_vector(self):
