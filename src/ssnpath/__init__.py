@@ -25,7 +25,6 @@ from .datagen import (
     theory_check,
 )
 from .errors import (
-    ActiveSetTooLarge,
     CgBreakdown,
     DegenerateResponse,
     DimensionMismatch,
@@ -36,6 +35,7 @@ from .errors import (
     ZeroTruth,
     ZeroVarianceColumn,
 )
+from .io import write_metrics_csv, write_path_csv
 from .kkt import (
     ActivePartition,
     KktResidual,
@@ -54,7 +54,6 @@ from .metrics import (
     RepMetrics,
     run_benchmark,
     solution_metrics,
-    write_metrics_csv,
 )
 from .path import (
     KnotRecord,
@@ -64,7 +63,6 @@ from .path import (
     grid_floor_index,
     sign_recovery_config,
     solve_path,
-    write_path_csv,
 )
 from .problem import PrimalDualState, ProblemData, cold_start, normalize, objective
 from .select import SelectorResult, hbic_select, mbic_select
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActivePartition",
-    "ActiveSetTooLarge",
     "CdResult",
     "CgBreakdown",
     "CgPolicy",

@@ -10,14 +10,13 @@ iterates converge to the unique minimizer, which makes this an independent
 check for the Newton solver.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kkt import refresh_dual, soft_threshold
-from .path import KnotRecord, PathResult
+from .path import KnotRecord, PathResult, _sparsity_cap
 from .problem import cold_start
 
 # Support threshold for coordinate-descent estimates: unlike the Newton
@@ -72,7 +71,7 @@ def cd_path(prob, config, tol=1e-8, max_sweeps=500):
     ``converged`` / ``max_sweeps`` as the stop reason. Supports use the
     |beta_j| > 1e-10 threshold. The sparsity cap ends the path the same way.
     """
-    cap = config.sparsity_cap if config.sparsity_cap is not None else math.ceil(0.5 * prob.n)
+    cap = _sparsity_cap(prob.n, config.sparsity_cap)
     beta = cold_start(prob).beta
     records = []
     terminated_at = None

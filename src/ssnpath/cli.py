@@ -18,7 +18,6 @@ solving.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -26,8 +25,8 @@ import numpy as np
 from . import io as pio
 from .datagen import SimConfig, make_instance, theory_check
 from .errors import SsnPathError
-from .metrics import PRESETS, run_benchmark, write_metrics_csv
-from .path import PathConfig, default_lambda0, solve_path, write_path_csv
+from .metrics import PRESETS, run_benchmark
+from .path import PathConfig, _default_gamma, _sparsity_cap, default_lambda0, solve_path
 from .problem import ProblemData, cold_start, normalize, objective
 from .select import hbic_select, mbic_select
 from .solver import SsnConfig, ssn_solve
@@ -69,21 +68,13 @@ def _load_problem(args):
     return normalize(X, y, alpha=args.alpha)
 
 
-def _write_coefficients(path, beta):
-    with open(path, "w") as f:
-        f.write("#schema=1\n")
-        f.write("index,value\n")
-        for j in np.flatnonzero(beta):
-            f.write(f"{j},{beta[j]:.17g}\n")
-
-
 def _cmd_solve(args):
     prob = _load_problem(args)
     config = SsnConfig(
         lam=args.lam,
         shift=args.shift,
         max_iter=args.k,
-        sparsity_cap=args.cap if args.cap is not None else math.ceil(0.5 * prob.n),
+        sparsity_cap=_sparsity_cap(prob.n, args.cap),
     )
     out = ssn_solve(prob, cold_start(prob), config)
     beta = out.state.beta
@@ -93,16 +84,14 @@ def _cmd_solve(args):
         f"objective={objective(prob, beta, args.lam):.10g}"
     )
     if args.out:
-        _write_coefficients(args.out, beta)
+        pio._write_csv(args.out, "index,value", ((j, beta[j]) for j in np.flatnonzero(beta)))
     return 0
 
 
 def _cmd_path(args):
     prob = _load_problem(args)
     lambda0 = args.lambda0 if args.lambda0 is not None else default_lambda0(prob)
-    gamma = args.gamma
-    if gamma is None:
-        gamma = 1e-3 ** (1.0 / max(args.knots - 1, 1))
+    gamma = args.gamma if args.gamma is not None else _default_gamma(args.knots)
     config = PathConfig(
         lambda0=lambda0,
         gamma=gamma,
@@ -117,7 +106,7 @@ def _cmd_path(args):
     if args.selector != "none":
         select = mbic_select if args.selector == "mbic" else hbic_select
         selector = select(prob, result)
-    write_path_csv(result, args.out, coef_file=args.coef_out, selector=selector)
+    pio.write_path_csv(result, args.out, coef_file=args.coef_out, selector=selector)
     stopped = "" if result.terminated_at is None else f" (cap at knot {result.terminated_at})"
     print(f"wrote {len(result)} knots to {args.out}{stopped}")
     if selector is not None:
@@ -157,10 +146,10 @@ def _cmd_bench(args):
         max_inner=args.k,
     )
     if args.out:
-        write_metrics_csv(records, args.out)
+        pio.write_metrics_csv(records, args.out)
         print(f"wrote {len(records)} rows to {args.out}")
     else:
-        write_metrics_csv(records, sys.stdout)
+        pio.write_metrics_csv(records, sys.stdout)
     return 0
 
 

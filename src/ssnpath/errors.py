@@ -36,14 +36,6 @@ class CgBreakdown(SsnPathError, RuntimeError):
         super().__init__(message)
 
 
-class ActiveSetTooLarge(SsnPathError, RuntimeError):
-    def __init__(self, size, cap, state=None):
-        self.size = int(size)
-        self.cap = int(cap)
-        self.state = state
-        super().__init__(f"active set has {size} entries, cap is {cap}")
-
-
 class SingularSystem(SsnPathError, RuntimeError):
     """Dense Newton system could not be solved reliably."""
 

@@ -11,6 +11,9 @@ as a root-finding problem F(z) = 0 gives the residual computed by
 :func:`kkt_residual`; the generalized Jacobian of F assembled by
 :func:`assemble_newton_matrix` drives the dense verification step
 :func:`newton_step_dense`.
+
+:func:`active_partition` returns only the active indices, the one set the
+solver reads; the dense verifier takes the inactive complement itself.
 """
 
 from dataclasses import dataclass
@@ -55,10 +58,9 @@ def refresh_dual(prob, beta):
 
 @dataclass
 class ActivePartition:
-    """Sorted index sets: ``active`` where |beta_j + dual_j| > lam, ``inactive`` elsewhere."""
+    """Sorted indices ``active`` where |beta_j + dual_j| > lam; the rest are inactive."""
 
     active: np.ndarray
-    inactive: np.ndarray
 
     @property
     def size(self):
@@ -68,7 +70,7 @@ class ActivePartition:
 def active_partition(state, lam):
     """Split coordinates by |beta_j + dual_j| > lam (ties go inactive)."""
     mask = np.abs(state.beta + state.dual) > lam
-    return ActivePartition(np.flatnonzero(mask), np.flatnonzero(~mask))
+    return ActivePartition(np.flatnonzero(mask))
 
 
 @dataclass
@@ -107,7 +109,7 @@ class NewtonMatrix:
 def assemble_newton_matrix(prob, part):
     """Build the dense generalized Jacobian of F for a given partition.
 
-    Block layout, with A the active and B the inactive set and unknowns
+    Block layout, with A the active set and B its sorted complement, and unknowns
     ordered (dual_A, beta_B, beta_A, dual_B):
 
         [ -I_AA    0        0        0    ]
@@ -123,7 +125,9 @@ def assemble_newton_matrix(prob, part):
             f"dense Newton matrix is {2 * p} x {2 * p}; limit is {DENSE_NEWTON_LIMIT}"
         )
     A = np.asarray(part.active, dtype=np.intp)
-    B = np.asarray(part.inactive, dtype=np.intp)
+    inactive = np.ones(p, dtype=bool)
+    inactive[A] = False
+    B = np.flatnonzero(inactive)
     a, b = A.shape[0], B.shape[0]
     n = prob.n
     XA = prob.X[:, A]

@@ -17,7 +17,7 @@ import numpy as np
 from .cd import cd_path
 from .datagen import SimConfig, make_instance
 from .errors import SsnPathError, ZeroTruth
-from .path import PathConfig, default_lambda0, solve_path
+from .path import PathConfig, _default_gamma, default_lambda0, solve_path
 from .select import hbic_select, mbic_select
 
 
@@ -133,7 +133,10 @@ def run_benchmark(
         raise ValueError("need at least one replication")
     select = _SELECTORS[selector]
     if gamma is None:
-        gamma = 1e-3 ** (1.0 / max(num_knots - 1, 1))
+        gamma = _default_gamma(num_knots)
+    # Coordinate descent has no shift, so its grid always uses the zero
+    # schedule, which leaves shift_delta unchecked.
+    schedule = shift_schedule if solver == "snap" else "zero"
     records = []
     for ci, cell in enumerate(grid):
         times, mss, cms, aes, res_, contains = [], [], [], [], [], []
@@ -143,23 +146,17 @@ def run_benchmark(
             prob, truth = make_instance(cfg)
             start = time.perf_counter()
             try:
+                pcfg = PathConfig(
+                    lambda0=default_lambda0(prob),
+                    gamma=gamma,
+                    num_knots=num_knots,
+                    max_inner=max_inner,
+                    shift_schedule=schedule,
+                    shift_delta=shift_delta,
+                )
                 if solver == "snap":
-                    pcfg = PathConfig(
-                        lambda0=default_lambda0(prob),
-                        gamma=gamma,
-                        num_knots=num_knots,
-                        max_inner=max_inner,
-                        shift_schedule=shift_schedule,
-                        shift_delta=shift_delta,
-                    )
                     path = solve_path(prob, pcfg)
                 else:
-                    pcfg = PathConfig(
-                        lambda0=default_lambda0(prob),
-                        gamma=gamma,
-                        num_knots=num_knots,
-                        max_inner=max_inner,
-                    )
                     path = cd_path(prob, pcfg, tol=cd_tol, max_sweeps=cd_max_sweeps)
                 chosen = select(prob, path)
                 beta_hat = path.records[chosen.chosen_knot].beta_dense(prob.p)
@@ -198,29 +195,3 @@ def run_benchmark(
             )
         )
     return records
-
-
-def write_metrics_csv(records, file):
-    """Write one row per grid cell; schema tagged in a leading comment line."""
-
-    def _write(f):
-        f.write("#schema=1\n")
-        f.write(
-            "design,n,p,corr,sigma,T,solver,selector,reps,failures,"
-            "time_s,time_se,ms,ms_se,cm,cm_se,ae,ae_se,re,re_se\n"
-        )
-        for r in records:
-            c = r.config
-            f.write(
-                f"{c.design},{c.n},{c.p},{c.corr:g},{c.sigma:g},{c.T},"
-                f"{r.solver},{r.selector},{r.reps},{r.failures},"
-                f"{r.time_s:.6g},{r.time_se:.6g},{r.ms:.6g},{r.ms_se:.6g},"
-                f"{r.cm:.6g},{r.cm_se:.6g},{r.ae:.6g},{r.ae_se:.6g},"
-                f"{r.re:.6g},{r.re_se:.6g}\n"
-            )
-
-    if hasattr(file, "write"):
-        _write(file)
-    else:
-        with open(file, "w") as f:
-            _write(f)

@@ -36,7 +36,6 @@ class PathConfig:
       coefficients while the support is still estimated at the full level.
       Requires shift_delta < 0.1 * lam_t at every knot, else the config is
       rejected; shift_delta = 0 is always feasible.
-    - a tuple of per-knot shifts, each in [0, lam_t).
 
     ``sparsity_cap = None`` defaults to ceil(n/2) at run time.
     """
@@ -45,11 +44,10 @@ class PathConfig:
     gamma: float
     num_knots: int
     max_inner: int = 1
-    shift_schedule: str | tuple = "zero"
+    shift_schedule: str = "zero"
     shift_delta: float = 0.0
     sparsity_cap: int | None = None
     cg: CgPolicy = field(default_factory=CgPolicy)
-    residual_tol: float = 0.0
 
     def __post_init__(self):
         if not self.lambda0 > 0.0:
@@ -60,27 +58,18 @@ class PathConfig:
             raise ValueError("num_knots must be at least 1")
         if self.max_inner < 1:
             raise ValueError("max_inner must be at least 1")
-        if isinstance(self.shift_schedule, str):
-            if self.shift_schedule not in ("zero", "shifted"):
-                raise ValueError(f"unknown shift schedule {self.shift_schedule!r}")
-            if self.shift_schedule == "shifted":
-                if self.shift_delta < 0.0:
-                    raise ValueError("shifted schedule needs shift_delta >= 0")
-                lam_last = self.lam(self.num_knots - 1)
-                if self.shift(self.num_knots - 1) >= lam_last:
-                    raise ValueError(
-                        "shifted schedule infeasible: shift reaches the penalty "
-                        f"level at the last knot (lam = {lam_last:.3e}, "
-                        f"delta = {self.shift_delta:.3e})"
-                    )
-        else:
-            sched = tuple(float(s) for s in self.shift_schedule)
-            if len(sched) != self.num_knots:
-                raise ValueError("custom shift schedule must have one entry per knot")
-            for t, s in enumerate(sched):
-                if not (0.0 <= s < self.lam(t)):
-                    raise ValueError(f"shift {s} at knot {t} is outside [0, lam_t)")
-            object.__setattr__(self, "shift_schedule", sched)
+        if self.shift_schedule not in ("zero", "shifted"):
+            raise ValueError(f"unknown shift schedule {self.shift_schedule!r}")
+        if self.shift_schedule == "shifted":
+            if self.shift_delta < 0.0:
+                raise ValueError("shifted schedule needs shift_delta >= 0")
+            lam_last = self.lam(self.num_knots - 1)
+            if self.shift(self.num_knots - 1) >= lam_last:
+                raise ValueError(
+                    "shifted schedule infeasible: shift reaches the penalty "
+                    f"level at the last knot (lam = {lam_last:.3e}, "
+                    f"delta = {self.shift_delta:.3e})"
+                )
 
     def lam(self, t):
         return self.lambda0 * self.gamma**t
@@ -88,9 +77,7 @@ class PathConfig:
     def shift(self, t):
         if self.shift_schedule == "zero":
             return 0.0
-        if self.shift_schedule == "shifted":
-            return (1.0 - SHIFT_KEEP_FRACTION) * self.lam(t) + self.shift_delta
-        return self.shift_schedule[t]
+        return (1.0 - SHIFT_KEEP_FRACTION) * self.lam(t) + self.shift_delta
 
 
 @dataclass
@@ -138,6 +125,16 @@ class PathResult:
 
     def lambdas(self):
         return np.array([r.lam for r in self.records])
+
+
+def _sparsity_cap(n, cap):
+    """The active-set size that ends a path or a solve: ``cap``, or ceil(n/2) when None."""
+    return math.ceil(0.5 * n) if cap is None else cap
+
+
+def _default_gamma(num_knots):
+    """Grid ratio that puts the last of ``num_knots`` knots at 1e-3 * lambda0."""
+    return 1e-3 ** (1.0 / max(num_knots - 1, 1))
 
 
 def default_lambda0(prob):
@@ -206,7 +203,7 @@ def solve_path(prob, config):
     Knot t's initial state is exactly knot t-1's output state. Knot-level
     solver failures propagate with the knot index attached.
     """
-    cap = config.sparsity_cap if config.sparsity_cap is not None else math.ceil(0.5 * prob.n)
+    cap = _sparsity_cap(prob.n, config.sparsity_cap)
     state = cold_start(prob)
     records = []
     terminated_at = None
@@ -219,7 +216,6 @@ def solve_path(prob, config):
             max_iter=config.max_inner,
             cg=config.cg,
             sparsity_cap=cap,
-            residual_tol=config.residual_tol,
         )
         try:
             out = ssn_solve(prob, state, knot_cfg)
@@ -244,43 +240,3 @@ def solve_path(prob, config):
         )
         state = out.state
     return PathResult(records, prob.p, time.perf_counter() - start, terminated_at)
-
-
-def write_path_csv(result, file, coef_file=None, selector=None):
-    """Write knot summaries as CSV: (knot, lambda, nnz, inner_iters, stop_reason).
-
-    ``coef_file`` receives the companion sparse coefficients (knot, index,
-    value). A selector result, when given, is appended as a trailing comment
-    row ``#selector,<criterion>,<chosen_knot>,<chosen_lambda>,<value>``.
-    """
-
-    def _write(f):
-        f.write("#schema=1\n")
-        f.write("knot,lambda,nnz,inner_iters,stop_reason\n")
-        for r in result.records:
-            f.write(f"{r.t},{r.lam:.17g},{r.nnz},{r.iterations},{r.stop_reason}\n")
-        if selector is not None:
-            value = selector.values[selector.chosen_knot]
-            f.write(
-                f"#selector,{selector.criterion},{selector.chosen_knot},"
-                f"{selector.chosen_lambda:.17g},{value:.17g}\n"
-            )
-
-    def _write_coefs(f):
-        f.write("#schema=1\n")
-        f.write("knot,index,value\n")
-        for r in result.records:
-            for j, v in zip(r.indices, r.values):
-                f.write(f"{r.t},{j},{v:.17g}\n")
-
-    if hasattr(file, "write"):
-        _write(file)
-    else:
-        with open(file, "w") as f:
-            _write(f)
-    if coef_file is not None:
-        if hasattr(coef_file, "write"):
-            _write_coefs(coef_file)
-        else:
-            with open(coef_file, "w") as f:
-                _write_coefs(f)

@@ -30,7 +30,10 @@ class ProblemData:
 
     ``X`` is stored column-major (every kernel works column-wise) and ``X'y``
     is computed once and cached. Instances are safe to share across
-    concurrent solver runs; the arrays are marked read-only.
+    concurrent solver runs: the arrays are read-only through the instance.
+    Input already float64 in the stored layout is kept without a copy, so
+    the caller's own arrays stay writeable and must not be changed while
+    the instance is in use.
     """
 
     __slots__ = ("X", "y", "alpha", "xty", "normalized")
@@ -52,8 +55,9 @@ class ProblemData:
             raise ValueError("design and response must be finite")
         if not (alpha >= 0.0):
             raise ValueError(f"ridge weight must be >= 0, got {alpha}")
-        self.X = X
-        self.y = y
+        # Views, so that marking them read-only leaves the caller's arrays alone.
+        self.X = X.view()
+        self.y = y.view()
         self.alpha = float(alpha)
         self.xty = X.T @ y
         self.normalized = bool(np.max(np.abs(norms - np.sqrt(X.shape[0]))) <= NORMALIZED_TOL)

@@ -5,7 +5,9 @@ Each iteration guesses the support from |beta + dual| > lam, pins the dual to
 for the active coefficients, and refreshes the dual on the complement. The
 loop stops as soon as the active set repeats (the iterate is then a
 stationary point), a safeguard iteration count is hit, or the active set
-outgrows the sparsity cap.
+outgrows the sparsity cap. These rules read only the active set and its
+signs, so stopping costs no matrix-vector product; how far a returned state
+is from stationarity is measured separately by :func:`ssnpath.kkt.kkt_residual`.
 
 The restricted system G_AA x = rhs is solved by conjugate gradients warm
 started from the previous coefficients projected onto the active set, with
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ActiveSetTooLarge, CgBreakdown
-from .kkt import ActivePartition, active_partition, kkt_residual
+from .errors import CgBreakdown
+from .kkt import ActivePartition, active_partition
 from .problem import PrimalDualState
 
 
@@ -46,7 +48,6 @@ class StopReason(enum.Enum):
     ACTIVE_SET_REPEATED = "active_set_repeated"
     MAX_ITER = "max_iter"
     SPARSITY_CAP = "sparsity_cap"
-    RESIDUAL_TOL = "residual_tol"
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,7 @@ class SsnConfig:
     """Fixed-penalty solve parameters.
 
     ``shift`` (in [0, lam)) reduces the shrinkage applied on the active set;
-    0 solves the stated problem. ``residual_tol = 0`` disables the optional
-    residual-based stop; the active-set repeat rule is the primary criterion.
+    0 solves the stated problem.
     """
 
     lam: float
@@ -63,7 +63,6 @@ class SsnConfig:
     max_iter: int = 5
     cg: CgPolicy = field(default_factory=CgPolicy)
     sparsity_cap: int | None = None
-    residual_tol: float = 0.0
 
     def __post_init__(self):
         if not self.lam > 0.0:
@@ -134,7 +133,7 @@ def _solve_restricted(prob, active, rhs, x0, policy):
     return _cg(matvec, rhs, x0, policy.tol, cap, curvature_floor=1e-14 * prob.n)
 
 
-def ssn_update(prob, state, part, lam, shift=0.0, cg=None, sparsity_cap=None):
+def ssn_update(prob, state, part, lam, shift=0.0, cg=None):
     """One active-set Newton update from ``state`` under the given partition.
 
     Sets beta to zero off the active set, pins the active dual to
@@ -144,8 +143,6 @@ def ssn_update(prob, state, part, lam, shift=0.0, cg=None, sparsity_cap=None):
 
     Raises
     ------
-    ActiveSetTooLarge
-        If ``sparsity_cap`` is given and the active set exceeds it.
     CgBreakdown
         If the restricted solve hits vanishing curvature (alpha = 0 with a
         rank-deficient active block).
@@ -153,8 +150,6 @@ def ssn_update(prob, state, part, lam, shift=0.0, cg=None, sparsity_cap=None):
     if cg is None:
         cg = CgPolicy()
     A = part.active
-    if sparsity_cap is not None and A.shape[0] > sparsity_cap:
-        raise ActiveSetTooLarge(A.shape[0], sparsity_cap, state=state)
     n, p = prob.n, prob.p
     if A.shape[0] == 0:
         return PrimalDualState(np.zeros(p), prob.xty / n)
@@ -226,9 +221,6 @@ def ssn_solve(prob, init, config):
                 return SsnOutcome(state, iterations, StopReason.ACTIVE_SET_REPEATED, part)
         if k >= config.max_iter:
             return SsnOutcome(state, iterations, StopReason.MAX_ITER, part)
-        if config.residual_tol > 0.0:
-            if kkt_residual(prob, state, config.lam).norm_inf <= config.residual_tol:
-                return SsnOutcome(state, iterations, StopReason.RESIDUAL_TOL, part)
         try:
             state = ssn_update(prob, state, part, config.lam, config.shift, config.cg)
         except CgBreakdown as exc:

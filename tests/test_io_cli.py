@@ -1,9 +1,21 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from ssnpath import SimConfig, make_instance
+from ssnpath import (
+    MetricsRecord,
+    PathConfig,
+    ProblemData,
+    SelectorResult,
+    SimConfig,
+    default_lambda0,
+    make_instance,
+    solve_path,
+    write_metrics_csv,
+    write_path_csv,
+)
 from ssnpath.cli import cli_main
 from ssnpath.io import (
     load_instance_sidecar,
@@ -137,3 +149,110 @@ class TestCli:
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
+
+
+# Byte-exact CSV outputs on a fixed tiny instance: a scaled-identity design
+# whose path, including the sparsity-cap stop, is exact in floats.
+TINY_X = 2.0 * np.eye(4)
+TINY_Y = np.array([3.0, 1.0, -5.0, 0.5])
+
+PATH_CSV = """\
+#schema=1
+knot,lambda,nnz,inner_iters,stop_reason
+0,2.5,0,0,active_set_repeated
+1,1.75,1,1,active_set_repeated
+2,1.2249999999999999,2,1,active_set_repeated
+3,0.85749999999999982,2,1,active_set_repeated
+4,0.60024999999999984,2,1,active_set_repeated
+#selector,mbic,3,0.85749999999999982,0.30000000000000004
+"""
+
+COEF_CSV = """\
+#schema=1
+knot,index,value
+1,2,-0.75
+2,0,0.27500000000000013
+2,2,-1.2750000000000001
+3,0,0.64250000000000018
+3,2,-1.6425000000000001
+4,0,0.89975000000000016
+4,2,-1.89975
+"""
+
+METRICS_CSV = """\
+#schema=1
+design,n,p,corr,sigma,T,solver,selector,reps,failures,time_s,time_se,ms,ms_se,cm,cm_se,ae,ae_se,re,re_se
+classical,40,60,0.3,0.05,2,snap,mbic,3,1,0.3,nan,2,0.333333,0.5,0,3.33333e-08,1.23457e+07,0.666667,0
+autocorr,1000,10000,0.125,0.2,50,cdpath,hbic,1,0,1e-06,nan,0,nan,1,nan,0,nan,1,nan
+"""
+
+SOLVE_CSV = """\
+#schema=1
+index,value
+0,1.2
+1,0.20000000000000001
+2,-2.2000000000000002
+"""
+
+
+def _tiny_path():
+    prob = ProblemData(TINY_X, TINY_Y)
+    path = solve_path(prob, PathConfig(lambda0=default_lambda0(prob), gamma=0.7, num_knots=6))
+    values = np.array([4.0, 3.0, 2.0, 0.1 + 0.2, 1.0])
+    return path, SelectorResult("mbic", 3, path.records[3].lam, values)
+
+
+def _metrics_records():
+    nan = float("nan")
+    first = MetricsRecord(
+        config=SimConfig(n=40, p=60, design="classical", corr=0.3, sigma=0.05, T=2),
+        solver="snap", selector="mbic", reps=3, failures=1,
+        time_s=0.1 + 0.2, time_se=nan, ms=2.0, ms_se=1 / 3, cm=0.5, cm_se=0.0,
+        ae=1e-7 / 3, ae_se=12345678.9, re=2 / 3, re_se=0.0,
+    )
+    second = MetricsRecord(
+        config=SimConfig(n=1000, p=10000, design="autocorr", corr=0.125, sigma=0.2, T=50),
+        solver="cdpath", selector="hbic", reps=1, failures=0,
+        time_s=1e-6, time_se=nan, ms=0.0, ms_se=nan, cm=1.0, cm_se=nan,
+        ae=0.0, ae_se=nan, re=1.0, re_se=nan,
+    )
+    return [first, second]
+
+
+class TestCsvGolden:
+    def test_path_csv(self, tmp_path):
+        path, sel = _tiny_path()
+        assert path.terminated_at == 5
+        out, coefs = tmp_path / "path.csv", tmp_path / "coefs.csv"
+        write_path_csv(path, out, coef_file=coefs, selector=sel)
+        assert out.read_text() == PATH_CSV
+        assert coefs.read_text() == COEF_CSV
+        buf, cbuf = io.StringIO(), io.StringIO()
+        write_path_csv(path, buf, coef_file=cbuf, selector=sel)
+        assert buf.getvalue() == PATH_CSV
+        assert cbuf.getvalue() == COEF_CSV
+
+    def test_path_csv_without_selector_or_coefficients(self):
+        path, _ = _tiny_path()
+        buf = io.StringIO()
+        write_path_csv(path, buf)
+        assert buf.getvalue() == PATH_CSV[: PATH_CSV.index("#selector")]
+
+    def test_metrics_csv(self, tmp_path):
+        out = tmp_path / "metrics.csv"
+        write_metrics_csv(_metrics_records(), out)
+        assert out.read_text() == METRICS_CSV
+        buf = io.StringIO()
+        write_metrics_csv(_metrics_records(), buf)
+        assert buf.getvalue() == METRICS_CSV
+
+    def test_solve_coefficients(self, tmp_path, capsys):
+        x_path, y_path, out = tmp_path / "X.csv", tmp_path / "y.csv", tmp_path / "beta.csv"
+        save_matrix(x_path, TINY_X)
+        save_vector(y_path, TINY_Y)
+        code = cli_main([
+            "solve", "--x", str(x_path), "--y", str(y_path), "--raw",
+            "--lambda", "0.3", "--cap", "4", "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_text() == SOLVE_CSV

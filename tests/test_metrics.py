@@ -103,6 +103,18 @@ class TestRunBenchmark:
         assert r.failures == 0
         assert r.ms >= 2
 
+    def test_cdpath_ignores_shift(self):
+        # the shifted default and a delta no shifted grid could take are
+        # both ignored by the coordinate-descent path
+        grid = [SimConfig(n=40, p=60, design="classical", corr=0.1, sigma=0.02, T=2)]
+        kwargs = dict(solver="cdpath", reps=1, base_seed=3, num_knots=10)
+        plain = run_benchmark(grid, **kwargs)[0]
+        shifted = run_benchmark(grid, shift_delta=1e3, **kwargs)[0]
+        assert shifted.failures == plain.failures == 0
+        assert (shifted.ms, shifted.ae) == (plain.ms, plain.ae)
+        with pytest.raises(ValueError, match="infeasible"):
+            run_benchmark(grid, solver="snap", reps=1, num_knots=10, shift_delta=1e3)
+
 
 class TestMetricsCsv:
     def test_schema_and_rows(self):

@@ -68,8 +68,9 @@ class TestPathConfig:
             PathConfig(lambda0=0.0, gamma=0.5, num_knots=5)
         with pytest.raises(ValueError):
             PathConfig(lambda0=1.0, gamma=0.5, num_knots=0)
-        with pytest.raises(ValueError):
-            PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, shift_schedule="bogus")
+        for bogus in ("bogus", (0.0, 0.1, 0.2)):
+            with pytest.raises(ValueError):
+                PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, shift_schedule=bogus)
 
     def test_shifted_schedule_feasibility(self):
         # delta must stay below a tenth of the smallest grid point
@@ -79,13 +80,6 @@ class TestPathConfig:
         with pytest.raises(ValueError, match="infeasible"):
             PathConfig(lambda0=1.0, gamma=0.5, num_knots=5, shift_schedule="shifted",
                        shift_delta=0.11 * lam_last)
-
-    def test_custom_schedule_validated(self):
-        PathConfig(lambda0=1.0, gamma=0.5, num_knots=2, shift_schedule=(0.0, 0.4))
-        with pytest.raises(ValueError):
-            PathConfig(lambda0=1.0, gamma=0.5, num_knots=2, shift_schedule=(0.0,))
-        with pytest.raises(ValueError):
-            PathConfig(lambda0=1.0, gamma=0.5, num_knots=2, shift_schedule=(0.0, 0.6))
 
     def test_shift_values(self):
         cfg = PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, shift_schedule="shifted",

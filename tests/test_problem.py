@@ -64,6 +64,16 @@ class TestProblemData:
         with pytest.raises(ValueError):
             prob.y[0] = 1.0
 
+    def test_caller_arrays_stay_writeable(self):
+        # float64 input already in the stored layout is kept without a copy;
+        # only the instance's views of it are read-only
+        X = np.asfortranarray(np.eye(3) * 3**0.5)
+        y = np.ones(3)
+        prob = ProblemData(X, y)
+        assert X.flags.writeable and y.flags.writeable
+        assert not prob.X.flags.writeable and not prob.y.flags.writeable
+        assert np.shares_memory(prob.X, X) and np.shares_memory(prob.y, y)
+
     def test_normalized_flag_on_scaled_identity(self):
         n = 9
         prob = ProblemData(3.0 * np.eye(n), np.arange(n, dtype=float))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ssnpath import (
-    ActiveSetTooLarge,
     CgBreakdown,
     CgPolicy,
     PrimalDualState,
@@ -55,14 +54,6 @@ class TestSsnUpdate:
             b = newton_step_dense(prob, state, part, lam)
             np.testing.assert_allclose(a.beta, b.beta, atol=1e-10)
             np.testing.assert_allclose(a.dual, b.dual, atol=1e-10)
-
-    def test_sparsity_cap_enforced(self):
-        prob, _ = random_instance(10, 20, seed=2)
-        rng = np.random.default_rng(3)
-        state = PrimalDualState(rng.standard_normal(prob.p) * 5, np.zeros(prob.p))
-        part = active_partition(state, 0.1)
-        with pytest.raises(ActiveSetTooLarge):
-            ssn_update(prob, state, part, 0.1, sparsity_cap=2)
 
     def test_breakdown_on_duplicate_columns_direct(self):
         # duplicated columns with both coordinates active: the restricted
@@ -187,18 +178,6 @@ class TestSsnSolve:
         out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=5, sparsity_cap=3))
         assert out.stop_reason is StopReason.SPARSITY_CAP
         np.testing.assert_array_equal(out.state.beta, np.zeros(prob.p))
-
-    def test_residual_tol_stop(self):
-        n = 10
-        rng = np.random.default_rng(14)
-        prob = ProblemData(np.sqrt(n) * np.eye(n), 2 * rng.standard_normal(n))
-        lam = 0.3
-        # first converge, then restart with a residual rule and a perturbed
-        # support so the active-set shortcut cannot fire
-        ref = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=5))
-        bumped = PrimalDualState(ref.state.beta + 1e-12, ref.state.dual.copy())
-        out = ssn_solve(prob, bumped, SsnConfig(lam=lam, max_iter=5, residual_tol=1e-6))
-        assert out.stop_reason is StopReason.RESIDUAL_TOL
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
