@@ -66,7 +66,7 @@ from .path import (
 )
 from .problem import PrimalDualState, ProblemData, cold_start, normalize, objective
 from .select import SelectorResult, hbic_select, mbic_select
-from .solver import CgPolicy, SsnConfig, SsnOutcome, StopReason, ssn_solve, ssn_update
+from .solver import SsnConfig, SsnOutcome, StopReason, ssn_solve, ssn_update
 
 __version__ = "0.1.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "ActivePartition",
     "CdResult",
     "CgBreakdown",
-    "CgPolicy",
     "DegenerateResponse",
     "DimensionMismatch",
     "KktResidual",

@@ -29,7 +29,7 @@ bitwise against a reference generator written with those formulas.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -231,16 +231,7 @@ class TheoryReport:
     recovery_last_knot: int | None
 
     def to_dict(self):
-        return {
-            "coherence": self.coherence,
-            "t_times_coherence": self.t_times_coherence,
-            "a1_holds": self.a1_holds,
-            "lambda_u": self.lambda_u,
-            "delta_u": self.delta_u,
-            "beta_min": self.beta_min,
-            "a2_holds": self.a2_holds,
-            "recovery_last_knot": self.recovery_last_knot,
-        }
+        return asdict(self)
 
 
 def theory_check(prob, truth, force=False):

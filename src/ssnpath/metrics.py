@@ -107,8 +107,6 @@ def run_benchmark(
     base_seed=0,
     num_knots=100,
     max_inner=1,
-    gamma=None,
-    shift_schedule="shifted",
     shift_delta=0.0,
     cd_tol=1e-7,
     cd_max_sweeps=500,
@@ -117,11 +115,11 @@ def run_benchmark(
 
     Replication m of cell i uses the seed tuple (base_seed, i, m), so the
     whole table (timing aside) is a pure function of its arguments.
-    ``solver`` is ``"snap"`` (the Newton path) or ``"cdpath"``;
-    ``gamma = None`` spaces the grid so the last knot sits at 1e-3 * lambda0.
-    The Newton path defaults to the shifted schedule (shrinkage reduced to a
-    tenth of the penalty on the active set), which is what makes its selected
-    models nearly unbiased on noisy data; coordinate descent has no shift.
+    ``solver`` is ``"snap"`` (the Newton path) or ``"cdpath"``. The grid puts
+    the last knot at 1e-3 * lambda0. The Newton path runs the shifted schedule
+    (shrinkage reduced to a tenth of the penalty on the active set), which is
+    what makes its selected models nearly unbiased on noisy data; coordinate
+    descent has no shift.
     Replications that fail numerically are counted and excluded from the
     means. Timing covers the path plus selection; generation is excluded.
     """
@@ -132,11 +130,10 @@ def run_benchmark(
     if reps < 1:
         raise ValueError("need at least one replication")
     select = _SELECTORS[selector]
-    if gamma is None:
-        gamma = _default_gamma(num_knots)
+    gamma = _default_gamma(num_knots)
     # Coordinate descent has no shift, so its grid always uses the zero
     # schedule, which leaves shift_delta unchecked.
-    schedule = shift_schedule if solver == "snap" else "zero"
+    schedule = "shifted" if solver == "snap" else "zero"
     records = []
     for ci, cell in enumerate(grid):
         times, mss, cms, aes, res_, contains = [], [], [], [], [], []

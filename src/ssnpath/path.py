@@ -11,13 +11,13 @@ returned.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CgBreakdown, DegenerateResponse, NoiseTooLarge
 from .problem import PrimalDualState, cold_start
-from .solver import CgPolicy, SsnConfig, StopReason, ssn_solve
+from .solver import SsnConfig, StopReason, ssn_solve
 
 #: Fraction of the penalty kept as shrinkage under the shifted schedule.
 SHIFT_KEEP_FRACTION = 0.1
@@ -47,7 +47,6 @@ class PathConfig:
     shift_schedule: str = "zero"
     shift_delta: float = 0.0
     sparsity_cap: int | None = None
-    cg: CgPolicy = field(default_factory=CgPolicy)
 
     def __post_init__(self):
         if not self.lambda0 > 0.0:
@@ -58,6 +57,8 @@ class PathConfig:
             raise ValueError("num_knots must be at least 1")
         if self.max_inner < 1:
             raise ValueError("max_inner must be at least 1")
+        if self.sparsity_cap is not None and self.sparsity_cap < 0:
+            raise ValueError(f"sparsity_cap must be non-negative, got {self.sparsity_cap}")
         if self.shift_schedule not in ("zero", "shifted"):
             raise ValueError(f"unknown shift schedule {self.shift_schedule!r}")
         if self.shift_schedule == "shifted":
@@ -164,7 +165,7 @@ def grid_floor_index(lambda0, gamma, floor):
     return t
 
 
-def sign_recovery_config(prob, sigma, max_inner=None, **kwargs):
+def sign_recovery_config(prob, sigma, max_inner=None):
     """Path configuration targeting exact sign recovery under low coherence.
 
     Uses gamma = 8/13 and the shifted schedule shift_t = 0.9 lam_t + delta
@@ -193,7 +194,6 @@ def sign_recovery_config(prob, sigma, max_inner=None, **kwargs):
         max_inner=10 if max_inner is None else max_inner,
         shift_schedule="shifted",
         shift_delta=delta,
-        **kwargs,
     )
 
 
@@ -214,7 +214,6 @@ def solve_path(prob, config):
             lam=lam,
             shift=config.shift(t),
             max_iter=config.max_inner,
-            cg=config.cg,
             sparsity_cap=cap,
         )
         try:

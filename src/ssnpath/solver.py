@@ -9,14 +9,16 @@ outgrows the sparsity cap. These rules read only the active set and its
 signs, so stopping costs no matrix-vector product; how far a returned state
 is from stationarity is measured separately by :func:`ssnpath.kkt.kkt_residual`.
 
-The restricted system G_AA x = rhs is solved by conjugate gradients warm
-started from the previous coefficients projected onto the active set, with
-the iteration count capped at max(1, p / (2|A|)) so one outer iteration stays
-O(np). Small systems go through a direct dense factorization instead.
+The restricted system G_AA x = rhs is solved by a fixed policy, not a
+setting: active sets of at most ``DIRECT_MAX`` coordinates go through a dense
+factorization; larger ones through conjugate gradients to relative residual
+``CG_TOL``, warm started from the previous coefficients on the active set,
+with the iteration count capped at max(1, p // (2|A|)) so one outer
+iteration stays O(np).
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,23 +27,9 @@ from .kkt import ActivePartition, active_partition
 from .problem import PrimalDualState
 
 
-@dataclass(frozen=True)
-class CgPolicy:
-    """Inner-solve policy for the restricted system.
-
-    ``max_iter = None`` applies the budget rule max(1, p // (2 |A|));
-    active sets of at most ``direct_threshold`` coordinates are solved by a
-    dense factorization, which has the same contract at tighter accuracy.
-    """
-
-    tol: float = 1e-12
-    max_iter: int | None = None
-    direct_threshold: int = 32
-
-    def iteration_cap(self, p, active_size):
-        if self.max_iter is not None:
-            return self.max_iter
-        return max(1, p // (2 * active_size))
+# The restricted-solve policy of the module docstring.
+DIRECT_MAX = 32
+CG_TOL = 1e-12
 
 
 class StopReason(enum.Enum):
@@ -61,7 +49,6 @@ class SsnConfig:
     lam: float
     shift: float = 0.0
     max_iter: int = 5
-    cg: CgPolicy = field(default_factory=CgPolicy)
     sparsity_cap: int | None = None
 
     def __post_init__(self):
@@ -71,6 +58,8 @@ class SsnConfig:
             raise ValueError(f"shift must lie in [0, lam), got {self.shift}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.sparsity_cap is not None and self.sparsity_cap < 0:
+            raise ValueError(f"sparsity_cap must be non-negative, got {self.sparsity_cap}")
 
 
 @dataclass
@@ -109,11 +98,11 @@ def _cg(matvec, rhs, x0, tol, max_iter, curvature_floor):
     return x
 
 
-def _solve_restricted(prob, active, rhs, x0, policy):
+def _solve_restricted(prob, active, rhs, x0):
     """Solve (X_A'X_A + alpha I) x = rhs for the active coordinates."""
     XA = prob.X[:, active]
     a = active.shape[0]
-    if a <= policy.direct_threshold:
+    if a <= DIRECT_MAX:
         G = XA.T @ XA
         G[np.diag_indices_from(G)] += prob.alpha
         try:
@@ -127,13 +116,12 @@ def _solve_restricted(prob, active, rhs, x0, policy):
             out += prob.alpha * v
         return out
 
-    cap = policy.iteration_cap(prob.p, a)
     # Diagonal entries of the Gram block equal n on normalized data, so this
     # floor flags only genuinely null directions.
-    return _cg(matvec, rhs, x0, policy.tol, cap, curvature_floor=1e-14 * prob.n)
+    return _cg(matvec, rhs, x0, CG_TOL, max(1, prob.p // (2 * a)), curvature_floor=1e-14 * prob.n)
 
 
-def ssn_update(prob, state, part, lam, shift=0.0, cg=None):
+def ssn_update(prob, state, part, lam, shift=0.0):
     """One active-set Newton update from ``state`` under the given partition.
 
     Sets beta to zero off the active set, pins the active dual to
@@ -147,8 +135,6 @@ def ssn_update(prob, state, part, lam, shift=0.0, cg=None):
         If the restricted solve hits vanishing curvature (alpha = 0 with a
         rank-deficient active block).
     """
-    if cg is None:
-        cg = CgPolicy()
     A = part.active
     n, p = prob.n, prob.p
     if A.shape[0] == 0:
@@ -156,7 +142,7 @@ def ssn_update(prob, state, part, lam, shift=0.0, cg=None):
     signs = np.sign(state.beta[A] + state.dual[A])
     dual_active = (lam - shift) * signs
     rhs = prob.xty[A] - n * dual_active
-    beta_active = _solve_restricted(prob, A, rhs, state.beta[A], cg)
+    beta_active = _solve_restricted(prob, A, rhs, state.beta[A])
     beta_new = np.zeros(p)
     beta_new[A] = beta_active
     # Off-active dual: (X'y - X'X_A beta_A)/n; the ridge term vanishes there
@@ -222,7 +208,7 @@ def ssn_solve(prob, init, config):
         if k >= config.max_iter:
             return SsnOutcome(state, iterations, StopReason.MAX_ITER, part)
         try:
-            state = ssn_update(prob, state, part, config.lam, config.shift, config.cg)
+            state = ssn_update(prob, state, part, config.lam, config.shift)
         except CgBreakdown as exc:
             exc.state = state
             raise

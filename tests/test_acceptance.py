@@ -7,16 +7,13 @@ pass. Every tolerance is fixed here; nothing is calibrated at run time.
 import time
 
 import numpy as np
-import pytest
 
 from ssnpath import (
-    CgPolicy,
     PathConfig,
     PrimalDualState,
     ProblemData,
     SimConfig,
     SsnConfig,
-    StopReason,
     active_partition,
     cd_solve,
     cold_start,
@@ -38,8 +35,6 @@ from ssnpath import (
     ssn_update,
     theory_check,
 )
-
-EXACT = CgPolicy(direct_threshold=4096)
 
 
 def _verdict(name, ok, detail):
@@ -104,7 +99,7 @@ def test_03_oracle_agreement():
         lam = 0.5 * lam0
         knots = 10
         cfg = PathConfig(lambda0=lam0, gamma=(lam / lam0) ** (1 / (knots - 1)),
-                         num_knots=knots, max_inner=10, cg=EXACT, sparsity_cap=prob.p)
+                         num_knots=knots, max_inner=10, sparsity_cap=prob.p)
         path = solve_path(prob, cfg)
         beta_newton = path.records[-1].beta_dense(prob.p)
         lam_run = path.records[-1].lam
@@ -135,7 +130,7 @@ def test_04_dense_newton_equivalence():
             state = cold_start(prob)
             lam = 0.5 * default_lambda0(prob)
         part = active_partition(state, lam)
-        a = ssn_update(prob, state, part, lam, cg=EXACT)
+        a = ssn_update(prob, state, part, lam)
         b = newton_step_dense(prob, state, part, lam)
         worst = max(
             worst,
@@ -152,7 +147,7 @@ def test_05_one_step_convergence():
         lam = 0.4 * default_lambda0(prob)
         cd = cd_solve(prob, lam, tol=1e-13, max_sweeps=100000)
         state = PrimalDualState(cd.beta, refresh_dual(prob, cd.beta))
-        ref = ssn_update(prob, state, active_partition(state, lam), lam, cg=EXACT)
+        ref = ssn_update(prob, state, active_partition(state, lam), lam)
         gaps = np.abs(np.abs(ref.beta + ref.dual) - lam)
         margin = float(gaps[gaps > 1e-9].min())
         rng = np.random.default_rng((505, s))
@@ -160,7 +155,7 @@ def test_05_one_step_convergence():
             ref.beta + 0.49 * margin * rng.uniform(-1, 1, prob.p),
             ref.dual + 0.49 * margin * rng.uniform(-1, 1, prob.p),
         )
-        out = ssn_solve(prob, init, SsnConfig(lam=lam, max_iter=1, cg=EXACT))
+        out = ssn_solve(prob, init, SsnConfig(lam=lam, max_iter=1))
         assert out.iterations == 1
         worst = max(worst, float(np.max(np.abs(out.state.beta - ref.beta))))
     _verdict("05 one-step-convergence", worst <= 1e-9, f"worst recovery gap {worst:.2e}")

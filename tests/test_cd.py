@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ssnpath import (
-    CgPolicy,
     PathConfig,
     PrimalDualState,
     ProblemData,
@@ -48,9 +47,7 @@ class TestCdSolve:
         lam = 0.5 * default_lambda0(prob)
         cd = cd_solve(prob, lam, tol=1e-12, max_sweeps=50000)
         assert cd.converged
-        newton = ssn_solve(
-            prob, cold_start(prob), SsnConfig(lam=lam, max_iter=30, cg=CgPolicy(direct_threshold=64))
-        )
+        newton = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=30))
         assert abs(objective(prob, cd.beta, lam) - objective(prob, newton.state.beta, lam)) <= 1e-10
 
     def test_max_sweeps_flag(self):

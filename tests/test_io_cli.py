@@ -138,6 +138,15 @@ class TestCli:
         ])
         assert code == 1
 
+    def test_negative_cap_exits_one(self, tmp_path, csv_instance, capsys):
+        x_path, y_path, _, _ = csv_instance
+        out = tmp_path / "out.csv"
+        data = ["--x", str(x_path), "--y", str(y_path), "--cap", "-1", "--out", str(out)]
+        assert cli_main(["path", *data]) == 1
+        assert cli_main(["solve", "--lambda", "0.5", *data]) == 1
+        assert "sparsity_cap must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         # a constant column cannot be normalized
         x_path = tmp_path / "X.csv"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ssnpath import (
-    CgPolicy,
     PrimalDualState,
     ProblemData,
     SingularSystem,
@@ -245,8 +244,7 @@ class TestNewtonStepDense:
         state = cold_start(prob)
         lam = 0.5 * float(np.max(np.abs(prob.xty))) / prob.n
         part = active_partition(state, lam)
-        exact = CgPolicy(direct_threshold=prob.p)
-        a = ssn_update(prob, state, part, lam, cg=exact)
+        a = ssn_update(prob, state, part, lam)
         b = newton_step_dense(prob, state, part, lam)
         np.testing.assert_allclose(a.beta, b.beta, atol=1e-10)
         np.testing.assert_allclose(a.dual, b.dual, atol=1e-10)

@@ -1,8 +1,8 @@
-"""Source hygiene of the package, checked with the standard library alone.
+"""Source hygiene of the package and its tests, checked with the standard library alone.
 
-Every module must use each name it imports (the package ``__init__`` may
-instead re-export it through ``__all__``), and ``__all__`` must list each
-public name once and only names that exist.
+Every package module and test module must use each name it imports (the
+package ``__init__`` may instead re-export it through ``__all__``), and
+``__all__`` must list each public name once and only names that exist.
 """
 
 import ast
@@ -15,6 +15,7 @@ import ssnpath
 
 PACKAGE_DIR = Path(ssnpath.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _imported_names(tree):
@@ -37,7 +38,11 @@ def _declared_all(tree):
     return None
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TEST_MODULES,
+    ids=lambda p: p.name if p.parent == PACKAGE_DIR else f"tests/{p.name}",
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -9,7 +9,6 @@ from ssnpath import (
     PathConfig,
     ProblemData,
     SsnConfig,
-    cold_start,
     default_lambda0,
     grid_floor_index,
     kkt_residual,
@@ -71,6 +70,9 @@ class TestPathConfig:
         for bogus in ("bogus", (0.0, 0.1, 0.2)):
             with pytest.raises(ValueError):
                 PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, shift_schedule=bogus)
+        with pytest.raises(ValueError):
+            PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, sparsity_cap=-5)
+        PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, sparsity_cap=0)  # null model only
 
     def test_shifted_schedule_feasibility(self):
         # delta must stay below a tenth of the smallest grid point

@@ -3,7 +3,6 @@ import pytest
 
 from ssnpath import (
     CgBreakdown,
-    CgPolicy,
     PrimalDualState,
     ProblemData,
     SsnConfig,
@@ -18,9 +17,8 @@ from ssnpath import (
     ssn_solve,
     ssn_update,
 )
+from ssnpath import solver
 from conftest import random_instance
-
-EXACT = CgPolicy(direct_threshold=4096)
 
 
 class TestSsnUpdate:
@@ -50,7 +48,7 @@ class TestSsnUpdate:
             state = PrimalDualState(beta, refresh_dual(prob, beta))
             lam = 0.5 * float(np.max(np.abs(prob.xty))) / prob.n
             part = active_partition(state, lam)
-            a = ssn_update(prob, state, part, lam, cg=EXACT)
+            a = ssn_update(prob, state, part, lam)
             b = newton_step_dense(prob, state, part, lam)
             np.testing.assert_allclose(a.beta, b.beta, atol=1e-10)
             np.testing.assert_allclose(a.dual, b.dual, atol=1e-10)
@@ -73,9 +71,14 @@ class TestSsnUpdate:
         X = np.array([[1.0, 1.0], [-1.0, -1.0]])
         prob = ProblemData(X, np.array([1.0, -1.0]))
         state = PrimalDualState(np.array([0.6, -0.6]), np.array([0.7, -0.7]))
-        part = active_partition(state, 0.5)
+        lam = 0.5
+        part = active_partition(state, lam)
+        A = part.active
+        rhs = prob.xty[A] - prob.n * lam * np.sign(state.beta[A] + state.dual[A])
+        XA = prob.X[:, A]
         with pytest.raises(CgBreakdown):
-            ssn_update(prob, state, part, 0.5, cg=CgPolicy(direct_threshold=0, max_iter=50))
+            solver._cg(lambda v: XA.T @ (XA @ v), rhs, state.beta[A], tol=1e-12, max_iter=50,
+                       curvature_floor=1e-14 * prob.n)
 
     def test_uses_pre_update_signs(self):
         # the pinned dual follows the incoming state's signs even when the
@@ -86,9 +89,36 @@ class TestSsnUpdate:
         state = PrimalDualState(beta, refresh_dual(prob, beta))
         lam = 0.3 * float(np.max(np.abs(prob.xty))) / prob.n
         part = active_partition(state, lam)
-        out = ssn_update(prob, state, part, lam, shift=0.0, cg=EXACT)
+        out = ssn_update(prob, state, part, lam, shift=0.0)
         signs = np.sign(state.beta[part.active] + state.dual[part.active])
         np.testing.assert_array_equal(out.dual[part.active], lam * signs)
+
+
+class TestSolveRestricted:
+    def test_direct_solve_up_to_threshold_then_budgeted_cg(self, monkeypatch):
+        prob, _ = random_instance(80, 200, alpha=0.1, seed=21)
+        rng = np.random.default_rng(21)
+        calls = []
+        real_cg = solver._cg
+
+        def recording_cg(matvec, rhs, x0, tol, max_iter, curvature_floor):
+            calls.append((tol, max_iter))
+            return real_cg(matvec, rhs, x0, tol, max_iter, curvature_floor)
+
+        monkeypatch.setattr(solver, "_cg", recording_cg)
+
+        A = np.arange(32)
+        rhs = rng.standard_normal(A.size)
+        XA = prob.X[:, A]
+        G = XA.T @ XA
+        G[np.diag_indices_from(G)] += prob.alpha
+        x = solver._solve_restricted(prob, A, rhs, np.zeros(A.size))
+        np.testing.assert_array_equal(x, np.linalg.solve(G, rhs))
+        assert calls == []
+
+        A = np.arange(33)
+        solver._solve_restricted(prob, A, rng.standard_normal(A.size), np.zeros(A.size))
+        assert calls == [(1e-12, max(1, prob.p // 66))]
 
 
 class TestSsnSolve:
@@ -106,14 +136,14 @@ class TestSsnSolve:
         for seed in range(5):
             prob, _ = random_instance(20, 40, alpha=0.1, seed=200 + seed)
             lam = 0.5 * float(np.max(np.abs(prob.xty))) / prob.n
-            out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=30, cg=EXACT))
+            out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=30))
             cd = cd_solve(prob, lam, tol=1e-12, max_sweeps=50000)
             assert abs(objective(prob, out.state.beta, lam) - objective(prob, cd.beta, lam)) <= 1e-10
 
     def test_warm_start_fixed_point_returns_immediately(self):
         prob, _ = random_instance(25, 50, alpha=0.1, seed=9)
         lam = 0.4 * float(np.max(np.abs(prob.xty))) / prob.n
-        cfg = SsnConfig(lam=lam, max_iter=10, cg=EXACT)
+        cfg = SsnConfig(lam=lam, max_iter=10)
         first = ssn_solve(prob, cold_start(prob), cfg)
         again = ssn_solve(prob, first.state, cfg)
         assert again.iterations == 0
@@ -125,8 +155,8 @@ class TestSsnSolve:
         # immediate stop carrying the old shrinkage
         prob, _ = random_instance(25, 50, alpha=0.1, seed=10)
         lam = 0.4 * float(np.max(np.abs(prob.xty))) / prob.n
-        first = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=10, cg=EXACT))
-        lower = ssn_solve(prob, first.state, SsnConfig(lam=0.97 * lam, max_iter=10, cg=EXACT))
+        first = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=10))
+        lower = ssn_solve(prob, first.state, SsnConfig(lam=0.97 * lam, max_iter=10))
         assert lower.iterations >= 1
         assert np.max(np.abs(lower.state.beta - first.state.beta)) > 0
 
@@ -134,10 +164,10 @@ class TestSsnSolve:
         for seed in (11, 12, 13):
             prob, _ = random_instance(20, 35, alpha=0.2, seed=seed)
             lam = 0.5 * float(np.max(np.abs(prob.xty))) / prob.n
-            out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=20, cg=EXACT))
+            out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=20))
             assert out.stop_reason is StopReason.ACTIVE_SET_REPEATED
             part = active_partition(out.state, lam)
-            nxt = ssn_update(prob, out.state, part, lam, cg=EXACT)
+            nxt = ssn_update(prob, out.state, part, lam)
             np.testing.assert_allclose(nxt.beta, out.state.beta, atol=1e-10)
             np.testing.assert_allclose(nxt.dual, out.state.dual, atol=1e-10)
 
@@ -147,17 +177,17 @@ class TestSsnSolve:
         # converged
         prob, _ = random_instance(20, 35, alpha=0.2, seed=11)
         lam = 0.35 * float(np.max(np.abs(prob.xty))) / prob.n
-        out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=20, cg=EXACT))
+        out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=20))
         if out.stop_reason is StopReason.ACTIVE_SET_REPEATED:
             part = active_partition(out.state, lam)
-            nxt = ssn_update(prob, out.state, part, lam, cg=EXACT)
+            nxt = ssn_update(prob, out.state, part, lam)
             np.testing.assert_allclose(nxt.beta, out.state.beta, atol=1e-8)
 
     def test_support_nesting_at_fixed_point(self):
         for seed in range(5):
             prob, _ = random_instance(30, 60, alpha=0.1, seed=300 + seed)
             lam = 0.45 * float(np.max(np.abs(prob.xty))) / prob.n
-            out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=30, cg=EXACT))
+            out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=30))
             assert out.stop_reason is StopReason.ACTIVE_SET_REPEATED
             support = set(np.flatnonzero(out.state.beta).tolist())
             active = set(out.active.active.tolist())
@@ -168,7 +198,7 @@ class TestSsnSolve:
     def test_max_iter_reached(self):
         prob, _ = random_instance(10, 30, seed=12)
         lam = 0.2 * float(np.max(np.abs(prob.xty))) / prob.n
-        out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=1, cg=EXACT))
+        out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=1))
         assert out.iterations <= 1
         assert out.stop_reason in (StopReason.MAX_ITER, StopReason.ACTIVE_SET_REPEATED)
 
@@ -186,6 +216,9 @@ class TestSsnSolve:
             SsnConfig(lam=1.0, shift=1.0)
         with pytest.raises(ValueError):
             SsnConfig(lam=1.0, max_iter=0)
+        with pytest.raises(ValueError):
+            SsnConfig(lam=1.0, sparsity_cap=-5)
+        SsnConfig(lam=1.0, sparsity_cap=0)  # null model only
 
 
 class TestOneStepConvergence:
@@ -198,7 +231,7 @@ class TestOneStepConvergence:
             lam = 0.4 * float(np.max(np.abs(prob.xty))) / prob.n
             cd = cd_solve(prob, lam, tol=1e-13, max_sweeps=100000)
             state = PrimalDualState(cd.beta, refresh_dual(prob, cd.beta))
-            ref = ssn_update(prob, state, active_partition(state, lam), lam, cg=EXACT)
+            ref = ssn_update(prob, state, active_partition(state, lam), lam)
             gaps = np.abs(np.abs(ref.beta + ref.dual) - lam)
             margin = float(gaps[gaps > 1e-9].min())
             rng = np.random.default_rng(seed)
@@ -206,6 +239,6 @@ class TestOneStepConvergence:
                 ref.beta + 0.49 * margin * rng.uniform(-1, 1, prob.p),
                 ref.dual + 0.49 * margin * rng.uniform(-1, 1, prob.p),
             )
-            out = ssn_solve(prob, init, SsnConfig(lam=lam, max_iter=1, cg=EXACT))
+            out = ssn_solve(prob, init, SsnConfig(lam=lam, max_iter=1))
             assert out.iterations == 1
             np.testing.assert_allclose(out.state.beta, ref.beta, atol=1e-9)
