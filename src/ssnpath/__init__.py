@@ -11,7 +11,7 @@ checks, and a benchmark harness. See the README and the demos/ scripts for
 worked examples.
 """
 
-from .cd import CdResult, cd_path, cd_solve, min_norm_probe
+from .cd import CdResult, cd_path, cd_solve
 from .datagen import (
     SimConfig,
     TheoryReport,
@@ -29,7 +29,6 @@ from .errors import (
     DegenerateResponse,
     DimensionMismatch,
     NoiseTooLarge,
-    SingularSystem,
     SsnPathError,
     ZeroResidual,
     ZeroTruth,
@@ -39,11 +38,8 @@ from .io import write_metrics_csv, write_path_csv
 from .kkt import (
     ActivePartition,
     KktResidual,
-    NewtonMatrix,
     active_partition,
-    assemble_newton_matrix,
     kkt_residual,
-    newton_step_dense,
     refresh_dual,
     soft_threshold,
     soft_threshold_vec,
@@ -79,7 +75,6 @@ __all__ = [
     "KktResidual",
     "KnotRecord",
     "MetricsRecord",
-    "NewtonMatrix",
     "NoiseTooLarge",
     "PRESETS",
     "PathConfig",
@@ -89,7 +84,6 @@ __all__ = [
     "RepMetrics",
     "SelectorResult",
     "SimConfig",
-    "SingularSystem",
     "SsnConfig",
     "SsnOutcome",
     "SsnPathError",
@@ -100,7 +94,6 @@ __all__ = [
     "ZeroTruth",
     "ZeroVarianceColumn",
     "active_partition",
-    "assemble_newton_matrix",
     "cd_path",
     "cd_solve",
     "cold_start",
@@ -114,9 +107,7 @@ __all__ = [
     "kkt_residual",
     "make_instance",
     "mbic_select",
-    "min_norm_probe",
     "mutual_coherence",
-    "newton_step_dense",
     "normalize",
     "objective",
     "refresh_dual",

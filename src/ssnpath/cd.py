@@ -12,6 +12,7 @@ check for the Newton solver.
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -64,12 +65,21 @@ def cd_solve(prob, lam, init=None, tol=1e-8, max_sweeps=1000):
     return CdResult(beta, max_sweeps, False)
 
 
+def _sparse_refresh_dual(prob, indices, values):
+    """:func:`refresh_dual` of the length-p vector with ``values`` at ``indices``, zero elsewhere."""
+    beta = np.zeros(prob.p)
+    beta[indices] = values
+    return refresh_dual(prob, beta)
+
+
 def cd_path(prob, config, tol=1e-8, max_sweeps=500):
     """Coordinate descent over the same grid / warm-start contract as the Newton path.
 
     Per-knot records store sweeps in the ``iterations`` field and
     ``converged`` / ``max_sweeps`` as the stop reason. Supports use the
-    |beta_j| > 1e-10 threshold. The sparsity cap ends the path the same way.
+    |beta_j| > 1e-10 threshold. A record's dual is :func:`refresh_dual` of
+    the unthresholded iterate, built from that iterate's nonzeros when it is
+    first read. The sparsity cap ends the path the same way.
     """
     cap = _sparsity_cap(prob.n, config.sparsity_cap)
     beta = cold_start(prob).beta
@@ -83,38 +93,18 @@ def cd_path(prob, config, tol=1e-8, max_sweeps=500):
         if idx.shape[0] > cap:
             terminated_at = t
             break
+        nz = np.flatnonzero(res.beta)
         records.append(
             KnotRecord(
                 t=t,
                 lam=lam,
                 indices=idx,
                 values=res.beta[idx].copy(),
-                dual=refresh_dual(prob, res.beta),
                 iterations=res.sweeps,
                 active_size=idx.shape[0],
                 stop_reason="converged" if res.converged else "max_sweeps",
+                dual_source=partial(_sparse_refresh_dual, prob, nz, res.beta[nz]),
             )
         )
         beta = res.beta
     return PathResult(records, prob.p, time.perf_counter() - start, terminated_at)
-
-
-def min_norm_probe(prob, lam, alphas, tol=1e-12, max_sweeps=20000):
-    """Elastic-net solutions along a decreasing ridge-weight sequence.
-
-    As the ridge weight vanishes these converge to the minimum-2-norm
-    solution of the pure l1 problem; the returned list (one beta per weight)
-    lets callers check that convergence directly.
-    """
-    alphas = [float(a) for a in alphas]
-    if any(a <= 0.0 for a in alphas) or any(
-        a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])
-    ):
-        raise ValueError("alphas must be strictly decreasing and positive")
-    betas = []
-    init = None
-    for a in alphas:
-        res = cd_solve(prob.with_alpha(a), lam, init=init, tol=tol, max_sweeps=max_sweeps)
-        betas.append(res.beta)
-        init = res.beta
-    return betas

@@ -36,10 +36,6 @@ class CgBreakdown(SsnPathError, RuntimeError):
         super().__init__(message)
 
 
-class SingularSystem(SsnPathError, RuntimeError):
-    """Dense Newton system could not be solved reliably."""
-
-
 class ZeroResidual(SsnPathError, ValueError):
     def __init__(self, knot):
         self.knot = int(knot)

@@ -11,13 +11,15 @@ returned.
 
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import CgBreakdown, DegenerateResponse, NoiseTooLarge
 from .problem import PrimalDualState, cold_start
-from .solver import SsnConfig, StopReason, ssn_solve
+from .solver import SsnConfig, StopReason, _pinned_dual, ssn_solve
 
 #: Fraction of the penalty kept as shrinkage under the shifted schedule.
 SHIFT_KEEP_FRACTION = 0.1
@@ -49,8 +51,10 @@ class PathConfig:
     sparsity_cap: int | None = None
 
     def __post_init__(self):
-        if not self.lambda0 > 0.0:
-            raise ValueError("lambda0 must be positive")
+        if not 0.0 < self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
+        if not math.isfinite(self.shift_delta):
+            raise ValueError(f"shift_delta must be finite, got {self.shift_delta}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.num_knots < 1:
@@ -83,16 +87,33 @@ class PathConfig:
 
 @dataclass
 class KnotRecord:
-    """Per-knot solution in sparse (index, value) form plus the dense dual."""
+    """Per-knot solution in sparse (index, value) form; the dense dual is built on demand.
+
+    ``dual_source`` is a zero-argument callable that returns the knot's
+    length-p dual from the O(|A|) numbers it holds. The first read of
+    ``dual`` calls it and keeps the result on the record, so later reads
+    return that same array, and an in-place edit or an assignment persists.
+    """
 
     t: int
     lam: float
     indices: np.ndarray
     values: np.ndarray
-    dual: np.ndarray
     iterations: int
     active_size: int
     stop_reason: str
+    dual_source: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    _dual: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def dual(self):
+        if self._dual is None:
+            self._dual = self.dual_source()
+        return self._dual
+
+    @dual.setter
+    def dual(self, value):
+        self._dual = value
 
     @property
     def nnz(self):
@@ -113,7 +134,8 @@ class PathResult:
 
     ``terminated_at`` is the index of the knot that tripped the sparsity cap,
     or None if the full grid completed. Records at and past that knot are not
-    retained.
+    retained. The records' dual sources refer to the fitted ``ProblemData``,
+    so a result keeps that instance alive.
     """
 
     records: list
@@ -197,14 +219,23 @@ def sign_recovery_config(prob, sigma, max_inner=None):
     )
 
 
+def _dual_source(prob, state, pinned):
+    """Rebuilds ``state.dual`` bitwise, ``pinned`` being the active set of the update that made it."""
+    return partial(_pinned_dual, prob, pinned, state.beta[pinned], state.dual[pinned])
+
+
 def solve_path(prob, config):
     """Run the fixed-penalty solve over the grid with warm starts.
 
-    Knot t's initial state is exactly knot t-1's output state. Knot-level
-    solver failures propagate with the knot index attached.
+    Knot t's initial state is exactly knot t-1's output state. Only that one
+    dense state is kept; each record holds the active set, coefficients and
+    pinned dual of the update that made its state, from which its dual is
+    rebuilt (a knot solved with no update shares the previous knot's).
+    Knot-level solver failures propagate with the knot index attached.
     """
     cap = _sparsity_cap(prob.n, config.sparsity_cap)
     state = cold_start(prob)
+    dual_source = _dual_source(prob, state, np.zeros(0, dtype=np.intp))
     records = []
     terminated_at = None
     start = time.perf_counter()
@@ -224,6 +255,8 @@ def solve_path(prob, config):
         if out.stop_reason is StopReason.SPARSITY_CAP:
             terminated_at = t
             break
+        if out.pinned is not None:
+            dual_source = _dual_source(prob, out.state, out.pinned)
         idx = np.flatnonzero(out.state.beta)
         records.append(
             KnotRecord(
@@ -231,10 +264,10 @@ def solve_path(prob, config):
                 lam=lam,
                 indices=idx,
                 values=out.state.beta[idx].copy(),
-                dual=out.state.dual.copy(),
                 iterations=out.iterations,
                 active_size=out.active.size,
                 stop_reason=out.stop_reason.value,
+                dual_source=dual_source,
             )
         )
         state = out.state

@@ -18,6 +18,7 @@ iteration stays O(np).
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ class SsnConfig:
     sparsity_cap: int | None = None
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"penalty level must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"penalty level must be positive and finite, got {self.lam}")
         if not (0.0 <= self.shift < self.lam):
             raise ValueError(f"shift must lie in [0, lam), got {self.shift}")
         if self.max_iter < 1:
@@ -64,10 +65,19 @@ class SsnConfig:
 
 @dataclass
 class SsnOutcome:
+    """Result of :func:`ssn_solve`.
+
+    ``active`` is the partition of the returned state at ``lam``;
+    ``pinned`` is the active set of the update that made the returned state
+    (its dual is pinned there and refreshed elsewhere), or None when the
+    solve made no update and returned its initial state.
+    """
+
     state: PrimalDualState
     iterations: int
     stop_reason: StopReason
     active: ActivePartition
+    pinned: np.ndarray | None
 
 
 def _cg(matvec, rhs, x0, tol, max_iter, curvature_floor):
@@ -136,20 +146,32 @@ def ssn_update(prob, state, part, lam, shift=0.0):
         rank-deficient active block).
     """
     A = part.active
-    n, p = prob.n, prob.p
     if A.shape[0] == 0:
-        return PrimalDualState(np.zeros(p), prob.xty / n)
-    signs = np.sign(state.beta[A] + state.dual[A])
-    dual_active = (lam - shift) * signs
-    rhs = prob.xty[A] - n * dual_active
-    beta_active = _solve_restricted(prob, A, rhs, state.beta[A])
-    beta_new = np.zeros(p)
+        beta_active = dual_active = np.zeros(0)
+    else:
+        signs = np.sign(state.beta[A] + state.dual[A])
+        dual_active = (lam - shift) * signs
+        rhs = prob.xty[A] - prob.n * dual_active
+        beta_active = _solve_restricted(prob, A, rhs, state.beta[A])
+    beta_new = np.zeros(prob.p)
     beta_new[A] = beta_active
-    # Off-active dual: (X'y - X'X_A beta_A)/n; the ridge term vanishes there
-    # because the off-active beta is zero.
-    dual_new = (prob.xty - prob.X.T @ (prob.X[:, A] @ beta_active)) / n
-    dual_new[A] = dual_active
-    return PrimalDualState(beta_new, dual_new)
+    return PrimalDualState(beta_new, _pinned_dual(prob, A, beta_active, dual_active))
+
+
+def _pinned_dual(prob, A, beta_A, dual_A):
+    """The dual an update on active set ``A`` leaves: ``dual_A`` on A, refreshed off it.
+
+    Off A the dual is (X'y - X'X_A beta_A)/n; the ridge term vanishes there
+    because the off-active beta is zero. With A empty this is X'y/n, the
+    cold-start dual. Knot records rebuild their dual through this function
+    from the same inputs, so the rebuilt dual is bitwise the one the solve
+    produced.
+    """
+    if A.shape[0] == 0:
+        return prob.xty / prob.n
+    dual = (prob.xty - prob.X.T @ (prob.X[:, A] @ beta_A)) / prob.n
+    dual[A] = dual_A
+    return dual
 
 
 def _carries_current_pinning(state, part, lam, shift):
@@ -182,19 +204,21 @@ def ssn_solve(prob, init, config):
     Returns
     -------
     SsnOutcome
-        Final state, number of updates performed, stop reason, and the final
-        partition. A sparsity-cap trip is reported as a normal outcome with
-        ``StopReason.SPARSITY_CAP`` and the last state below the cap.
+        Final state, number of updates performed, stop reason, the final
+        partition, and the active set of the last update. A sparsity-cap
+        trip is reported as a normal outcome with ``StopReason.SPARSITY_CAP``
+        and the last state below the cap.
     """
     state = init
     prev_active = np.flatnonzero(init.beta)
     prev_signs = None
+    pinned = None
     iterations = 0
     for k in range(config.max_iter + 1):
         part = active_partition(state, config.lam)
         signs = np.sign(state.beta[part.active] + state.dual[part.active])
         if config.sparsity_cap is not None and part.size > config.sparsity_cap:
-            return SsnOutcome(state, iterations, StopReason.SPARSITY_CAP, part)
+            return SsnOutcome(state, iterations, StopReason.SPARSITY_CAP, part, pinned)
         if np.array_equal(part.active, prev_active):
             # The update is a function of the active set AND the sign
             # pattern; a set repeat with flipped signs (possible on badly
@@ -204,14 +228,17 @@ def ssn_solve(prob, init, config):
             else:
                 repeated = np.array_equal(signs, prev_signs)
             if repeated:
-                return SsnOutcome(state, iterations, StopReason.ACTIVE_SET_REPEATED, part)
+                return SsnOutcome(
+                    state, iterations, StopReason.ACTIVE_SET_REPEATED, part, pinned
+                )
         if k >= config.max_iter:
-            return SsnOutcome(state, iterations, StopReason.MAX_ITER, part)
+            return SsnOutcome(state, iterations, StopReason.MAX_ITER, part, pinned)
         try:
             state = ssn_update(prob, state, part, config.lam, config.shift)
         except CgBreakdown as exc:
             exc.state = state
             raise
+        pinned = part.active
         prev_active = part.active
         prev_signs = signs
         iterations += 1

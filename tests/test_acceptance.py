@@ -21,9 +21,7 @@ from ssnpath import (
     kkt_residual,
     make_instance,
     mbic_select,
-    min_norm_probe,
     mutual_coherence,
-    newton_step_dense,
     objective,
     refresh_dual,
     run_benchmark,
@@ -35,6 +33,7 @@ from ssnpath import (
     ssn_update,
     theory_check,
 )
+from oracles import min_norm_probe, newton_step_dense
 
 
 def _verdict(name, ok, detail):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from ssnpath import (
     cold_start,
     default_lambda0,
     kkt_residual,
-    min_norm_probe,
     normalize,
     objective,
     refresh_dual,
@@ -20,6 +21,7 @@ from ssnpath import (
     ssn_solve,
 )
 from conftest import random_instance
+from oracles import min_norm_probe
 
 
 class TestCdSolve:
@@ -104,6 +106,33 @@ class TestCdPath:
             a = objective(prob, nr.beta_dense(prob.p), nr.lam)
             b = objective(prob, cr.beta_dense(prob.p), cr.lam)
             assert abs(a - b) <= 1e-8
+
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_rebuilt_dual_is_refresh_of_the_unthresholded_iterate(self, alpha):
+        prob, _ = random_instance(25, 50, alpha=alpha, seed=17)
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.8, num_knots=15)
+        path = cd_path(prob, cfg, tol=1e-4, max_sweeps=50)
+        beta = cold_start(prob).beta
+        for rec in path.records:
+            beta = cd_solve(prob, rec.lam, init=beta, tol=1e-4, max_sweeps=50).beta
+            expected = refresh_dual(prob, beta)
+            np.testing.assert_array_equal(rec.dual, expected)
+            np.testing.assert_array_equal(np.signbit(rec.dual), np.signbit(expected))
+            assert rec.dual is rec.dual
+
+    def test_records_hold_no_dense_dual(self):
+        prob, _ = random_instance(60, 1000, seed=13)
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.95, num_knots=20)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            path = cd_path(prob, cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(path) == 20
+        assert held < 10 * prob.p * 8
 
 
 class TestMinNormProbe:

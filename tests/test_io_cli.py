@@ -147,6 +147,17 @@ class TestCli:
         assert "sparsity_cap must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_penalty_exits_one(self, tmp_path, csv_instance, capsys):
+        x_path, y_path, _, _ = csv_instance
+        out = tmp_path / "out.csv"
+        data = ["--x", str(x_path), "--y", str(y_path), "--out", str(out)]
+        assert cli_main(["path", "--lambda0", "inf", *data]) == 1
+        assert cli_main(["path", "--shift", "shifted", "--shift-delta", "nan", *data]) == 1
+        assert cli_main(["solve", "--lambda", "inf", *data]) == 1
+        assert cli_main(["solve", "--lambda", "nan", *data]) == 1
+        assert capsys.readouterr().err.count("finite") == 4
+        assert not out.exists()
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         # a constant column cannot be normalized
         x_path = tmp_path / "X.csv"

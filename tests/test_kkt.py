@@ -4,13 +4,10 @@ import pytest
 from ssnpath import (
     PrimalDualState,
     ProblemData,
-    SingularSystem,
     active_partition,
-    assemble_newton_matrix,
     cd_solve,
     cold_start,
     kkt_residual,
-    newton_step_dense,
     objective,
     refresh_dual,
     soft_threshold,
@@ -18,6 +15,7 @@ from ssnpath import (
     ssn_update,
 )
 from conftest import random_instance
+from oracles import SingularSystem, assemble_newton_matrix, newton_step_dense
 
 
 class TestSoftThreshold:

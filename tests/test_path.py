@@ -1,4 +1,6 @@
 import io
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from ssnpath import (
     PathConfig,
     ProblemData,
     SsnConfig,
+    cold_start,
     default_lambda0,
     grid_floor_index,
     kkt_residual,
@@ -72,6 +75,13 @@ class TestPathConfig:
                 PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, shift_schedule=bogus)
         with pytest.raises(ValueError):
             PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, sparsity_cap=-5)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                PathConfig(lambda0=bad, gamma=0.5, num_knots=3)
+            for schedule in ("zero", "shifted"):
+                with pytest.raises(ValueError, match="finite"):
+                    PathConfig(lambda0=1.0, gamma=0.5, num_knots=3,
+                               shift_schedule=schedule, shift_delta=bad)
         PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, sparsity_cap=0)  # null model only
 
     def test_shifted_schedule_feasibility(self):
@@ -194,6 +204,69 @@ class TestSolvePath:
         cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.9, num_knots=15)
         lams = solve_path(prob, cfg).lambdas()
         assert np.all(np.diff(lams) < 0)
+
+
+class TestRecordDual:
+    @pytest.mark.parametrize("schedule", ["zero", "shifted"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize("max_inner", [1, 5])
+    @pytest.mark.parametrize("lambda0_scale", [1.0, 4.0])
+    def test_rebuilt_dual_is_the_live_dual(self, schedule, alpha, max_inner, lambda0_scale):
+        prob, _ = random_instance(40, 80, alpha=alpha, seed=15, T=6)
+        cap = math.ceil(prob.n / 2)
+        cfg = PathConfig(lambda0=lambda0_scale * default_lambda0(prob), gamma=0.8,
+                         num_knots=30, max_inner=max_inner, shift_schedule=schedule)
+        path = solve_path(prob, cfg)
+        assert len(path) >= 10
+        # the same walk by hand, keeping each knot's live output state
+        state = cold_start(prob)
+        for rec in path.records:
+            knot_cfg = SsnConfig(lam=cfg.lam(rec.t), shift=cfg.shift(rec.t),
+                                 max_iter=max_inner, sparsity_cap=cap)
+            state = ssn_solve(prob, state, knot_cfg).state
+            assert rec.dual.dtype == state.dual.dtype
+            np.testing.assert_array_equal(rec.dual, state.dual)
+            np.testing.assert_array_equal(np.signbit(rec.dual), np.signbit(state.dual))
+        # knot 0 starts stationary; above the null-model level every knot
+        # (0.8^t > 1/4 at t <= 6) reuses the cold start's dual
+        zero_update = sum(rec.iterations == 0 for rec in path.records)
+        assert zero_update >= (7 if lambda0_scale > 1.0 else 1)
+
+    def test_dual_read_contract(self):
+        prob, _ = random_instance(30, 60, seed=16)
+        cfg = PathConfig(lambda0=4.0 * default_lambda0(prob), gamma=0.8, num_knots=20)
+        path = solve_path(prob, cfg)
+        first, second = path.records[0], path.records[1]
+        assert first.iterations == second.iterations == 0
+        dual = first.dual
+        assert first.dual is dual
+        state = first.state(prob.p)
+        np.testing.assert_array_equal(state.dual, dual)
+        assert state.dual is not dual
+        # an in-place edit persists on its own record only, even where two
+        # knots share the inputs their duals are rebuilt from
+        dual[3] += 1.0
+        assert first.dual[3] == dual[3]
+        assert first.state(prob.p).dual[3] == dual[3]
+        np.testing.assert_array_equal(second.dual, prob.xty / prob.n)
+        replacement = np.ones(prob.p)
+        first.dual = replacement
+        assert first.dual is replacement
+        np.testing.assert_array_equal(first.state(prob.p).dual, replacement)
+
+    def test_records_hold_no_dense_dual(self):
+        # n = 60 caps the active set at 30; 50 dense duals would hold 50 * p * 8 bytes
+        prob, _ = random_instance(60, 2000, seed=13)
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.95, num_knots=50, max_inner=5)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            path = solve_path(prob, cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(path) == 50
+        assert held < 10 * prob.p * 8
 
 
 class TestPathCsv:

@@ -17,17 +17,22 @@ from ssnpath import (
 from conftest import random_instance
 
 
-def _record(t, lam, indices, values, p):
+def _unread_dual():
+    raise AssertionError("a selector read a knot's dual")
+
+
+def _record(t, lam, indices, values):
+    # Selectors read the support and coefficients only; a dual read fails the test.
     indices = np.asarray(indices, dtype=np.intp)
     return KnotRecord(
         t=t,
         lam=lam,
         indices=indices,
         values=np.asarray(values, dtype=float),
-        dual=np.zeros(p),
         iterations=1,
         active_size=indices.shape[0],
         stop_reason="active_set_repeated",
+        dual_source=_unread_dual,
     )
 
 
@@ -55,7 +60,7 @@ class TestMbic:
         # 0.10 + 2 * ln(100) * ln(1000) / 100 = 0.7361678...
         n, p = 100, 1000
         prob = _toy_problem(n, p, y_norm_sq=2 * n * 0.10)
-        path = PathResult([_record(0, 0.5, [3, 7], [0.0, 0.0], p)], p, 0.0)
+        path = PathResult([_record(0, 0.5, [3, 7], [0.0, 0.0])], p, 0.0)
         res = mbic_select(prob, path)
         expected = 0.10 + 2 * math.log(100) * math.log(1000) / 100
         assert res.values[0] == pytest.approx(expected, rel=1e-12)
@@ -89,11 +94,11 @@ class TestHbic:
         value_b = math.log(0.4) + 20 * unit
         assert value_a < value_b  # the sparser knot wins here
         prob = _toy_problem(n, p, y_norm_sq=n * 0.5)
-        rec_a = _record(0, 0.6, [1, 2], [0.0, 0.0], p)
+        rec_a = _record(0, 0.6, [1, 2], [0.0, 0.0])
         # knot B fits y partially through column 0 (X[0, 0] = 1), leaving
         # rss = 0.4 n exactly
         fit = math.sqrt(0.5 * n) - math.sqrt(0.4 * n)
-        rec_b = _record(1, 0.3, list(range(20)), [fit] + [0.0] * 19, p)
+        rec_b = _record(1, 0.3, list(range(20)), [fit] + [0.0] * 19)
         path = PathResult([rec_a, rec_b], p, 0.0)
         res = hbic_select(prob, path)
         assert res.values[0] == pytest.approx(value_a, rel=1e-12)
@@ -104,7 +109,7 @@ class TestHbic:
         n = 6
         prob = ProblemData(np.sqrt(n) * np.eye(n), np.arange(1.0, n + 1))
         beta = prob.y / np.sqrt(n)
-        rec = _record(0, 0.1, list(range(n)), beta, n)
+        rec = _record(0, 0.1, list(range(n)), beta)
         with pytest.raises(ZeroResidual) as err:
             hbic_select(prob, PathResult([rec], n, 0.0))
         assert err.value.knot == 0
@@ -115,8 +120,8 @@ class TestSelectorProperties:
         n, p = 50, 10
         prob = _toy_problem(n, p, y_norm_sq=n)
         recs = [
-            _record(0, 0.8, [0], [0.0], p),
-            _record(1, 0.4, [1], [0.0], p),  # identical criterion value
+            _record(0, 0.8, [0], [0.0]),
+            _record(1, 0.4, [1], [0.0]),  # identical criterion value
         ]
         res = mbic_select(prob, PathResult(recs, p, 0.0))
         assert res.chosen_knot == 0

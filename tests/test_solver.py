@@ -10,7 +10,6 @@ from ssnpath import (
     active_partition,
     cd_solve,
     cold_start,
-    newton_step_dense,
     objective,
     refresh_dual,
     soft_threshold_vec,
@@ -19,6 +18,7 @@ from ssnpath import (
 )
 from ssnpath import solver
 from conftest import random_instance
+from oracles import newton_step_dense
 
 
 class TestSsnUpdate:
@@ -218,6 +218,9 @@ class TestSsnSolve:
             SsnConfig(lam=1.0, max_iter=0)
         with pytest.raises(ValueError):
             SsnConfig(lam=1.0, sparsity_cap=-5)
+        for lam in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                SsnConfig(lam=lam)
         SsnConfig(lam=1.0, sparsity_cap=0)  # null model only
 
 
