@@ -18,8 +18,8 @@ from functools import partial
 import numpy as np
 
 from .errors import CgBreakdown, DegenerateResponse, NoiseTooLarge
-from .problem import PrimalDualState, cold_start
-from .solver import SsnConfig, StopReason, _pinned_dual, ssn_solve
+from .problem import PrimalDualState, _pinned_dual, cold_start
+from .solver import SsnConfig, StopReason, ssn_solve
 
 #: Fraction of the penalty kept as shrinkage under the shifted schedule.
 SHIFT_KEEP_FRACTION = 0.1
@@ -93,6 +93,9 @@ class KnotRecord:
     length-p dual from the O(|A|) numbers it holds. The first read of
     ``dual`` calls it and keeps the result on the record, so later reads
     return that same array, and an in-place edit or an assignment persists.
+    ``refreshes`` is the number of full ``X'u`` products the knot's
+    partitions spent building duals (see :class:`ssnpath.SsnOutcome`); it is
+    0 for records that come from no partition.
     """
 
     t: int
@@ -103,6 +106,7 @@ class KnotRecord:
     active_size: int
     stop_reason: str
     dual_source: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    refreshes: int = field(default=0, kw_only=True)
     _dual: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -219,23 +223,25 @@ def sign_recovery_config(prob, sigma, max_inner=None):
     )
 
 
-def _dual_source(prob, state, pinned):
-    """Rebuilds ``state.dual`` bitwise, ``pinned`` being the active set of the update that made it."""
-    return partial(_pinned_dual, prob, pinned, state.beta[pinned], state.dual[pinned])
+def _dual_source(pinning):
+    """Rebuilds bitwise the dual of the state ``pinning`` made, from its O(|A|) numbers."""
+    return partial(_pinned_dual, pinning.prob, pinning.active, pinning.beta, pinning.dual)
 
 
 def solve_path(prob, config):
     """Run the fixed-penalty solve over the grid with warm starts.
 
     Knot t's initial state is exactly knot t-1's output state. Only that one
-    dense state is kept; each record holds the active set, coefficients and
-    pinned dual of the update that made its state, from which its dual is
-    rebuilt (a knot solved with no update shares the previous knot's).
-    Knot-level solver failures propagate with the knot index attached.
+    state is kept; each record holds the active set, coefficients and pinned
+    dual of the update that made its state, from which its dual is rebuilt
+    (a knot solved with no update shares the previous knot's; knot 0's cold
+    start is rebuilt from an empty active set). Knot-level solver failures
+    propagate with the knot index attached.
     """
     cap = _sparsity_cap(prob.n, config.sparsity_cap)
     state = cold_start(prob)
-    dual_source = _dual_source(prob, state, np.zeros(0, dtype=np.intp))
+    # An empty active set: X'y/n, the cold start's dual.
+    dual_source = partial(_pinned_dual, prob, np.zeros(0, dtype=np.intp), None, None)
     records = []
     terminated_at = None
     start = time.perf_counter()
@@ -255,8 +261,8 @@ def solve_path(prob, config):
         if out.stop_reason is StopReason.SPARSITY_CAP:
             terminated_at = t
             break
-        if out.pinned is not None:
-            dual_source = _dual_source(prob, out.state, out.pinned)
+        if out.state._pinning is not None:
+            dual_source = _dual_source(out.state._pinning)
         idx = np.flatnonzero(out.state.beta)
         records.append(
             KnotRecord(
@@ -268,6 +274,7 @@ def solve_path(prob, config):
                 active_size=out.active.size,
                 stop_reason=out.stop_reason.value,
                 dual_source=dual_source,
+                refreshes=out.refreshes,
             )
         )
         state = out.state

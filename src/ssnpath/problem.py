@@ -10,7 +10,7 @@ sqrt(n) (see :func:`normalize`); the ``normalized`` flag records whether that
 holds for a given instance.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -24,6 +24,15 @@ NORMALIZED_TOL = 1e-8
 # block stays in cache across the steps of the pass.
 _BLOCK_ENTRIES = 1 << 15
 
+# Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u): the relative error bound of a k-term dot product (Higham)."""
+    ku = k * _UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
 
 class ProblemData:
     """Immutable regression instance: design ``X``, response ``y``, ridge weight ``alpha``.
@@ -33,10 +42,12 @@ class ProblemData:
     concurrent solver runs: the arrays are read-only through the instance.
     Input already float64 in the stored layout is kept without a copy, so
     the caller's own arrays stay writeable and must not be changed while
-    the instance is in use.
+    the instance is in use. ``max_col_norm`` is an upper bound on every
+    column norm (the largest computed norm, rounded up past its own rounding
+    error); it is infinite when a column's squares overflow.
     """
 
-    __slots__ = ("X", "y", "alpha", "xty", "normalized")
+    __slots__ = ("X", "y", "alpha", "xty", "normalized", "max_col_norm")
 
     def __init__(self, X, y, alpha=0.0):
         X = np.asfortranarray(X, dtype=np.float64)
@@ -53,14 +64,17 @@ class ProblemData:
         finite_X = np.isfinite(norms).all() or np.isfinite(X).all()
         if not finite_X or not np.isfinite(y).all():
             raise ValueError("design and response must be finite")
-        if not (alpha >= 0.0):
-            raise ValueError(f"ridge weight must be >= 0, got {alpha}")
+        _check_alpha(alpha)
         # Views, so that marking them read-only leaves the caller's arrays alone.
         self.X = X.view()
         self.y = y.view()
         self.alpha = float(alpha)
         self.xty = X.T @ y
         self.normalized = bool(np.max(np.abs(norms - np.sqrt(X.shape[0]))) <= NORMALIZED_TOL)
+        # A computed norm is at most a factor 1 - gamma_{n+1} below the true one.
+        self.max_col_norm = float(
+            np.nextafter(np.max(norms) * (1.0 + 2.0 * _gamma(X.shape[0] + 1)), np.inf)
+        )
         for arr in (self.X, self.y, self.xty):
             arr.flags.writeable = False
 
@@ -74,14 +88,14 @@ class ProblemData:
 
     def with_alpha(self, alpha):
         """Sibling instance sharing the data arrays but with a different ridge weight."""
-        if not (alpha >= 0.0):
-            raise ValueError(f"ridge weight must be >= 0, got {alpha}")
+        _check_alpha(alpha)
         other = object.__new__(ProblemData)
         other.X = self.X
         other.y = self.y
         other.alpha = float(alpha)
         other.xty = self.xty
         other.normalized = self.normalized
+        other.max_col_norm = self.max_col_norm
         return other
 
     def __repr__(self):
@@ -89,6 +103,11 @@ class ProblemData:
             f"ProblemData(n={self.n}, p={self.p}, alpha={self.alpha}, "
             f"normalized={self.normalized})"
         )
+
+
+def _check_alpha(alpha):
+    if not (0.0 <= alpha < math.inf):
+        raise ValueError(f"ridge weight must be finite and >= 0, got {alpha}")
 
 
 def _column_blocks(X):
@@ -191,27 +210,147 @@ def objective(prob, beta, lam):
     return float(value)
 
 
-@dataclass
 class PrimalDualState:
     """Primal coefficients ``beta`` and dual correlations ``dual``, both length p.
 
     The dual tracks (X'y - G beta)/n with G = X'X + alpha I; see
-    :func:`ssnpath.kkt.refresh_dual`.
+    :func:`ssnpath.kkt.refresh_dual`. A state built by the constructor holds
+    both vectors as given. A state made by :func:`ssnpath.ssn_update` holds
+    only the O(n + |A|) numbers its update left (``_Pinning``) and builds the
+    length-p dual, one ``X'u`` product, on the first read of ``dual``.
+
+    Such a state also holds a ``_Certificate``: until its dual is built, the
+    one carried from the last built state, which
+    :func:`ssnpath.kkt.active_partition` tries before building anything; once
+    built, its own, which the states updated from it carry. A state from the
+    constructor has none and passes none on, since its dual need not be
+    (X'y - X'u)/n for any u.
     """
 
-    beta: np.ndarray
-    dual: np.ndarray
+    __slots__ = ("beta", "_dual", "_pinning", "_certificate")
 
-    def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=np.float64)
-        self.dual = np.asarray(self.dual, dtype=np.float64)
-        if self.beta.shape != self.dual.shape or self.beta.ndim != 1:
+    def __init__(self, beta, dual):
+        beta = np.asarray(beta, dtype=np.float64)
+        dual = np.asarray(dual, dtype=np.float64)
+        if beta.shape != dual.shape or beta.ndim != 1:
             raise DimensionMismatch("beta and dual must be 1-d vectors of equal length")
-        if not (np.isfinite(self.beta).all() and np.isfinite(self.dual).all()):
+        if not (np.isfinite(beta).all() and np.isfinite(dual).all()):
             raise ValueError("state vectors must be finite")
+        self.beta = beta
+        self._dual = dual
+        self._pinning = None
+        self._certificate = None
+
+    @classmethod
+    def _from_update(cls, beta, pinning, certificate):
+        """The state an update left: ``beta`` dense, the dual held as ``pinning``."""
+        if not np.isfinite(pinning.beta).all():
+            raise ValueError("state vectors must be finite")
+        state = object.__new__(cls)
+        state.beta = beta
+        state._dual = None
+        state._pinning = pinning
+        state._certificate = certificate
+        return state
+
+    @property
+    def dual(self):
+        if self._dual is None:
+            pin = self._pinning
+            dual = _pinned_dual(pin.prob, pin.active, pin.beta, pin.dual, pin.u)
+            off = np.abs(dual)
+            off[pin.active] = 0.0
+            # dual_A is finite, so this max is finite exactly when the dual is
+            largest = float(off.max())
+            if not math.isfinite(largest):
+                raise ValueError("state vectors must be finite")
+            self._certificate = _Certificate(pin.active, pin.u, largest + pin.err)
+            self._dual = dual
+        return self._dual
+
+    def _dual_on(self, idx):
+        """``dual[idx]``, read from the pinned values without a build when ``idx`` lies in A."""
+        if self._dual is None:
+            pos = _positions(self._pinning.active, idx)
+            if pos is not None:
+                return self._pinning.dual[pos]
+        return self.dual[idx]
+
+    def _needs_product(self):
+        """Whether reading ``dual`` now costs a full ``X'u`` product."""
+        return self._dual is None and self._pinning.active.shape[0] > 0
 
     def copy(self):
         return PrimalDualState(self.beta.copy(), self.dual.copy())
+
+
+class _Pinning:
+    """What an active-set update leaves: its dual is ``dual`` on ``active`` and
+    (X'y - X'u)/n elsewhere, with ``u = X_A beta`` for the coefficients ``beta``
+    on ``active``.
+
+    ``err`` bounds the rounding error of every built dual entry off
+    ``active``, measured from the exact (X_j'y - X_j'u)/n of the stored u:
+    2 gamma_{n+|A|+4} c (||y|| + 2 c ||beta||_1)/n with c = ``max_col_norm``,
+    twice the error of the two n-term dot products and the two roundings
+    after them, with ||u|| <= c ||beta||_1 (1 + gamma_|A|) <= 2 c ||beta||_1.
+    The outer factor 2 also covers the rounding of evaluating the bound.
+    """
+
+    __slots__ = ("prob", "active", "beta", "dual", "u", "err")
+
+    def __init__(self, prob, active, beta, dual, u):
+        self.prob = prob
+        self.active = active
+        self.beta = beta
+        self.dual = dual
+        self.u = u
+        n, c = prob.n, prob.max_col_norm
+        size = math.sqrt(prob.y @ prob.y) + 2.0 * c * float(np.abs(beta).sum())
+        self.err = 2.0 * _gamma(n + active.shape[0] + 4) * c * size / n
+
+
+class _Certificate:
+    """What a built solver-made state offers later states: its active set, its
+    u, and ``ceiling``, its largest built dual magnitude off that set plus its
+    rounding term, so at least every exact dual magnitude there."""
+
+    __slots__ = ("active", "u", "ceiling")
+
+    def __init__(self, active, u, ceiling):
+        self.active = active
+        self.u = u
+        self.ceiling = ceiling
+
+
+def _positions(sorted_idx, idx):
+    """Positions of ``idx`` in the sorted ``sorted_idx``, or None when some entry is absent."""
+    if idx.shape[0] > sorted_idx.shape[0]:
+        return None
+    if idx.shape[0] == 0:
+        return idx
+    pos = np.searchsorted(sorted_idx, idx)
+    if not np.array_equal(sorted_idx.take(pos, mode="clip"), idx):
+        return None
+    return pos
+
+
+def _pinned_dual(prob, A, beta_A, dual_A, u=None):
+    """The dual an update on active set ``A`` leaves: ``dual_A`` on A, refreshed off it.
+
+    Off A the dual is (X'y - X'u)/n with u = X_A beta_A (computed here when not
+    given); the ridge term vanishes there because the off-active beta is zero.
+    With A empty this is X'y/n, the cold-start dual, and takes no product.
+    Knot records rebuild their dual through this function from the same
+    inputs, so the rebuilt dual is bitwise the one the solve produced.
+    """
+    if A.shape[0] == 0:
+        return prob.xty / prob.n
+    if u is None:
+        u = prob.X[:, A] @ beta_A
+    dual = (prob.xty - prob.X.T @ u) / prob.n
+    dual[A] = dual_A
+    return dual
 
 
 def cold_start(prob):

@@ -6,13 +6,18 @@ of the stationarity system F(z) = 0 (see :mod:`ssnpath.kkt`), and
 the active-set update of :func:`ssnpath.ssn_update`. :func:`min_norm_probe`
 follows elastic-net solutions to the minimum-norm lasso solution. All of them
 densify or sweep to tight tolerances, so they run at verification scale only.
+:func:`eager_solve_path` is the path walk with every dual built at its
+update and every partition read from the full dual, which the certified
+partitions of :func:`ssnpath.solve_path` must reproduce bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ssnpath import PrimalDualState, SsnPathError, cd_solve, soft_threshold_vec
+from ssnpath.solver import _solve_restricted
 
 # assemble_newton_matrix is for verification only; refuse matrices beyond this
 # total dimension (2p) rather than densify a production-scale instance.
@@ -130,3 +135,68 @@ def min_norm_probe(prob, lam, alphas, tol=1e-12, max_sweeps=20000):
         betas.append(res.beta)
         init = res.beta
     return betas
+
+
+def eager_ssn_update(prob, state, active, lam, shift):
+    """:func:`ssnpath.ssn_update` with the full dual built at once."""
+    beta = np.zeros(prob.p)
+    if active.shape[0] == 0:
+        return PrimalDualState(beta, prob.xty / prob.n)
+    dual_active = (lam - shift) * np.sign(state.beta[active] + state.dual[active])
+    rhs = prob.xty[active] - prob.n * dual_active
+    beta[active] = beta_active = _solve_restricted(
+        prob, prob.X[:, active], rhs, state.beta[active]
+    )
+    dual = (prob.xty - prob.X.T @ (prob.X[:, active] @ beta_active)) / prob.n
+    dual[active] = dual_active
+    return PrimalDualState(beta, dual)
+
+
+def eager_ssn_solve(prob, init, lam, shift, max_iter, cap):
+    """:func:`ssnpath.ssn_solve` partitioning every state by its full dual.
+
+    Returns (state, iterations, stop reason value, active set).
+    """
+    state = init
+    prev_active = np.flatnonzero(init.beta)
+    prev_signs = None
+    for k in range(max_iter + 1):
+        active = np.flatnonzero(np.abs(state.beta + state.dual) > lam)
+        signs = np.sign(state.beta[active] + state.dual[active])
+        if active.shape[0] > cap:
+            return state, k, "sparsity_cap", active
+        if np.array_equal(active, prev_active):
+            if prev_signs is None:
+                repeated = np.array_equal(state.dual[active], (lam - shift) * signs)
+            else:
+                repeated = np.array_equal(signs, prev_signs)
+            if repeated:
+                return state, k, "active_set_repeated", active
+        if k >= max_iter:
+            return state, k, "max_iter", active
+        state = eager_ssn_update(prob, state, active, lam, shift)
+        prev_active, prev_signs = active, signs
+    raise AssertionError("unreachable")
+
+
+def eager_solve_path(prob, config):
+    """:func:`ssnpath.solve_path` with eager duals: (list of per-knot dicts, terminated_at).
+
+    Each dict holds the ``KnotRecord`` fields ``t``, ``lam``, ``indices``,
+    ``values``, ``iterations``, ``active_size``, ``stop_reason`` and ``dual``.
+    """
+    cap = math.ceil(0.5 * prob.n) if config.sparsity_cap is None else config.sparsity_cap
+    state = PrimalDualState(np.zeros(prob.p), prob.xty / prob.n)
+    knots = []
+    for t in range(config.num_knots):
+        lam = config.lam(t)
+        state, iters, reason, active = eager_ssn_solve(
+            prob, state, lam, config.shift(t), config.max_inner, cap
+        )
+        if reason == "sparsity_cap":
+            return knots, t
+        idx = np.flatnonzero(state.beta)
+        knots.append(dict(t=t, lam=lam, indices=idx, values=state.beta[idx].copy(),
+                          iterations=iters, active_size=active.shape[0],
+                          stop_reason=reason, dual=state.dual))
+    return knots, None

@@ -158,6 +158,17 @@ class TestCli:
         assert capsys.readouterr().err.count("finite") == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("normalize_flag", [[], ["--raw"]])
+    def test_infinite_alpha_exits_one(self, tmp_path, csv_instance, capsys, normalize_flag):
+        x_path, y_path, _, _ = csv_instance
+        out = tmp_path / "out.csv"
+        data = ["--x", str(x_path), "--y", str(y_path), "--alpha", "inf", "--out", str(out),
+                *normalize_flag]
+        assert cli_main(["path", *data]) == 1
+        assert cli_main(["solve", "--lambda", "0.5", *data]) == 1
+        assert capsys.readouterr().err.count("ridge weight must be finite") == 2
+        assert not out.exists()
+
     def test_numerical_failure_exits_two(self, tmp_path, capsys):
         # a constant column cannot be normalized
         x_path = tmp_path / "X.csv"

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,24 @@ class TestProblemData:
         with pytest.raises(ValueError):
             ProblemData(np.eye(3), np.ones(3), alpha=-1.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, -np.inf, np.nan])
+    def test_alpha_outside_zero_to_inf_rejected_by_both_constructors(self, bad):
+        with pytest.raises(ValueError, match="ridge weight"):
+            ProblemData(np.eye(3), np.ones(3), alpha=bad)
+        with pytest.raises(ValueError, match="ridge weight"):
+            normalize(np.arange(6.0).reshape(3, 2) ** 2, np.ones(3), alpha=bad)
+        prob = ProblemData(np.eye(3), np.ones(3))
+        with pytest.raises(ValueError, match="ridge weight"):
+            prob.with_alpha(bad)
+
+    def test_max_col_norm_bounds_every_column_and_is_shared(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((50, 7)) * np.array([1e-3, 1.0, 3.0, 1e3, 0.5, 2.0, 7.0])
+        prob = ProblemData(X, rng.standard_normal(50))
+        exact = max(math.sqrt(sum(Fraction(v) ** 2 for v in col)) for col in X.T)
+        assert exact <= prob.max_col_norm <= exact * (1 + 1e-12)
+        assert prob.with_alpha(0.3).max_col_norm == prob.max_col_norm
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             ProblemData([[np.nan], [1.0]], [1.0, 2.0])
@@ -110,6 +131,7 @@ class TestProblemData:
         with np.errstate(over="ignore"):
             prob = ProblemData(X, np.ones(2))
         assert not prob.normalized
+        assert prob.max_col_norm == np.inf
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("shape", [(1, 5), (7, 1), (50, 3), (2000, 41)])

@@ -112,12 +112,12 @@ class TestSolveRestricted:
         XA = prob.X[:, A]
         G = XA.T @ XA
         G[np.diag_indices_from(G)] += prob.alpha
-        x = solver._solve_restricted(prob, A, rhs, np.zeros(A.size))
+        x = solver._solve_restricted(prob, XA, rhs, np.zeros(A.size))
         np.testing.assert_array_equal(x, np.linalg.solve(G, rhs))
         assert calls == []
 
         A = np.arange(33)
-        solver._solve_restricted(prob, A, rng.standard_normal(A.size), np.zeros(A.size))
+        solver._solve_restricted(prob, prob.X[:, A], rng.standard_normal(A.size), np.zeros(A.size))
         assert calls == [(1e-12, max(1, prob.p // 66))]
 
 

@@ -1,0 +1,165 @@
+"""Check that two checkouts fit bitwise-identical paths on the benchmark workloads.
+
+    python3 tools/compare_paths.py OLD NEW [--seeds 0-4] [--workloads table1,enet]
+
+OLD and NEW are checkout roots, each with its own ``src/ssnpath`` and
+``perfbench/``. For every workload and seed, each side fits instance
+(seed, index, 0) of ``perfbench/workloads.py`` in its own subprocess with its
+own ``src/`` first on ``sys.path``, walks the workload's path and selects a
+knot by mbic. The sides then must agree on every ``KnotRecord`` field they
+both have (``dual`` read after the fit), ``p``, ``terminated_at`` and the
+mbic pick: same type, dtype, shape and bytes, so a flipped sign bit on a
+zero is a mismatch. Fields only one side has are listed, not compared. The
+exit status is 1 on any mismatch and 0 when all knots match.
+
+``--self-check`` plants a one-ulp change in NEW's last dual before
+comparing, so a working comparison must exit 1 and name it.
+
+Neither checkout is written: the children import the workloads with
+bytecode caching off.
+"""
+
+import argparse
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ALL_WORKLOADS = ("table1", "table2", "enet", "cd_small")
+
+
+def _seeds(text):
+    """``"0-4"`` or ``"0,3,7"`` as a list of ints."""
+    if "-" in text:
+        lo, hi = text.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in text.split(",")]
+
+
+def _dump(checkout, out, workloads, seeds):
+    """Child side: fit every (workload, seed) with ``checkout``'s code and pickle the results."""
+    sys.dont_write_bytecode = True
+    root = Path(checkout).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import ssnpath
+    from ssnpath import mbic_select
+    from workloads import WORKLOADS
+
+    if Path(ssnpath.__file__).resolve().parent != root / "src" / "ssnpath":
+        sys.exit(f"ssnpath was imported from {ssnpath.__file__}, not {root / 'src'}")
+    index = {wl.name: i for i, wl in enumerate(WORKLOADS)}
+    results = {}
+    for name in workloads:
+        wl = WORKLOADS[index[name]]
+        for seed in seeds:
+            prob, _ = wl.instance(seed, index[name], 0)
+            path = wl.run_path(prob, wl.path_config(prob))
+            pick = mbic_select(prob, path)
+            records = []
+            for rec in path.records:
+                fields = {
+                    f.name: getattr(rec, f.name)
+                    for f in dataclasses.fields(rec)
+                    if not f.name.startswith("_") and f.name != "dual_source"
+                }
+                fields["dual"] = rec.dual
+                records.append(fields)
+            results[name, seed] = {
+                "records": records,
+                "p": path.p,
+                "terminated_at": path.terminated_at,
+                "mbic": dataclasses.asdict(pick),
+            }
+    with open(out, "wb") as f:
+        pickle.dump(results, f)
+
+
+def _fit(checkout, workloads, seeds, tmp):
+    out = Path(tmp) / f"{len(os.listdir(tmp))}.pkl"
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--dump", str(checkout), str(out),
+           "--workloads", ",".join(workloads), "--seeds", ",".join(map(str, seeds))]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)
+    subprocess.run(cmd, check=True, env=env)
+    with open(out, "rb") as f:
+        return pickle.load(f)
+
+
+def same(a, b):
+    """Whether ``a`` and ``b`` have the same type, dtype, shape and bytes."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (str, type(None))):
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def compare(old, new):
+    """(mismatch lines, notes, knots compared) for two child results."""
+    bad, notes, knots = [], set(), 0
+    for key in old:
+        label = "{} seed {}".format(*key)
+        a, b = old[key], new[key]
+        for name in ("p", "terminated_at"):
+            if not same(a[name], b[name]):
+                bad.append(f"{label}: {name} {a[name]!r} != {b[name]!r}")
+        for name in a["mbic"]:
+            if not same(a["mbic"][name], b["mbic"][name]):
+                bad.append(f"{label}: mbic {name} differs")
+        if len(a["records"]) != len(b["records"]):
+            bad.append(f"{label}: {len(a['records'])} knots != {len(b['records'])}")
+        for ra, rb in zip(a["records"], b["records"]):
+            knots += 1
+            for name in ra.keys() ^ rb.keys():
+                side = "OLD" if name in ra else "NEW"
+                notes.add(f"field {name!r} only in {side}; not compared")
+            for name in ra.keys() & rb.keys():
+                if not same(ra[name], rb[name]):
+                    bad.append(f"{label}: knot {ra['t']} field {name} differs")
+    return bad, sorted(notes), knots
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", nargs=2, metavar=("CHECKOUT", "OUT"), help=argparse.SUPPRESS)
+    parser.add_argument("old", nargs="?", help="root of the first checkout")
+    parser.add_argument("new", nargs="?", help="root of the second checkout")
+    parser.add_argument("--seeds", default="0-4", help="e.g. 0-4 or 0,7 (default 0-4)")
+    parser.add_argument("--workloads", default=",".join(ALL_WORKLOADS),
+                        help="comma-separated workload names (default: all four)")
+    parser.add_argument("--self-check", action="store_true",
+                        help="plant a one-ulp change in NEW's last dual; the run must fail")
+    args = parser.parse_args(argv)
+    workloads, seeds = args.workloads.split(","), _seeds(args.seeds)
+    if args.dump:
+        _dump(*args.dump, workloads, seeds)
+        return 0
+    if args.old is None or args.new is None:
+        parser.error("OLD and NEW checkouts are required")
+    with tempfile.TemporaryDirectory() as tmp:
+        old = _fit(args.old, workloads, seeds, tmp)
+        new = _fit(args.new, workloads, seeds, tmp)
+    if args.self_check:
+        key = next(iter(new))
+        dual = new[key]["records"][-1]["dual"]
+        dual[0] = np.nextafter(dual[0], np.inf)
+        print(f"self-check: planted a one-ulp change in {key[0]} seed {key[1]}, "
+              "last knot, dual[0]")
+    bad, notes, knots = compare(old, new)
+    for line in notes:
+        print(line)
+    for line in bad:
+        print("MISMATCH " + line)
+    print(f"{len(old)} paths, {knots} knots: "
+          + (f"{len(bad)} mismatches" if bad else "all identical"))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
