@@ -83,33 +83,33 @@ def active_partition(state, lam):
     A state whose certified bound (:func:`_off_active_bound`) is at most
     ``lam`` is split from its pinned values alone, without building its dual.
     """
-    cert = state._certificate
-    # The reference's ceiling alone bounds the sphere bound from below.
-    if cert is not None and cert.ceiling <= lam and _off_active_bound(state) <= lam:
+    if _off_active_bound(state, lam) <= lam:
         pin = state._pinning
         return ActivePartition(pin.active[np.abs(pin.beta + pin.dual) > lam])
     mask = np.abs(state.beta + state.dual) > lam
     return ActivePartition(np.flatnonzero(mask))
 
 
-def _off_active_bound(state):
+def _off_active_bound(state, lam):
     """A bound on |dual_j| off the pinned active set of an unbuilt solver-made state.
 
     Infinite (no bound) for a state whose dual is built or given, for one
-    without a certificate, and when the certificate's active set is not
-    contained in the state's; NaN from non-finite inputs also fails every
-    ``<= lam`` test.
+    without a certificate, when the certificate's active set is not
+    contained in the state's, and when the certificate's ceiling alone, a
+    lower bound on the bound, exceeds ``lam``; NaN from non-finite inputs
+    also fails every ``<= lam`` test.
     """
     cert = state._certificate
     if state._dual is not None or cert is None:
         return np.inf
+    ref, ceiling = cert
     pin = state._pinning
-    if _positions(pin.active, cert.active) is None:
+    if ceiling > lam or _positions(pin.active, ref.active) is None:
         return np.inf
     prob = pin.prob
-    du = pin.u - cert.u
+    du = pin.u - ref.u
     drift = prob.max_col_norm * math.sqrt(du @ du) / prob.n
-    return cert.ceiling + drift + pin.err
+    return ceiling + drift + pin.err
 
 
 @dataclass

@@ -217,17 +217,20 @@ class PrimalDualState:
     :func:`ssnpath.kkt.refresh_dual`. A state built by the constructor holds
     both vectors as given. A state made by :func:`ssnpath.ssn_update` holds
     only the O(n + |A|) numbers its update left (``_Pinning``) and builds the
-    length-p dual, one ``X'u`` product, on the first read of ``dual``.
+    length-p dual, one ``X'u`` product, on the first read of ``dual``; its
+    ``beta`` is read-only, so the partition it certifies from those numbers
+    is the one its ``beta`` gives. Assigning ``beta`` or ``dual`` builds or
+    replaces the dual first.
 
-    Such a state also holds a ``_Certificate``: until its dual is built, the
-    one carried from the last built state, which
-    :func:`ssnpath.kkt.active_partition` tries before building anything; once
-    built, its own, which the states updated from it carry. A state from the
-    constructor has none and passes none on, since its dual need not be
-    (X'y - X'u)/n for any u.
+    Such a state also holds a certificate, a ``(_Pinning, ceiling)`` pair:
+    until its dual is built, the one carried from the last built state of the
+    same data, which :func:`ssnpath.kkt.active_partition` tries before
+    building anything; once built, its own, which the states updated from it
+    carry. A state from the constructor, or given its ``dual``, has none and
+    passes none on, since its dual need not be (X'y - X'u)/n for any u.
     """
 
-    __slots__ = ("beta", "_dual", "_pinning", "_certificate")
+    __slots__ = ("_beta", "_dual", "_pinning", "_certificate")
 
     def __init__(self, beta, dual):
         beta = np.asarray(beta, dtype=np.float64)
@@ -236,22 +239,40 @@ class PrimalDualState:
             raise DimensionMismatch("beta and dual must be 1-d vectors of equal length")
         if not (np.isfinite(beta).all() and np.isfinite(dual).all()):
             raise ValueError("state vectors must be finite")
-        self.beta = beta
+        self._beta = beta
         self._dual = dual
         self._pinning = None
         self._certificate = None
 
     @classmethod
     def _from_update(cls, beta, pinning, certificate):
-        """The state an update left: ``beta`` dense, the dual held as ``pinning``."""
+        """The state an update left: ``beta`` dense, the dual held as ``pinning``.
+
+        ``certificate`` is dropped unless it was built from the same X and y
+        as ``pinning``: its ceiling bounds duals of that data only.
+        """
         if not np.isfinite(pinning.beta).all():
             raise ValueError("state vectors must be finite")
+        if certificate is not None:
+            ref = certificate[0].prob
+            if not (ref.X is pinning.prob.X and ref.y is pinning.prob.y):
+                certificate = None
+        beta.flags.writeable = False
         state = object.__new__(cls)
-        state.beta = beta
+        state._beta = beta
         state._dual = None
         state._pinning = pinning
         state._certificate = certificate
         return state
+
+    @property
+    def beta(self):
+        return self._beta
+
+    @beta.setter
+    def beta(self, beta):
+        self.dual  # built, so no partition reads the pinned beta any more
+        self._beta = np.asarray(beta, dtype=np.float64)
 
     @property
     def dual(self):
@@ -264,9 +285,16 @@ class PrimalDualState:
             largest = float(off.max())
             if not math.isfinite(largest):
                 raise ValueError("state vectors must be finite")
-            self._certificate = _Certificate(pin.active, pin.u, largest + pin.err)
+            # The ceiling is at least every exact dual magnitude off A.
+            self._certificate = (pin, largest + pin.err)
             self._dual = dual
         return self._dual
+
+    @dual.setter
+    def dual(self, dual):
+        self._dual = np.asarray(dual, dtype=np.float64)
+        self._pinning = None
+        self._certificate = None
 
     def _dual_on(self, idx):
         """``dual[idx]``, read from the pinned values without a build when ``idx`` lies in A."""
@@ -308,19 +336,6 @@ class _Pinning:
         n, c = prob.n, prob.max_col_norm
         size = math.sqrt(prob.y @ prob.y) + 2.0 * c * float(np.abs(beta).sum())
         self.err = 2.0 * _gamma(n + active.shape[0] + 4) * c * size / n
-
-
-class _Certificate:
-    """What a built solver-made state offers later states: its active set, its
-    u, and ``ceiling``, its largest built dual magnitude off that set plus its
-    rounding term, so at least every exact dual magnitude there."""
-
-    __slots__ = ("active", "u", "ceiling")
-
-    def __init__(self, active, u, ceiling):
-        self.active = active
-        self.u = u
-        self.ceiling = ceiling
 
 
 def _positions(sorted_idx, idx):

@@ -77,7 +77,7 @@ def checked_partitions(stats):
     real = solver.active_partition
 
     def partition(state, lam):
-        bound = kkt._off_active_bound(state)
+        bound = kkt._off_active_bound(state, math.inf)
         if math.isfinite(bound):
             largest, dual = _built_off_active_max(state)
             assert largest <= bound
@@ -197,7 +197,7 @@ class TestCertificateConditions:
             lam = lam_r * (1.0 + 1e-9 * rng.uniform())
             state = ssn_update(prob, ref, ActivePartition(A), lam, 0.9 * lam)
             largest, _ = _built_off_active_max(state)
-            assert largest <= kkt._off_active_bound(state)
+            assert largest <= kkt._off_active_bound(state, math.inf)
 
     def test_rounding_term_dominates_exact_arithmetic(self):
         rng = np.random.default_rng(1)
@@ -213,7 +213,7 @@ class TestCertificateConditions:
                 exact = (sum(Fraction(X[i, j]) * (Fraction(y[i]) - Fraction(u[i]))
                              for i in range(n)) / n)
                 assert abs(Fraction(state.dual[j]) - exact) <= Fraction(pin.err)
-            assert state._certificate.ceiling >= max(
+            assert state._certificate[1] >= max(
                 abs(Fraction(state.dual[j])) for j in np.flatnonzero(_off_active(state)))
 
     def test_reference_set_must_lie_in_the_active_set(self):
@@ -224,7 +224,7 @@ class TestCertificateConditions:
         ref = ssn_update(prob, cold_start(prob), ActivePartition(np.array([0, 1])), 0.5, 0.0)
         ref.dual
         state = ssn_update(prob, ref, ActivePartition(np.array([0])), 0.5, 0.0)
-        assert kkt._off_active_bound(state) == math.inf
+        assert kkt._off_active_bound(state, math.inf) == math.inf
         assert np.abs(state._dual_on(np.array([0]))).max() == 0.5
         part = kkt.active_partition(state, 0.5)
         np.testing.assert_array_equal(part.active, [0, 1])
@@ -240,7 +240,7 @@ class TestCertificateConditions:
         init = PrimalDualState(beta, np.array([lam, 0.0, 0.0, 0.0]))
         out = ssn_update(prob, init, ActivePartition(np.array([0])), lam, 0.0)
         assert out._certificate is None
-        assert kkt._off_active_bound(out) == math.inf
+        assert kkt._off_active_bound(out, math.inf) == math.inf
         config = SsnConfig(lam=lam, max_iter=4)
         got = ssn_solve(prob, init, config)
         state, iters, reason, active = eager_ssn_solve(prob, init, lam, 0.0, 4, prob.n)
@@ -248,6 +248,84 @@ class TestCertificateConditions:
         assert _same_bits(got.state.beta, state.beta)
         assert _same_bits(got.state.dual, state.dual)
         assert (got.iterations, got.stop_reason.value) == (iters, reason)
+
+
+    @staticmethod
+    def _reference_state(prob, lam):
+        """An unbuilt state on A = {0, 1} carrying the certificate of a built one."""
+        part = ActivePartition(np.array([0, 1]))
+        ref = ssn_update(prob, cold_start(prob), part, lam, 0.9 * lam)
+        ref.dual
+        state = ssn_update(prob, ref, part, lam, 0.9 * lam)
+        assert state._certificate is not None
+        return state
+
+    @pytest.mark.parametrize("other", ["response", "rows"])
+    def test_other_data_never_supplies_the_certificate(self, other):
+        # the warm start's certificate bounds the complement duals of its own
+        # y: under y_B column 2's dual is 2.5, far above the reference's 0.1,
+        # so a carried certificate would certify {0, 1} and stop there
+        prob = ProblemData(2.0 * np.eye(4), np.array([8.0, 6.0, 0.2, -0.1]))
+        init = self._reference_state(prob, 0.5)
+        if other == "response":
+            other_prob = ProblemData(prob.X, np.array([8.0, 6.0, 5.0, -0.1]))
+        else:
+            other_prob = ProblemData(np.vstack([2.0 * np.eye(4), np.ones(4)]),
+                                     np.array([8.0, 6.0, 5.0, -0.1, 1.0]))
+        lam = 0.4
+        out = ssn_update(other_prob, init, ActivePartition(np.array([0, 1])), lam, 0.9 * lam)
+        assert out._certificate is None
+        got = ssn_solve(other_prob, init, SsnConfig(lam=lam, shift=0.9 * lam, max_iter=4))
+        state, iters, reason, active = eager_ssn_solve(
+            other_prob, init.copy(), lam, 0.9 * lam, 4, other_prob.n)
+        assert 2 in active
+        np.testing.assert_array_equal(got.active.active, active)
+        assert _same_bits(got.state.beta, state.beta)
+        assert _same_bits(got.state.dual, state.dual)
+        assert (got.iterations, got.stop_reason.value) == (iters, reason)
+
+    def test_ridge_sibling_keeps_the_certificate(self):
+        # the complement dual does not depend on alpha, so a sibling sharing
+        # X and y may use the certificate
+        prob = ProblemData(2.0 * np.eye(4), np.array([8.0, 6.0, 0.2, -0.1]))
+        init = self._reference_state(prob, 0.5)
+        sibling = prob.with_alpha(0.01)
+        out = ssn_update(sibling, init, ActivePartition(np.array([0, 1])), 0.4, 0.36)
+        assert out._certificate is init._certificate
+        assert kkt._off_active_bound(out, 0.4) <= 0.4
+
+
+class TestLazyStateContract:
+    prob = ProblemData(2.0 * np.eye(4), np.array([8.0, 6.0, 0.2, -0.1]))
+
+    def _unbuilt(self):
+        return TestCertificateConditions._reference_state(self.prob, 0.5)
+
+    def test_solver_made_beta_is_read_only(self):
+        state = self._unbuilt()
+        with pytest.raises(ValueError):
+            state.beta[2] = 1.0
+        state.copy().beta[2] = 1.0
+
+    def test_assigned_beta_is_partitioned_densely(self):
+        state = self._unbuilt()
+        assert kkt._off_active_bound(state, 0.5) <= 0.5
+        beta = state.beta.copy()
+        beta[2] = 1.0
+        state.beta = beta
+        assert state._dual is not None
+        assert kkt._off_active_bound(state, math.inf) == math.inf
+        np.testing.assert_array_equal(kkt.active_partition(state, 0.5).active, [0, 1, 2])
+
+    def test_assigned_dual_drops_pinning_and_certificate(self):
+        state = self._unbuilt()
+        dual = np.array([0.05, 0.05, 0.9, 0.0])
+        state.dual = dual
+        assert state._pinning is None and state._certificate is None
+        assert _same_bits(state.dual, dual)
+        np.testing.assert_array_equal(kkt.active_partition(state, 0.5).active, [0, 1, 2])
+        part = ActivePartition(np.array([0, 1, 2]))
+        assert ssn_update(self.prob, state, part, 0.5, 0.45)._certificate is None
 
 
 @st.composite
