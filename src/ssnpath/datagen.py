@@ -64,6 +64,10 @@ class SimConfig:
     normalize_after: bool = True
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2 to center and scale, got {self.n}")
+        if self.p < 1:
+            raise ValueError(f"p must be at least 1, got {self.p}")
         if self.design not in ("classical", "autocorr"):
             raise ValueError(f"unknown design {self.design!r}")
         if self.design == "classical" and not (0.0 < self.corr < 1.0):

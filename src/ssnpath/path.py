@@ -94,8 +94,9 @@ class KnotRecord:
     ``dual`` calls it and keeps the result on the record, so later reads
     return that same array, and an in-place edit or an assignment persists.
     ``refreshes`` is the number of full ``X'u`` products the knot's
-    partitions spent building duals (see :class:`ssnpath.SsnOutcome`); it is
-    0 for records that come from no partition.
+    partitions spent building duals and ``screened`` the columns whose duals
+    they computed one by one instead (see :class:`ssnpath.SsnOutcome`); both
+    are 0 for records that come from no partition.
     """
 
     t: int
@@ -107,6 +108,7 @@ class KnotRecord:
     stop_reason: str
     dual_source: Callable[[], np.ndarray] = field(repr=False, compare=False)
     refreshes: int = field(default=0, kw_only=True)
+    screened: int = field(default=0, kw_only=True)
     _dual: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -263,18 +265,19 @@ def solve_path(prob, config):
             break
         if out.state._pinning is not None:
             dual_source = _dual_source(out.state._pinning)
-        idx = np.flatnonzero(out.state.beta)
+        idx = out.state._support()
         records.append(
             KnotRecord(
                 t=t,
                 lam=lam,
                 indices=idx,
-                values=out.state.beta[idx].copy(),
+                values=out.state.beta[idx],
                 iterations=out.iterations,
                 active_size=out.active.size,
                 stop_reason=out.stop_reason.value,
                 dual_source=dual_source,
                 refreshes=out.refreshes,
+                screened=out.screened,
             )
         )
         state = out.state

@@ -218,19 +218,21 @@ class PrimalDualState:
     both vectors as given. A state made by :func:`ssnpath.ssn_update` holds
     only the O(n + |A|) numbers its update left (``_Pinning``) and builds the
     length-p dual, one ``X'u`` product, on the first read of ``dual``; its
-    ``beta`` is read-only, so the partition it certifies from those numbers
-    is the one its ``beta`` gives. Assigning ``beta`` or ``dual`` builds or
-    replaces the dual first.
+    ``beta`` and its built ``dual`` are read-only, so the partition it reads
+    from those numbers is the one its ``beta`` gives. Assigning ``beta`` or
+    ``dual`` builds or replaces the dual first and drops the pinning.
 
-    Such a state also holds a certificate, a ``(_Pinning, ceiling)`` pair:
-    until its dual is built, the one carried from the last built state of the
-    same data, which :func:`ssnpath.kkt.active_partition` tries before
+    Such a state also holds a certificate, a ``(_Pinning, dual, largest)``
+    triple of a built state: its pinning, its built dual and the largest
+    magnitude of that dual off the pinned active set. Until the state's own
+    dual is built it holds the one carried from the last built state of the
+    same data, which :func:`ssnpath.kkt.active_partition` screens with before
     building anything; once built, its own, which the states updated from it
     carry. A state from the constructor, or given its ``dual``, has none and
     passes none on, since its dual need not be (X'y - X'u)/n for any u.
     """
 
-    __slots__ = ("_beta", "_dual", "_pinning", "_certificate")
+    __slots__ = ("_beta", "_dual", "_pinning", "_certificate", "_known")
 
     def __init__(self, beta, dual):
         beta = np.asarray(beta, dtype=np.float64)
@@ -243,13 +245,14 @@ class PrimalDualState:
         self._dual = dual
         self._pinning = None
         self._certificate = None
+        self._known = None
 
     @classmethod
     def _from_update(cls, beta, pinning, certificate):
         """The state an update left: ``beta`` dense, the dual held as ``pinning``.
 
         ``certificate`` is dropped unless it was built from the same X and y
-        as ``pinning``: its ceiling bounds duals of that data only.
+        as ``pinning``: its dual screens the duals of that data only.
         """
         if not np.isfinite(pinning.beta).all():
             raise ValueError("state vectors must be finite")
@@ -263,6 +266,7 @@ class PrimalDualState:
         state._dual = None
         state._pinning = pinning
         state._certificate = certificate
+        state._known = None
         return state
 
     @property
@@ -273,6 +277,7 @@ class PrimalDualState:
     def beta(self, beta):
         self.dual  # built, so no partition reads the pinned beta any more
         self._beta = np.asarray(beta, dtype=np.float64)
+        self._pinning = None
 
     @property
     def dual(self):
@@ -285,8 +290,8 @@ class PrimalDualState:
             largest = float(off.max())
             if not math.isfinite(largest):
                 raise ValueError("state vectors must be finite")
-            # The ceiling is at least every exact dual magnitude off A.
-            self._certificate = (pin, largest + pin.err)
+            dual.flags.writeable = False
+            self._certificate = (pin, dual, largest)
             self._dual = dual
         return self._dual
 
@@ -297,12 +302,28 @@ class PrimalDualState:
         self._certificate = None
 
     def _dual_on(self, idx):
-        """``dual[idx]``, read from the pinned values without a build when ``idx`` lies in A."""
+        """``dual[idx]``, read without a build when ``idx`` lies in A or entered at a screen.
+
+        The values of coordinates that entered at the last screened partition
+        (:func:`ssnpath.kkt.active_partition`) are the screened ones: within
+        2 err of the built dual and more than 2 err from the penalty, so of
+        its sign, though not always of its last bits.
+        """
         if self._dual is None:
-            pos = _positions(self._pinning.active, idx)
+            known = self._known
+            if known is None:
+                known = (self._pinning.active, self._pinning.dual)
+            pos = _positions(known[0], idx)
             if pos is not None:
-                return self._pinning.dual[pos]
+                return known[1][pos]
         return self.dual[idx]
+
+    def _support(self):
+        """Sorted indices of the nonzero ``beta`` entries, in O(|A|) from the pinning if any."""
+        pin = self._pinning
+        if pin is None:
+            return np.flatnonzero(self._beta)
+        return pin.active[pin.beta != 0]
 
     def _needs_product(self):
         """Whether reading ``dual`` now costs a full ``X'u`` product."""

@@ -3,11 +3,13 @@
 Each iteration guesses the support from |beta + dual| > lam, pins the dual to
 (lam - shift) * sign(beta + dual) there, and solves the restricted ridge
 system for the active coefficients. The complement dual, one full ``X'u``
-product, is built only when a partition cannot be certified without it:
-:func:`ssnpath.kkt.active_partition` first tries an O(n) safe sphere test
-against the last state whose dual was built. On the shifted-schedule paths
-of the benchmark cells that test passes at about 45 of 99 updates; on
-unshifted paths it seldom does. The loop stops as soon as the active set
+product, is built only when a partition cannot be read without it:
+:func:`ssnpath.kkt.active_partition` first screens each coordinate with a
+safe sphere around the last state whose dual was built, and computes only
+the duals of the few coordinates the sphere cannot rule out. On the
+benchmark's ``table2`` cell this leaves 41-47 full products in the 99
+updates of a shifted-schedule path, and on its ``enet`` cell's unshifted
+paths 29-31 in 90-94 updates. The loop stops as soon as the active set
 repeats (the iterate is then a stationary point), a safeguard iteration
 count is hit, or the active set outgrows the sparsity cap. These rules read
 only the active set and its signs, so stopping costs no matrix-vector
@@ -24,7 +26,7 @@ iteration stays O(np).
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +76,9 @@ class SsnOutcome:
 
     ``active`` is the partition of the returned state at ``lam``;
     ``refreshes`` counts the full ``X'u`` products the solve's partitions
-    spent building duals they could not certify without.
+    spent building duals they could not be read without; ``screened`` counts
+    the columns whose duals they computed one by one instead (see
+    :class:`ssnpath.ActivePartition`).
     """
 
     state: PrimalDualState
@@ -82,6 +86,7 @@ class SsnOutcome:
     stop_reason: StopReason
     active: ActivePartition
     refreshes: int
+    screened: int = field(default=0, kw_only=True)
 
 
 def _cg(matvec, rhs, x0, tol, max_iter, curvature_floor):
@@ -199,21 +204,26 @@ def ssn_solve(prob, init, config):
     -------
     SsnOutcome
         Final state, number of updates performed, stop reason, the final
-        partition, and the number of dual builds it paid for. A sparsity-cap
-        trip is reported as a normal outcome with ``StopReason.SPARSITY_CAP``
-        and the last state below the cap.
+        partition, and the dual builds and screened columns it paid for. A
+        sparsity-cap trip is reported as a normal outcome with
+        ``StopReason.SPARSITY_CAP`` and the last state below the cap.
     """
     state = init
-    prev_active = np.flatnonzero(init.beta)
+    prev_active = init._support()
     prev_signs = None
-    iterations = refreshes = 0
+    iterations = refreshes = screened = 0
+
+    def outcome(reason):
+        return SsnOutcome(state, iterations, reason, part, refreshes, screened=screened)
+
     for k in range(config.max_iter + 1):
         owed = state._needs_product()
         part = active_partition(state, config.lam)
         refreshes += owed and not state._needs_product()
+        screened += part.screened
         signs = np.sign(state.beta[part.active] + state._dual_on(part.active))
         if config.sparsity_cap is not None and part.size > config.sparsity_cap:
-            return SsnOutcome(state, iterations, StopReason.SPARSITY_CAP, part, refreshes)
+            return outcome(StopReason.SPARSITY_CAP)
         if np.array_equal(part.active, prev_active):
             # The update is a function of the active set AND the sign
             # pattern; a set repeat with flipped signs (possible on badly
@@ -223,11 +233,9 @@ def ssn_solve(prob, init, config):
             else:
                 repeated = np.array_equal(signs, prev_signs)
             if repeated:
-                return SsnOutcome(
-                    state, iterations, StopReason.ACTIVE_SET_REPEATED, part, refreshes
-                )
+                return outcome(StopReason.ACTIVE_SET_REPEATED)
         if k >= config.max_iter:
-            return SsnOutcome(state, iterations, StopReason.MAX_ITER, part, refreshes)
+            return outcome(StopReason.MAX_ITER)
         try:
             state = ssn_update(prob, state, part, config.lam, config.shift)
         except CgBreakdown as exc:

@@ -237,6 +237,13 @@ class TestMakeInstance:
         with pytest.raises(ValueError):
             SimConfig(n=10, p=5, design="classical", corr=0.5, sigma=0.1, T=9)
 
+    @pytest.mark.parametrize("n, p, field", [(1, 5, "n"), (0, 5, "n"), (-3, 5, "n"),
+                                             (10, 0, "p"), (10, -1, "p")])
+    def test_dimensions_too_small_name_the_field(self, n, p, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be at least"):
+            SimConfig(n=n, p=p, design="autocorr", corr=0.0, sigma=0.1, T=0)
+        SimConfig(n=2, p=1, design="autocorr", corr=0.0, sigma=0.1, T=0)
+
 
 class TestMutualCoherence:
     def test_orthogonal_is_zero(self):

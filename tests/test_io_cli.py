@@ -131,6 +131,19 @@ class TestCli:
         assert cli_main(["check", "--sim", "n=10,p=5,rho=0.1,nu=0.2,sigma=0.1,T=1"]) == 1
         assert cli_main(["simulate", "--sim", "bogus", "--out-dir", "x"]) == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "check", "bench"])
+    @pytest.mark.parametrize("dims, field", [("n=1,p=5", "n"), ("n=0,p=5", "n"),
+                                             ("n=10,p=0", "p")])
+    def test_too_small_sim_dimensions_exit_one(self, tmp_path, capsys, command, dims, field):
+        argv = [command, "--sim", f"{dims},nu=0.0,sigma=0.1,T=0"]
+        if command == "simulate":
+            argv += ["--out-dir", str(tmp_path / "sim")]
+        elif command == "bench":
+            argv += ["--reps", "1"]
+        assert cli_main(argv) == 1
+        assert f"error: {field} must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         code = cli_main([
             "solve", "--x", str(tmp_path / "nope.csv"), "--y", str(tmp_path / "nope2.csv"),

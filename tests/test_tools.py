@@ -1,8 +1,12 @@
 """``tools/compare_paths.py`` passes a checkout against itself and catches one ulp."""
 
+import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_paths.py"
@@ -13,11 +17,39 @@ def _run(*args):
                            *args], capture_output=True, text=True, timeout=120)
 
 
+def _tool():
+    spec = importlib.util.spec_from_file_location("compare_paths", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_compare_paths_on_this_checkout():
     same = _run("--workloads", "table1,enet")
     assert same.returncode == 0, same.stdout + same.stderr
     last = same.stdout.splitlines()[-1]
     assert last.startswith("2 paths, ") and last.endswith(" knots: all identical")
+    for name in ("table1", "enet"):
+        work = re.search(rf"^work {name}: refreshes OLD (\d+) NEW (\d+); "
+                         rf"screened OLD (\d+) NEW (\d+)$", same.stdout, re.M)
+        assert work, same.stdout
+        assert work[1] == work[2] and work[3] == work[4]
     planted = _run("--workloads", "table1", "--self-check")
     assert planted.returncode == 1, planted.stdout + planted.stderr
     assert "MISMATCH table1 seed 0: knot 99 field dual differs" in planted.stdout
+
+
+def test_work_counters_are_totalled_not_compared():
+    tool = _tool()
+
+    def result(**counters):
+        record = {"t": 0, "values": np.array([0.5]), "dual": np.array([1.0, -0.25])}
+        return {("table2", 0): {"records": [dict(record, **counters)], "p": 2,
+                                "terminated_at": None, "mbic": {}}}
+
+    old, new = result(refreshes=3), result(refreshes=1, screened=40)
+    assert tool.compare(old, new) == ([], [], 1)
+    assert tool.work_totals(old) == {"table2": {"refreshes": 3}}
+    assert tool.work_totals(new) == {"table2": {"refreshes": 1, "screened": 40}}
+    new["table2", 0]["records"][0]["values"][0] = np.nextafter(0.5, 1.0)
+    assert tool.compare(old, new)[0] == ["table2 seed 0: knot 0 field values differs"]

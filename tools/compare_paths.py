@@ -6,11 +6,13 @@ OLD and NEW are checkout roots, each with its own ``src/ssnpath`` and
 ``perfbench/``. For every workload and seed, each side fits instance
 (seed, index, 0) of ``perfbench/workloads.py`` in its own subprocess with its
 own ``src/`` first on ``sys.path``, walks the workload's path and selects a
-knot by mbic. The sides then must agree on every ``KnotRecord`` field they
-both have (``dual`` read after the fit), ``p``, ``terminated_at`` and the
-mbic pick: same type, dtype, shape and bytes, so a flipped sign bit on a
+knot by mbic. The sides then must agree on every ``KnotRecord`` result field
+they both have (``dual`` read after the fit), ``p``, ``terminated_at`` and
+the mbic pick: same type, dtype, shape and bytes, so a flipped sign bit on a
 zero is a mismatch. Fields only one side has are listed, not compared. The
-exit status is 1 on any mismatch and 0 when all knots match.
+work counters (``refreshes``, ``screened``) measure cost, not the result:
+their per-workload totals are printed for both sides and never fail the
+run. The exit status is 1 on any mismatch and 0 when all knots match.
 
 ``--self-check`` plants a one-ulp change in NEW's last dual before
 comparing, so a working comparison must exit 1 and name it.
@@ -31,6 +33,9 @@ from pathlib import Path
 import numpy as np
 
 ALL_WORKLOADS = ("table1", "table2", "enet", "cd_small")
+
+# KnotRecord fields that count work; reported as totals, not compared.
+WORK_COUNTERS = ("refreshes", "screened")
 
 
 def _seeds(text):
@@ -100,8 +105,20 @@ def same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def work_totals(results):
+    """``{workload: {counter: total}}`` over every knot; a counter a side lacks is left out."""
+    totals = {}
+    for (name, _), result in results.items():
+        sums = totals.setdefault(name, {})
+        for rec in result["records"]:
+            for counter in WORK_COUNTERS:
+                if counter in rec:
+                    sums[counter] = sums.get(counter, 0) + int(rec[counter])
+    return totals
+
+
 def compare(old, new):
-    """(mismatch lines, notes, knots compared) for two child results."""
+    """(mismatch lines, notes, knots compared) for two child results, work counters aside."""
     bad, notes, knots = [], set(), 0
     for key in old:
         label = "{} seed {}".format(*key)
@@ -116,10 +133,10 @@ def compare(old, new):
             bad.append(f"{label}: {len(a['records'])} knots != {len(b['records'])}")
         for ra, rb in zip(a["records"], b["records"]):
             knots += 1
-            for name in ra.keys() ^ rb.keys():
+            for name in (ra.keys() ^ rb.keys()).difference(WORK_COUNTERS):
                 side = "OLD" if name in ra else "NEW"
                 notes.add(f"field {name!r} only in {side}; not compared")
-            for name in ra.keys() & rb.keys():
+            for name in (ra.keys() & rb.keys()).difference(WORK_COUNTERS):
                 if not same(ra[name], rb[name]):
                     bad.append(f"{label}: knot {ra['t']} field {name} differs")
     return bad, sorted(notes), knots
@@ -154,6 +171,11 @@ def main(argv=None):
     bad, notes, knots = compare(old, new)
     for line in notes:
         print(line)
+    old_work, new_work = work_totals(old), work_totals(new)
+    for name in old_work:
+        print(f"work {name}: " + "; ".join(
+            f"{c} OLD {old_work[name].get(c, '-')} NEW {new_work[name].get(c, '-')}"
+            for c in WORK_COUNTERS))
     for line in bad:
         print("MISMATCH " + line)
     print(f"{len(old)} paths, {knots} knots: "
