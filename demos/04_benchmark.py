@@ -20,7 +20,7 @@ print("running 10 replications per cell, this takes a minute or so...\n")
 rows = []
 for solver in ("snap", "cdpath"):
     rows += sp.run_benchmark(grid, solver=solver, selector="mbic", reps=10,
-                             base_seed=0, num_knots=101, cd_tol=1e-8)
+                             base_seed=0, num_knots=101)
 
 print(f"{'design':9s} {'corr':5s} {'sigma':6s} {'solver':7s} "
       f"{'time_s':>7s} {'ms':>6s} {'cm':>5s} {'ae':>8s} {'re':>8s}")

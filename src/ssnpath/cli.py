@@ -24,7 +24,7 @@ import numpy as np
 
 from . import io as pio
 from .datagen import SimConfig, make_instance, theory_check
-from .errors import SsnPathError
+from .errors import DimensionMismatch, SsnPathError
 from .metrics import PRESETS, run_benchmark
 from .path import PathConfig, _default_gamma, _sparsity_cap, default_lambda0, solve_path
 from .problem import ProblemData, cold_start, normalize, objective
@@ -245,6 +245,9 @@ def cli_main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except DimensionMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (SsnPathError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

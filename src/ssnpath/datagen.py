@@ -61,7 +61,6 @@ class SimConfig:
     sigma: float
     T: int
     seed: int | tuple = 0
-    normalize_after: bool = True
 
     def __post_init__(self):
         if self.n < 2:
@@ -106,14 +105,6 @@ class TruthModel:
         if self.T == 0:
             return 0.0
         return float(np.min(np.abs(self.beta_true[self.support])))
-
-    @property
-    def magnitude_range(self):
-        """max |beta_j| / min |beta_j| over the support (>= 1 when nonempty)."""
-        if self.T == 0:
-            return float("nan")
-        mags = np.abs(self.beta_true[self.support])
-        return float(mags.max() / mags.min())
 
 
 def _normal_row_blocks(n, p, rng):
@@ -181,9 +172,9 @@ def make_instance(config, alpha=0.0):
     """Generate (ProblemData, TruthModel) for a simulation cell.
 
     The design is centered and scaled to column norm sqrt(n) before the
-    response is built (when ``normalize_after`` is set), so the stored truth
-    refers to the normalized columns. The response is centered; with centered
-    columns that only removes the mean of the noise.
+    response is built, so the stored truth refers to the normalized columns.
+    The response is centered; with centered columns that only removes the
+    mean of the noise.
     """
     ss = np.random.SeedSequence(config.seed)
     s_design, s_coef, s_noise = ss.spawn(3)
@@ -192,8 +183,7 @@ def make_instance(config, alpha=0.0):
         X = gen_classical(config.n, config.p, config.corr, rng_design)
     else:
         X = gen_autocorr(config.n, config.p, config.corr, rng_design)
-    if config.normalize_after:
-        _center_scale_columns(X)
+    _center_scale_columns(X)
     beta_true = gen_beta(config.p, config.T, np.random.default_rng(s_coef))
     y = gen_response(X, beta_true, config.sigma, np.random.default_rng(s_noise))
     y = y - y.mean()

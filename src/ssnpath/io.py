@@ -14,12 +14,9 @@ import os
 
 import numpy as np
 
-from .datagen import SimConfig, TruthModel
-
 
 def load_matrix(path):
-    X = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    return X
+    return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
 
 
 def load_vector(path):
@@ -115,7 +112,6 @@ def save_instance(out_dir, X, y, config, truth):
             "sigma": config.sigma,
             "T": config.T,
             "seed": list(config.seed) if isinstance(config.seed, tuple) else config.seed,
-            "normalize_after": config.normalize_after,
         },
         "truth": {
             "support": [int(j) for j in truth.support],
@@ -127,27 +123,3 @@ def save_instance(out_dir, X, y, config, truth):
         json.dump(meta, f, indent=2)
         f.write("\n")
     return x_path, y_path, meta_path
-
-
-def load_instance_sidecar(path):
-    """Read an instance.json sidecar back into (SimConfig, TruthModel).
-
-    The truth vector is reassembled at full length p from the sparse record.
-    """
-    with open(path) as f:
-        meta = json.load(f)
-    sim = meta["sim"]
-    seed = sim["seed"]
-    config = SimConfig(
-        n=int(sim["n"]),
-        p=int(sim["p"]),
-        design=sim["design"],
-        corr=float(sim["corr"]),
-        sigma=float(sim["sigma"]),
-        T=int(sim["T"]),
-        seed=tuple(seed) if isinstance(seed, list) else int(seed),
-        normalize_after=bool(sim["normalize_after"]),
-    )
-    beta = np.zeros(config.p)
-    beta[np.asarray(meta["truth"]["support"], dtype=np.intp)] = meta["truth"]["values"]
-    return config, TruthModel.from_beta(beta, float(meta["truth"]["sigma"]))

@@ -107,9 +107,6 @@ def run_benchmark(
     base_seed=0,
     num_knots=100,
     max_inner=1,
-    shift_delta=0.0,
-    cd_tol=1e-7,
-    cd_max_sweeps=500,
 ):
     """Run solver + selector over a grid of simulation cells.
 
@@ -119,7 +116,7 @@ def run_benchmark(
     the last knot at 1e-3 * lambda0. The Newton path runs the shifted schedule
     (shrinkage reduced to a tenth of the penalty on the active set), which is
     what makes its selected models nearly unbiased on noisy data; coordinate
-    descent has no shift.
+    descent has no shift and stops each knot at ``tol = 1e-7``.
     Replications that fail numerically are counted and excluded from the
     means. Timing covers the path plus selection; generation is excluded.
     """
@@ -131,8 +128,6 @@ def run_benchmark(
         raise ValueError("need at least one replication")
     select = _SELECTORS[selector]
     gamma = _default_gamma(num_knots)
-    # Coordinate descent has no shift, so its grid always uses the zero
-    # schedule, which leaves shift_delta unchecked.
     schedule = "shifted" if solver == "snap" else "zero"
     records = []
     for ci, cell in enumerate(grid):
@@ -149,12 +144,11 @@ def run_benchmark(
                     num_knots=num_knots,
                     max_inner=max_inner,
                     shift_schedule=schedule,
-                    shift_delta=shift_delta,
                 )
                 if solver == "snap":
                     path = solve_path(prob, pcfg)
                 else:
-                    path = cd_path(prob, pcfg, tol=cd_tol, max_sweeps=cd_max_sweeps)
+                    path = cd_path(prob, pcfg, tol=1e-7)
                 chosen = select(prob, path)
                 beta_hat = path.records[chosen.chosen_knot].beta_dense(prob.p)
             except SsnPathError:

@@ -13,7 +13,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -29,7 +29,8 @@ SHIFT_KEEP_FRACTION = 0.1
 class PathConfig:
     """Grid and per-knot solve parameters.
 
-    ``num_knots`` counts grid points (indices t = 0..num_knots-1).
+    ``num_knots`` counts grid points (indices t = 0..num_knots-1); a grid
+    whose last point underflows to 0 is rejected.
     ``shift_schedule`` is one of:
 
     - ``"zero"``: no shift, every knot solves the stated problem;
@@ -65,10 +66,13 @@ class PathConfig:
             raise ValueError(f"sparsity_cap must be non-negative, got {self.sparsity_cap}")
         if self.shift_schedule not in ("zero", "shifted"):
             raise ValueError(f"unknown shift schedule {self.shift_schedule!r}")
+        lam_last = self.lam(self.num_knots - 1)
+        if not lam_last > 0.0:
+            raise ValueError(f"grid underflows: lam = {lam_last!r} at the last knot "
+                             f"(lambda0 = {self.lambda0:.3e}, gamma = {self.gamma:.3e})")
         if self.shift_schedule == "shifted":
             if self.shift_delta < 0.0:
                 raise ValueError("shifted schedule needs shift_delta >= 0")
-            lam_last = self.lam(self.num_knots - 1)
             if self.shift(self.num_knots - 1) >= lam_last:
                 raise ValueError(
                     "shifted schedule infeasible: shift reaches the penalty "
@@ -109,17 +113,10 @@ class KnotRecord:
     dual_source: Callable[[], np.ndarray] = field(repr=False, compare=False)
     refreshes: int = field(default=0, kw_only=True)
     screened: int = field(default=0, kw_only=True)
-    _dual: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def dual(self):
-        if self._dual is None:
-            self._dual = self.dual_source()
-        return self._dual
-
-    @dual.setter
-    def dual(self, value):
-        self._dual = value
+        return self.dual_source()
 
     @property
     def nnz(self):

@@ -64,7 +64,8 @@ class ProblemData:
         finite_X = np.isfinite(norms).all() or np.isfinite(X).all()
         if not finite_X or not np.isfinite(y).all():
             raise ValueError("design and response must be finite")
-        _check_alpha(alpha)
+        if not (0.0 <= alpha < math.inf):
+            raise ValueError(f"ridge weight must be finite and >= 0, got {alpha}")
         # Views, so that marking them read-only leaves the caller's arrays alone.
         self.X = X.view()
         self.y = y.view()
@@ -86,28 +87,11 @@ class ProblemData:
     def p(self):
         return self.X.shape[1]
 
-    def with_alpha(self, alpha):
-        """Sibling instance sharing the data arrays but with a different ridge weight."""
-        _check_alpha(alpha)
-        other = object.__new__(ProblemData)
-        other.X = self.X
-        other.y = self.y
-        other.alpha = float(alpha)
-        other.xty = self.xty
-        other.normalized = self.normalized
-        other.max_col_norm = self.max_col_norm
-        return other
-
     def __repr__(self):
         return (
             f"ProblemData(n={self.n}, p={self.p}, alpha={self.alpha}, "
             f"normalized={self.normalized})"
         )
-
-
-def _check_alpha(alpha):
-    if not (0.0 <= alpha < math.inf):
-        raise ValueError(f"ridge weight must be finite and >= 0, got {alpha}")
 
 
 def _column_blocks(X):
@@ -219,8 +203,8 @@ class PrimalDualState:
     only the O(n + |A|) numbers its update left (``_Pinning``) and builds the
     length-p dual, one ``X'u`` product, on the first read of ``dual``; its
     ``beta`` and its built ``dual`` are read-only, so the partition it reads
-    from those numbers is the one its ``beta`` gives. Assigning ``beta`` or
-    ``dual`` builds or replaces the dual first and drops the pinning.
+    from those numbers is the one its ``beta`` gives. Neither property can be
+    assigned; :meth:`copy` gives a state with writable vectors.
 
     Such a state also holds a certificate, a ``(_Pinning, dual, largest)``
     triple of a built state: its pinning, its built dual and the largest
@@ -228,8 +212,8 @@ class PrimalDualState:
     dual is built it holds the one carried from the last built state of the
     same data, which :func:`ssnpath.kkt.active_partition` screens with before
     building anything; once built, its own, which the states updated from it
-    carry. A state from the constructor, or given its ``dual``, has none and
-    passes none on, since its dual need not be (X'y - X'u)/n for any u.
+    carry. A state from the constructor has none and passes none on, since
+    its dual need not be (X'y - X'u)/n for any u.
     """
 
     __slots__ = ("_beta", "_dual", "_pinning", "_certificate", "_known")
@@ -251,15 +235,13 @@ class PrimalDualState:
     def _from_update(cls, beta, pinning, certificate):
         """The state an update left: ``beta`` dense, the dual held as ``pinning``.
 
-        ``certificate`` is dropped unless it was built from the same X and y
+        ``certificate`` is dropped unless it was built on the same instance
         as ``pinning``: its dual screens the duals of that data only.
         """
         if not np.isfinite(pinning.beta).all():
             raise ValueError("state vectors must be finite")
-        if certificate is not None:
-            ref = certificate[0].prob
-            if not (ref.X is pinning.prob.X and ref.y is pinning.prob.y):
-                certificate = None
+        if certificate is not None and certificate[0].prob is not pinning.prob:
+            certificate = None
         beta.flags.writeable = False
         state = object.__new__(cls)
         state._beta = beta
@@ -272,12 +254,6 @@ class PrimalDualState:
     @property
     def beta(self):
         return self._beta
-
-    @beta.setter
-    def beta(self, beta):
-        self.dual  # built, so no partition reads the pinned beta any more
-        self._beta = np.asarray(beta, dtype=np.float64)
-        self._pinning = None
 
     @property
     def dual(self):
@@ -294,12 +270,6 @@ class PrimalDualState:
             self._certificate = (pin, dual, largest)
             self._dual = dual
         return self._dual
-
-    @dual.setter
-    def dual(self, dual):
-        self._dual = np.asarray(dual, dtype=np.float64)
-        self._pinning = None
-        self._certificate = None
 
     def _dual_on(self, idx):
         """``dual[idx]``, read without a build when ``idx`` lies in A or entered at a screen.

@@ -147,7 +147,7 @@ def ssn_update(prob, state, part, lam, shift=0.0):
     solves the restricted system for the active coefficients (warm started
     from the incoming beta). The inactive dual is built when first read; the
     new state carries the incoming state's certificate when that was built
-    from the same X and y as ``prob`` (see :class:`ssnpath.PrimalDualState`).
+    on ``prob`` itself (see :class:`ssnpath.PrimalDualState`).
 
     Raises
     ------

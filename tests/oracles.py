@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssnpath import PrimalDualState, SsnPathError, cd_solve, soft_threshold_vec
+from ssnpath import PrimalDualState, ProblemData, SsnPathError, cd_solve, soft_threshold_vec
 from ssnpath.solver import _solve_restricted
 
 # assemble_newton_matrix is for verification only; refuse matrices beyond this
@@ -131,7 +131,8 @@ def min_norm_probe(prob, lam, alphas, tol=1e-12, max_sweeps=20000):
     betas = []
     init = None
     for a in alphas:
-        res = cd_solve(prob.with_alpha(a), lam, init=init, tol=tol, max_sweeps=max_sweeps)
+        res = cd_solve(ProblemData(prob.X, prob.y, a), lam, init=init, tol=tol,
+                       max_sweeps=max_sweeps)
         betas.append(res.beta)
         init = res.beta
     return betas

@@ -72,9 +72,7 @@ def _ref_make_instance(config):
     s_design, s_coef, s_noise = np.random.SeedSequence(config.seed).spawn(3)
     gen = _ref_gen_classical if config.design == "classical" else _ref_gen_autocorr
     X = gen(config.n, config.p, config.corr, np.random.default_rng(s_design))
-    if config.normalize_after:
-        X = _ref_center_scale_columns(X)
-    X = np.asfortranarray(X)
+    X = np.asfortranarray(_ref_center_scale_columns(X))
     beta_true = _ref_gen_beta(config.p, config.T, np.random.default_rng(s_coef))
     y = X @ beta_true
     if config.sigma > 0.0:
@@ -83,6 +81,12 @@ def _ref_make_instance(config):
     norms = np.linalg.norm(X, axis=0)
     normalized = bool(np.max(np.abs(norms - np.sqrt(config.n))) <= 1e-8)
     return X, y, X.T @ y, beta_true, normalized
+
+
+_GENERATORS = {
+    "classical": (gen_classical, _ref_gen_classical),
+    "autocorr": (gen_autocorr, _ref_gen_autocorr),
+}
 
 
 def _assert_matches_reference(config, alpha=0.0):
@@ -226,7 +230,8 @@ class TestMakeInstance:
         _, truth = make_instance(cfg)
         assert truth.T == 4
         np.testing.assert_array_equal(truth.support, np.flatnonzero(truth.beta_true))
-        assert 1.0 <= truth.magnitude_range <= 10.0
+        mags = np.abs(truth.beta_true[truth.support])
+        assert 1.0 <= mags.max() / mags.min() <= 10.0
         assert truth.beta_min >= 1.0
 
     def test_config_validation(self):
@@ -363,8 +368,13 @@ class TestBitwiseAgainstReference:
     def test_edge_cells(self, design, corr, p, block_sizes):
         cell = SimConfig(n=23, p=p, design=design, corr=corr, sigma=0.3, T=min(p, 2), seed=(9, p))
         _assert_matches_reference(cell)
-        _assert_matches_reference(replace(cell, normalize_after=False))
         _assert_matches_reference(cell, alpha=2.5)
+        # the raw design, before centering and scaling, from the cell's design stream
+        gen, ref = _GENERATORS[design]
+        stream = np.random.SeedSequence(cell.seed).spawn(3)[0]
+        X = gen(cell.n, p, corr, np.random.default_rng(stream))
+        assert np.array_equal(X, ref(cell.n, p, corr, np.random.default_rng(stream)))
+        assert X.flags.f_contiguous
 
     def test_many_uneven_blocks(self):
         # 3000 rows give column blocks of 10 or 11; 101 columns leave uneven edges.
@@ -373,10 +383,7 @@ class TestBitwiseAgainstReference:
 
     @pytest.mark.parametrize("design,corr", [("classical", 0.3), ("autocorr", 0.5)])
     def test_generators_alone(self, design, corr, block_sizes):
-        gen, ref = {
-            "classical": (gen_classical, _ref_gen_classical),
-            "autocorr": (gen_autocorr, _ref_gen_autocorr),
-        }[design]
+        gen, ref = _GENERATORS[design]
         for n, p in [(1, 1), (5, 1), (4, 2), (31, 3), (13, 40)]:
             X = gen(n, p, corr, np.random.default_rng(n * 100 + p))
             assert np.array_equal(X, ref(n, p, corr, np.random.default_rng(n * 100 + p)))

@@ -17,14 +17,7 @@ from ssnpath import (
     write_path_csv,
 )
 from ssnpath.cli import cli_main
-from ssnpath.io import (
-    load_instance_sidecar,
-    load_matrix,
-    load_vector,
-    save_instance,
-    save_matrix,
-    save_vector,
-)
+from ssnpath.io import load_matrix, load_vector, save_instance, save_matrix, save_vector
 
 
 @pytest.fixture
@@ -57,14 +50,18 @@ class TestIo:
         save_matrix(path, np.array([[1.0, 2.0, 3.0]]))
         assert load_matrix(path).shape == (1, 3)
 
-    def test_instance_sidecar_roundtrip(self, tmp_path):
+    def test_instance_sidecar_records_config_and_truth(self, tmp_path):
         cfg = SimConfig(n=20, p=10, design="autocorr", corr=0.3, sigma=0.1, T=2, seed=(4, 5))
         prob, truth = make_instance(cfg)
-        _, _, meta = save_instance(tmp_path / "inst", prob.X, prob.y, cfg, truth)
-        cfg2, truth2 = load_instance_sidecar(meta)
-        assert cfg2 == cfg
-        np.testing.assert_array_equal(truth2.beta_true, truth.beta_true)
-        assert truth2.sigma == truth.sigma
+        _, _, meta_path = save_instance(tmp_path / "inst", prob.X, prob.y, cfg, truth)
+        with open(meta_path) as f:
+            meta = json.load(f)
+        assert meta["sim"] == {"n": 20, "p": 10, "design": "autocorr", "corr": 0.3,
+                               "sigma": 0.1, "T": 2, "seed": [4, 5]}
+        beta = np.zeros(cfg.p)
+        beta[meta["truth"]["support"]] = meta["truth"]["values"]
+        np.testing.assert_array_equal(beta, truth.beta_true)
+        assert meta["truth"]["sigma"] == truth.sigma
 
 
 class TestCli:
@@ -180,6 +177,21 @@ class TestCli:
         assert cli_main(["path", *data]) == 1
         assert cli_main(["solve", "--lambda", "0.5", *data]) == 1
         assert capsys.readouterr().err.count("ridge weight must be finite") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "path"])
+    @pytest.mark.parametrize("y_shape", [(15,), (20, 2)], ids=["short", "two-column"])
+    def test_mismatched_response_exits_one(self, tmp_path, capsys, command, y_shape):
+        # a response that does not fit the design is a usage error, not a numerical one
+        rng = np.random.default_rng(3)
+        x_path, y_path, out = tmp_path / "X.csv", tmp_path / "y.csv", tmp_path / "out.csv"
+        save_matrix(x_path, rng.standard_normal((20, 4)))
+        save_matrix(y_path, rng.standard_normal(y_shape).reshape(y_shape[0], -1))
+        argv = [command, "--x", str(x_path), "--y", str(y_path), "--out", str(out)]
+        if command == "solve":
+            argv += ["--lambda", "0.1"]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: response length")
         assert not out.exists()
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Source hygiene of the package and its tests, checked with the standard library alone.
 
 Every package module and test module must use each name it imports (the
-package ``__init__`` may instead re-export it through ``__all__``), and
-``__all__`` must list each public name once and only names that exist.
+package ``__init__`` may instead re-export it through ``__all__``),
+``__all__`` must list each public name once and only names that exist, and
+every function the package defines must be named somewhere outside the tests.
 """
 
 import ast
 import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import ssnpath
 PACKAGE_DIR = Path(ssnpath.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _imported_names(tree):
@@ -66,3 +70,26 @@ def test_all_resolves_without_duplicates(path):
 
 def test_package_declares_all():
     assert _declared_all(ast.parse((PACKAGE_DIR / "__init__.py").read_text()))
+
+
+def _non_test_sources():
+    """The files that may call into the package: everything but ``tests/``."""
+    yield from (REPO / "src").rglob("*.py")
+    yield from (REPO / "perfbench").glob("*.py")
+    yield from (REPO / "tools").rglob("*.py")
+    yield from (REPO / "demos").rglob("*.py")
+    yield REPO / "pyproject.toml"
+
+
+def test_every_function_is_named_outside_its_def():
+    # a function or method only the tests reach is surface to delete, not to keep
+    defined = Counter(
+        node.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+    words = Counter(re.findall(r"\w+", "\n".join(p.read_text() for p in _non_test_sources())))
+    unnamed = sorted(name for name, count in defined.items() if words[name] <= count)
+    assert unnamed == [], f"defined in ssnpath but named nowhere outside tests/: {unnamed}"

@@ -82,6 +82,9 @@ class TestPathConfig:
                 with pytest.raises(ValueError, match="finite"):
                     PathConfig(lambda0=1.0, gamma=0.5, num_knots=3,
                                shift_schedule=schedule, shift_delta=bad)
+        for schedule in ("zero", "shifted"):
+            with pytest.raises(ValueError, match="underflows"):
+                PathConfig(lambda0=1.0, gamma=1e-10, num_knots=40, shift_schedule=schedule)
         PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, sparsity_cap=0)  # null model only
 
     def test_shifted_schedule_feasibility(self):
