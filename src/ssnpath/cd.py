@@ -79,8 +79,11 @@ def cd_path(prob, config, tol=1e-8, max_sweeps=500):
     ``converged`` / ``max_sweeps`` as the stop reason. Supports use the
     |beta_j| > 1e-10 threshold. A record's dual is :func:`refresh_dual` of
     the unthresholded iterate, built from that iterate's nonzeros when it is
-    first read. The sparsity cap ends the path the same way.
+    first read. The sparsity cap ends the path the same way. CD solves the
+    stated problem, so only the ``"zero"`` shift schedule is accepted.
     """
+    if config.shift_schedule != "zero":
+        raise ValueError(f"cd_path solves unshifted knots only, got {config.shift_schedule!r}")
     cap = _sparsity_cap(prob.n, config.sparsity_cap)
     beta = cold_start(prob).beta
     records = []

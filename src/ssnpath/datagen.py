@@ -212,7 +212,8 @@ class TheoryReport:
     ``a1_holds``: T * coherence <= 1/4. ``a2_holds``: the smallest nonzero
     coefficient is at least 78 * lambda_u, with lambda_u the universal noise
     threshold sigma * sqrt(2 log(p) / n). ``recovery_last_knot`` is the index
-    of the last knot of the sign-recovery grid when that grid exists.
+    of the last knot of the sign-recovery grid when that grid exists, which
+    needs lambda_u > 0.
     """
 
     coherence: float
@@ -235,7 +236,8 @@ def theory_check(prob, truth, force=False):
     lam_u = truth.sigma * math.sqrt(2.0 * math.log(prob.p) / prob.n)
     beta_min = truth.beta_min
     last_knot = None
-    if truth.sigma > 0.0:
+    # no grid without a positive noise floor: sigma = 0 or a one-column design
+    if lam_u > 0.0:
         try:
             last_knot = sign_recovery_config(prob, truth.sigma).num_knots - 1
         except NoiseTooLarge:

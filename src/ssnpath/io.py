@@ -1,8 +1,9 @@
 """Plain-file formats: CSV matrices, vectors and result tables, and JSON instance sidecars.
 
-Matrices are rows of comma-separated decimals with no header; vectors are a
-single column. Result tables (path knots, path coefficients, benchmark
-metrics, the coefficients of one solve) all go through :func:`_write_csv`: a
+Matrices are rows of comma-separated decimals with no header; vectors, written
+by the same :func:`save_matrix`, are a single column. Result tables (path
+knots, path coefficients, benchmark metrics, the coefficients of one solve)
+all go through :func:`_write_csv`: a
 ``#schema=1`` comment line, a header line, then one comma-separated row per
 record, with floats written as ``.17g`` so they read back exactly. The
 sidecar written next to a simulated instance records the generating
@@ -26,10 +27,6 @@ def load_vector(path):
 
 def save_matrix(path, X):
     np.savetxt(path, np.asarray(X), delimiter=",", fmt="%.17g")
-
-
-def save_vector(path, y):
-    np.savetxt(path, np.asarray(y), delimiter=",", fmt="%.17g")
 
 
 def _write_csv(file, header, rows):
@@ -102,7 +99,7 @@ def save_instance(out_dir, X, y, config, truth):
     y_path = os.path.join(out_dir, "y.csv")
     meta_path = os.path.join(out_dir, "instance.json")
     save_matrix(x_path, X)
-    save_vector(y_path, y)
+    save_matrix(y_path, y)
     meta = {
         "sim": {
             "n": config.n,

@@ -10,10 +10,10 @@ where T_lam is the componentwise soft threshold. Writing those two equations
 as a root-finding problem F(z) = 0 gives the residual computed by
 :func:`kkt_residual`.
 
-:func:`active_partition` returns only the active indices, the one set the
-solver reads. Off the active set A of the update that made a state, the
-state's dual is (X'y - X'u)/n with u = X_A beta_A, one full ``X'u`` product
-to build. A solver-made state whose dual is not built yet is first screened
+:func:`active_partition` returns the active indices and the state's dual on
+them, all the solver reads. Off the active set A of the update that made a
+state, the state's dual is (X'y - X'u)/n with u = X_A beta_A, one full ``X'u``
+product to build. A solver-made state whose dual is not built yet is first screened
 coordinate by coordinate with a safe sphere (the Cauchy-Schwarz bound of
 safe screening: El Ghaoui, Viallon & Rabbani 2012; Fercoq, Gramfort & Salmon
 2015) around the last state whose dual was built, the reference. For j
@@ -81,13 +81,17 @@ SCREEN_MAX_SHARE = 1 / 8
 class ActivePartition:
     """Sorted indices ``active`` where |beta_j + dual_j| > lam; the rest are inactive.
 
+    ``dual`` is the state's dual on ``active``, as the partition read it.
     ``screened`` is the number of complement duals computed from gathered
-    columns on the way to this partition (see :func:`active_partition`); 0
-    when none was.
+    columns on the way to this partition (see :func:`active_partition`), 0
+    when none was; ``refreshes`` is 1 when the partition built the state's
+    dual with a full ``X'u`` product, else 0.
     """
 
     active: np.ndarray
+    dual: np.ndarray
     screened: int = field(default=0, kw_only=True)
+    refreshes: int = field(default=0, kw_only=True)
 
     @property
     def size(self):
@@ -109,8 +113,11 @@ def active_partition(state, lam):
         if part is not None:
             return part
         screened = S.shape[0]
-    mask = np.abs(state.beta + state.dual) > lam
-    return ActivePartition(np.flatnonzero(mask), screened=screened)
+    # an unbuilt dual costs one X'u unless its active set is empty (X'y/n)
+    refreshes = int(state._dual is None and state._pinning.active.shape[0] > 0)
+    dual = state.dual
+    active = np.flatnonzero(np.abs(state.beta + dual) > lam)
+    return ActivePartition(active, dual[active], screened=screened, refreshes=refreshes)
 
 
 def _candidates(state, lam):
@@ -121,11 +128,10 @@ def _candidates(state, lam):
     the radius r of the module docstring is not below ``lam``; NaN from
     non-finite inputs fails that test too.
     """
-    cert = state._certificate
-    if state._dual is not None or cert is None or not state._needs_product():
+    cert, pin = state._certificate, state._pinning
+    if state._dual is not None or cert is None or pin.active.shape[0] == 0:
         return None
     ref, ref_dual, largest = cert
-    pin = state._pinning
     r = _radius(ref, pin)
     if not r < lam:
         return None
@@ -153,7 +159,8 @@ def _screened_partition(state, S, lam):
     each lies within ``err`` of the exact dual, as does the built one, so a
     candidate more than 2 err from ``lam`` falls on the same side of it in
     both. None when some candidate lies within that band, so the caller builds
-    the dual. The entering values are kept on the state for ``_dual_on``.
+    the dual. The partition's dual is the pinned one on A and, where a
+    candidate enters, its own: of the built dual's sign, not always its bits.
     """
     pin = state._pinning
     prob = pin.prob
@@ -165,14 +172,12 @@ def _screened_partition(state, S, lam):
     mag = np.abs(dual_S)
     if (np.abs(mag - lam) <= 2.0 * pin.err).any():
         return None
-    active = pin.active[np.abs(pin.beta + pin.dual) > lam]
+    keep = np.abs(pin.beta + pin.dual) > lam
     enter = mag > lam
-    if enter.any():
-        idx = np.concatenate([pin.active, S[enter]])
-        order = np.argsort(idx)
-        state._known = (idx[order], np.concatenate([pin.dual, dual_S[enter]])[order])
-        active = np.sort(np.concatenate([active, S[enter]]))
-    return ActivePartition(active, screened=S.shape[0])
+    active = np.concatenate([pin.active[keep], S[enter]])
+    order = np.argsort(active)
+    dual = np.concatenate([pin.dual[keep], dual_S[enter]])
+    return ActivePartition(active[order], dual[order], screened=S.shape[0])
 
 
 @dataclass

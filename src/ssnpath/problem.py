@@ -216,7 +216,7 @@ class PrimalDualState:
     its dual need not be (X'y - X'u)/n for any u.
     """
 
-    __slots__ = ("_beta", "_dual", "_pinning", "_certificate", "_known")
+    __slots__ = ("_beta", "_dual", "_pinning", "_certificate")
 
     def __init__(self, beta, dual):
         beta = np.asarray(beta, dtype=np.float64)
@@ -229,7 +229,6 @@ class PrimalDualState:
         self._dual = dual
         self._pinning = None
         self._certificate = None
-        self._known = None
 
     @classmethod
     def _from_update(cls, beta, pinning, certificate):
@@ -248,7 +247,6 @@ class PrimalDualState:
         state._dual = None
         state._pinning = pinning
         state._certificate = certificate
-        state._known = None
         return state
 
     @property
@@ -271,33 +269,12 @@ class PrimalDualState:
             self._dual = dual
         return self._dual
 
-    def _dual_on(self, idx):
-        """``dual[idx]``, read without a build when ``idx`` lies in A or entered at a screen.
-
-        The values of coordinates that entered at the last screened partition
-        (:func:`ssnpath.kkt.active_partition`) are the screened ones: within
-        2 err of the built dual and more than 2 err from the penalty, so of
-        its sign, though not always of its last bits.
-        """
-        if self._dual is None:
-            known = self._known
-            if known is None:
-                known = (self._pinning.active, self._pinning.dual)
-            pos = _positions(known[0], idx)
-            if pos is not None:
-                return known[1][pos]
-        return self.dual[idx]
-
     def _support(self):
         """Sorted indices of the nonzero ``beta`` entries, in O(|A|) from the pinning if any."""
         pin = self._pinning
         if pin is None:
             return np.flatnonzero(self._beta)
         return pin.active[pin.beta != 0]
-
-    def _needs_product(self):
-        """Whether reading ``dual`` now costs a full ``X'u`` product."""
-        return self._dual is None and self._pinning.active.shape[0] > 0
 
     def copy(self):
         return PrimalDualState(self.beta.copy(), self.dual.copy())
@@ -327,18 +304,6 @@ class _Pinning:
         n, c = prob.n, prob.max_col_norm
         size = math.sqrt(prob.y @ prob.y) + 2.0 * c * float(np.abs(beta).sum())
         self.err = 2.0 * _gamma(n + active.shape[0] + 4) * c * size / n
-
-
-def _positions(sorted_idx, idx):
-    """Positions of ``idx`` in the sorted ``sorted_idx``, or None when some entry is absent."""
-    if idx.shape[0] > sorted_idx.shape[0]:
-        return None
-    if idx.shape[0] == 0:
-        return idx
-    pos = np.searchsorted(sorted_idx, idx)
-    if not np.array_equal(sorted_idx.take(pos, mode="clip"), idx):
-        return None
-    return pos
 
 
 def _pinned_dual(prob, A, beta_A, dual_A, u=None):

@@ -142,12 +142,14 @@ def _solve_restricted(prob, XA, rhs, x0):
 def ssn_update(prob, state, part, lam, shift=0.0):
     """One active-set Newton update from ``state`` under the given partition.
 
-    Sets beta to zero off the active set, pins the active dual to
-    (lam - shift) * sign(beta + dual) using the incoming state's signs, and
-    solves the restricted system for the active coefficients (warm started
-    from the incoming beta). The inactive dual is built when first read; the
-    new state carries the incoming state's certificate when that was built
-    on ``prob`` itself (see :class:`ssnpath.PrimalDualState`).
+    ``part`` must carry the state's dual on its active set, as
+    :func:`ssnpath.kkt.active_partition` returns it. Sets beta to zero off the
+    active set, pins the active dual to (lam - shift) * sign(beta + dual)
+    using the incoming state's signs, and solves the restricted system for
+    the active coefficients (warm started from the incoming beta). The
+    inactive dual is built when first read; the new state carries the
+    incoming state's certificate when that was built on ``prob`` itself (see
+    :class:`ssnpath.PrimalDualState`).
 
     Raises
     ------
@@ -160,7 +162,7 @@ def ssn_update(prob, state, part, lam, shift=0.0):
         beta_active = dual_active = np.zeros(0)
         u = np.zeros(prob.n)
     else:
-        signs = np.sign(state.beta[A] + state._dual_on(A))
+        signs = np.sign(state.beta[A] + part.dual)
         dual_active = (lam - shift) * signs
         rhs = prob.xty[A] - prob.n * dual_active
         XA = prob.X[:, A]
@@ -172,33 +174,15 @@ def ssn_update(prob, state, part, lam, shift=0.0):
     return PrimalDualState._from_update(beta_new, pinning, state._certificate)
 
 
-def _carries_current_pinning(state, part, lam, shift):
-    """Whether a warm start already satisfies this subproblem's structure.
-
-    A support match against the incoming beta is not enough to declare
-    convergence: a state warm-started from a different penalty level carries
-    a dual pinned at that level. The zero-update stop is allowed only when
-    the active dual equals (lam - shift) * sign(beta + dual) exactly, which
-    holds bitwise for states produced by :func:`ssn_update` at this (lam,
-    shift) and fails as soon as the level changes.
-    """
-    A = part.active
-    if A.shape[0] == 0:
-        return True
-    dual_A = state._dual_on(A)
-    pin = (lam - shift) * np.sign(state.beta[A] + dual_A)
-    return np.array_equal(dual_A, pin)
-
-
 def ssn_solve(prob, init, config):
     """Iterate :func:`ssn_update` from ``init`` until a stop rule fires.
 
     The reference active set for the first repeat test is the support of the
     initial beta, so a warm start that is already a fixed point of this
-    subproblem returns immediately with zero iterations (see
-    :func:`_carries_current_pinning`). With shift 0, alpha > 0 and an
-    ``ACTIVE_SET_REPEATED`` stop, the returned state satisfies the
-    stationarity system to solver accuracy (see :func:`ssnpath.kkt.kkt_residual`).
+    subproblem returns immediately with zero iterations. With shift 0,
+    alpha > 0 and an ``ACTIVE_SET_REPEATED`` stop, the returned state
+    satisfies the stationarity system to solver accuracy (see
+    :func:`ssnpath.kkt.kkt_residual`).
 
     Returns
     -------
@@ -217,11 +201,10 @@ def ssn_solve(prob, init, config):
         return SsnOutcome(state, iterations, reason, part, refreshes, screened=screened)
 
     for k in range(config.max_iter + 1):
-        owed = state._needs_product()
         part = active_partition(state, config.lam)
-        refreshes += owed and not state._needs_product()
+        refreshes += part.refreshes
         screened += part.screened
-        signs = np.sign(state.beta[part.active] + state._dual_on(part.active))
+        signs = np.sign(state.beta[part.active] + part.dual)
         if config.sparsity_cap is not None and part.size > config.sparsity_cap:
             return outcome(StopReason.SPARSITY_CAP)
         if np.array_equal(part.active, prev_active):
@@ -229,7 +212,10 @@ def ssn_solve(prob, init, config):
             # pattern; a set repeat with flipped signs (possible on badly
             # conditioned starts) is not a fixed point, so keep iterating.
             if prev_signs is None:
-                repeated = _carries_current_pinning(state, part, config.lam, config.shift)
+                # a warm start from another penalty level carries a dual
+                # pinned there; only states ssn_update made at this
+                # (lam, shift) carry this pinning bit for bit
+                repeated = np.array_equal(part.dual, (config.lam - config.shift) * signs)
             else:
                 repeated = np.array_equal(signs, prev_signs)
             if repeated:

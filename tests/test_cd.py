@@ -108,6 +108,14 @@ class TestCdPath:
             assert abs(a - b) <= 1e-8
 
 
+    def test_shifted_schedule_is_rejected(self):
+        # CD solves the stated problem at every knot; a shift would be ignored
+        prob, _ = random_instance(40, 80, seed=8)
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.8, num_knots=5,
+                         shift_schedule="shifted")
+        with pytest.raises(ValueError, match="shifted"):
+            cd_path(prob, cfg)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_rebuilt_dual_is_refresh_of_the_unthresholded_iterate(self, alpha):
         prob, _ = random_instance(25, 50, alpha=alpha, seed=17)

@@ -79,6 +79,13 @@ def _built_aside(state):
     return _pinned_dual(pin.prob, pin.active, pin.beta, pin.dual, pin.u)
 
 
+def _partition(state, A):
+    """A hand-made partition of ``state`` on ``A``, its dual read without building the state's."""
+    A = np.asarray(A)
+    dual = _built_aside(state) if state._dual is None else state._dual
+    return ActivePartition(A, dual[A])
+
+
 def _assert_radius_bounds(state, dual):
     """|dual_j| <= |dual_ref_j| + r off both active sets, and <= largest + r."""
     ref, ref_dual, largest = state._certificate
@@ -94,8 +101,8 @@ def checked_partitions(stats):
     real = solver.active_partition
 
     def partition(state, lam):
-        screenable = (state._dual is None and state._certificate is not None
-                      and state._needs_product())
+        owed = state._dual is None and state._pinning.active.shape[0] > 0
+        screenable = owed and state._certificate is not None
         if screenable:
             dual = _built_aside(state)
             _assert_radius_bounds(state, dual)
@@ -108,9 +115,17 @@ def checked_partitions(stats):
                 out[S] = False
                 assert (np.abs(dual[out]) <= lam).all()
         part = real(state, lam)
-        if screenable and state._dual is None:
+        assert part.refreshes == int(owed and state._dual is not None)
+        stats["refreshes"] += part.refreshes
+        if state._dual is not None:
+            assert _same_bits(part.dual, state._dual[part.active])
+        elif screenable:
             dense = np.flatnonzero(np.abs(state.beta + dual) > lam)
             assert _same_bits(part.active, dense)
+            # pinned values bit for bit; an entering dual is the candidate's own
+            kept = np.isin(part.active, state._pinning.active)
+            assert _same_bits(part.dual[kept], dual[part.active[kept]])
+            assert _same_bits(np.sign(part.dual[~kept]), np.sign(dual[part.active[~kept]]))
             stats["certified"] += 1
             stats["screened"] += part.screened > 0
         return part
@@ -120,7 +135,7 @@ def checked_partitions(stats):
 
 
 def _stats():
-    return {"bounded": 0, "certified": 0, "screened": 0}
+    return {"bounded": 0, "certified": 0, "screened": 0, "refreshes": 0}
 
 
 class TestMatchesEagerWalk:
@@ -138,6 +153,7 @@ class TestMatchesEagerWalk:
         with checked_partitions(stats), _screen_all(screen_all):
             path = assert_matches_eager(prob, config)
         assert path.terminated_at is None
+        assert stats["refreshes"] == sum(r.refreshes for r in path.records)
         assert stats["bounded"] > 0
         assert stats["certified"] > 0
         assert sum(r.refreshes for r in path.records) < sum(
@@ -238,7 +254,7 @@ class TestCertificateConditions:
         at a penalty 1e-9 away, so the Cauchy-Schwarz step is tight for column 1.
         """
         rng = np.random.default_rng(seed)
-        n, A = 6, ActivePartition(np.array([0]))
+        n, A = 6, [0]
         for _ in range(count):
             x = rng.standard_normal(n)
             x -= x.mean()
@@ -246,10 +262,11 @@ class TestCertificateConditions:
             X = np.column_stack([x, x, 1e-3 * rng.standard_normal(n)])
             prob = ProblemData(X, 1e3 * x + rng.standard_normal(n))
             lam_r = 1.0 + rng.uniform()
-            ref = ssn_update(prob, cold_start(prob), A, lam_r, 0.9 * lam_r)
+            init = cold_start(prob)
+            ref = ssn_update(prob, init, _partition(init, A), lam_r, 0.9 * lam_r)
             ref.dual
             lam = lam_r * (1.0 + 1e-9 * rng.uniform())
-            yield prob, ssn_update(prob, ref, A, lam, 0.9 * lam)
+            yield prob, ssn_update(prob, ref, _partition(ref, A), lam, 0.9 * lam)
 
     def test_rounding_term_covers_built_duals_on_duplicated_columns(self):
         # the bound without its rounding terms falls below the built dual
@@ -280,7 +297,8 @@ class TestCertificateConditions:
             prob = ProblemData(rng.standard_normal((n, p)) * rng.uniform(0.1, 10, p),
                                10 * rng.standard_normal(n))
             A = np.sort(rng.choice(p, size=2, replace=False))
-            state = ssn_update(prob, cold_start(prob), ActivePartition(A), 0.1, 0.0)
+            init = cold_start(prob)
+            state = ssn_update(prob, init, _partition(init, A), 0.1, 0.0)
             pin = state._pinning
             X, y, u = prob.X, prob.y, pin.u
             off = np.ones(p, dtype=bool)
@@ -304,9 +322,10 @@ class TestCertificateConditions:
         coordinate instead of stopping at the reference's largest dual.
         """
         prob = ProblemData(2.0 * np.eye(4), np.array([8.0, 6.0, 2.0, -0.1]), alpha=4.0)
-        ref = ssn_update(prob, cold_start(prob), ActivePartition(np.array([0, 1])), 2.0, 1.5)
+        init = cold_start(prob)
+        ref = ssn_update(prob, init, _partition(init, [0, 1]), 2.0, 1.5)
         ref.dual
-        return ssn_update(prob, ref, ActivePartition(np.array([0])), 2.0, 1.5)
+        return ssn_update(prob, ref, _partition(ref, [0]), 2.0, 1.5)
 
     @pytest.mark.parametrize("screen_all", [False, True])
     def test_coordinate_that_left_the_active_set_is_re_added(self, screen_all):
@@ -320,7 +339,7 @@ class TestCertificateConditions:
         # four columns leave no room for a screened one unless every share is allowed
         assert (state._dual is None) == screen_all
         assert part.screened == (2 if screen_all else 0)
-        assert np.sign(state._dual_on(part.active)).tolist() == [1.0, 1.0]
+        assert np.sign(part.dual).tolist() == [1.0, 1.0]
 
     def test_candidate_near_the_penalty_builds_the_dual(self):
         # exact arithmetic puts the re-added x_1's dual at 3 = lam, inside the
@@ -341,7 +360,7 @@ class TestCertificateConditions:
         lam = 0.5
         beta = np.array([8.0 / 2 - lam, 0.0, 0.0, 0.0])
         init = PrimalDualState(beta, np.array([lam, 0.0, 0.0, 0.0]))
-        out = ssn_update(prob, init, ActivePartition(np.array([0])), lam, 0.0)
+        out = ssn_update(prob, init, _partition(init, [0]), lam, 0.0)
         assert out._certificate is None
         assert kkt._candidates(out, math.inf) is None
         config = SsnConfig(lam=lam, max_iter=4)
@@ -356,10 +375,10 @@ class TestCertificateConditions:
     @staticmethod
     def _reference_state(prob, lam):
         """An unbuilt state on A = {0, 1} carrying the certificate of a built one."""
-        part = ActivePartition(np.array([0, 1]))
-        ref = ssn_update(prob, cold_start(prob), part, lam, 0.9 * lam)
+        init = cold_start(prob)
+        ref = ssn_update(prob, init, _partition(init, [0, 1]), lam, 0.9 * lam)
         ref.dual
-        state = ssn_update(prob, ref, part, lam, 0.9 * lam)
+        state = ssn_update(prob, ref, _partition(ref, [0, 1]), lam, 0.9 * lam)
         assert state._certificate is not None
         return state
 
@@ -376,7 +395,7 @@ class TestCertificateConditions:
             other_prob = ProblemData(np.vstack([2.0 * np.eye(4), np.ones(4)]),
                                      np.array([8.0, 6.0, 5.0, -0.1, 1.0]))
         lam = 0.4
-        out = ssn_update(other_prob, init, ActivePartition(np.array([0, 1])), lam, 0.9 * lam)
+        out = ssn_update(other_prob, init, _partition(init, [0, 1]), lam, 0.9 * lam)
         assert out._certificate is None
         got = ssn_solve(other_prob, init, SsnConfig(lam=lam, shift=0.9 * lam, max_iter=4))
         state, iters, reason, active = eager_ssn_solve(
@@ -454,11 +473,14 @@ def test_certified_bound_holds_on_degenerate_designs(prob, schedule, max_inner, 
         return
     config = PathConfig(lambda0=default_lambda0(prob), gamma=gamma, num_knots=25,
                         max_inner=max_inner, shift_schedule=schedule)
+    stats = _stats()
     try:
-        with checked_partitions(_stats()), _screen_all(screen_all):
+        with checked_partitions(stats), _screen_all(screen_all):
             path = solve_path(prob, config)
     except CgBreakdown:
         return
+    if path.terminated_at is None:
+        assert stats["refreshes"] == sum(r.refreshes for r in path.records)
     knots, terminated_at = eager_solve_path(prob, config)
     assert path.terminated_at == terminated_at
     for rec, ref in zip(path.records, knots, strict=True):

@@ -17,7 +17,7 @@ from ssnpath import (
     write_path_csv,
 )
 from ssnpath.cli import cli_main
-from ssnpath.io import load_matrix, load_vector, save_instance, save_matrix, save_vector
+from ssnpath.io import load_matrix, load_vector, save_instance, save_matrix
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ def csv_instance(tmp_path):
     x_path = tmp_path / "X.csv"
     y_path = tmp_path / "y.csv"
     save_matrix(x_path, prob.X)
-    save_vector(y_path, prob.y)
+    save_matrix(y_path, prob.y)
     return x_path, y_path, prob, truth
 
 
@@ -42,7 +42,7 @@ class TestIo:
     def test_vector_roundtrip(self, tmp_path):
         y = np.array([1.5, -2.25, 1e-17])
         path = tmp_path / "v.csv"
-        save_vector(path, y)
+        save_matrix(path, y)
         np.testing.assert_array_equal(load_vector(path), y)
 
     def test_single_row_matrix_shape(self, tmp_path):
@@ -109,6 +109,13 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report) >= {"coherence", "a1_holds", "a2_holds", "lambda_u"}
+
+    def test_check_one_column_design(self, capsys):
+        # log p = 0 puts the noise floor at 0, so no recovery grid exists
+        code = cli_main(["check", "--sim", "n=20,p=1,rho=0.5,sigma=0.1,T=1"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["lambda_u"] == 0.0 and report["recovery_last_knot"] is None
 
     def test_bench_command(self, tmp_path, capsys):
         out = tmp_path / "metrics.csv"
@@ -199,7 +206,7 @@ class TestCli:
         x_path = tmp_path / "X.csv"
         y_path = tmp_path / "y.csv"
         save_matrix(x_path, np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
-        save_vector(y_path, np.array([1.0, 2.0, 3.0]))
+        save_matrix(y_path, np.array([1.0, 2.0, 3.0]))
         code = cli_main(["solve", "--x", str(x_path), "--y", str(y_path), "--lambda", "0.1"])
         assert code == 2
 
@@ -305,7 +312,7 @@ class TestCsvGolden:
     def test_solve_coefficients(self, tmp_path, capsys):
         x_path, y_path, out = tmp_path / "X.csv", tmp_path / "y.csv", tmp_path / "beta.csv"
         save_matrix(x_path, TINY_X)
-        save_vector(y_path, TINY_Y)
+        save_matrix(y_path, TINY_Y)
         code = cli_main([
             "solve", "--x", str(x_path), "--y", str(y_path), "--raw",
             "--lambda", "0.3", "--cap", "4", "--out", str(out),

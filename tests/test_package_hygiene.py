@@ -2,8 +2,10 @@
 
 Every package module and test module must use each name it imports (the
 package ``__init__`` may instead re-export it through ``__all__``),
-``__all__`` must list each public name once and only names that exist, and
-every function the package defines must be named somewhere outside the tests.
+``__all__`` must list each public name once and only names that exist,
+every function the package defines must be named somewhere outside the tests,
+and no package module may write a private attribute that no class of its own
+declares.
 """
 
 import ast
@@ -93,3 +95,46 @@ def test_every_function_is_named_outside_its_def():
     words = Counter(re.findall(r"\w+", "\n".join(p.read_text() for p in _non_test_sources())))
     unnamed = sorted(name for name, count in defined.items() if words[name] <= count)
     assert unnamed == [], f"defined in ssnpath but named nowhere outside tests/: {unnamed}"
+
+
+def _private(attr):
+    return attr.startswith("_") and not attr.endswith("__")
+
+
+def _on_self(node):
+    return isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+
+
+def _declared_private_attributes(tree):
+    """Private names a class of the module declares: in ``__slots__``, its body or on ``self``."""
+    declared = set()
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                declared |= names
+                if "__slots__" in names:
+                    declared.update(elt.value for elt in stmt.value.elts)
+        declared.update(
+            node.attr for node in ast.walk(cls)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and _on_self(node)
+        )
+    return declared
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_attributes_are_written_only_where_declared(path):
+    # a private field one module sets on another's object is a hidden channel
+    # between them; the value belongs in what the writer returns
+    tree = ast.parse(path.read_text(), filename=str(path))
+    declared = _declared_private_attributes(tree)
+    foreign = [
+        f"{node.value.id if isinstance(node.value, ast.Name) else '...'}.{node.attr} "
+        f"(line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and _private(node.attr) and node.attr not in declared and not _on_self(node)
+    ]
+    assert foreign == [], f"{path.name} writes private attributes it does not declare: {foreign}"
