@@ -119,6 +119,7 @@ def run_benchmark(
     descent has no shift and stops each knot at ``tol = 1e-7``.
     Replications that fail numerically are counted and excluded from the
     means. Timing covers the path plus selection; generation is excluded.
+    A cell with ``T = 0`` is rejected with ``ValueError`` before any fit.
     """
     if solver not in ("snap", "cdpath"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -126,6 +127,11 @@ def run_benchmark(
         raise ValueError(f"unknown selector {selector!r}")
     if reps < 1:
         raise ValueError("need at least one replication")
+    for ci, cell in enumerate(grid):
+        # checked before any fit: solution_metrics would raise ZeroTruth after one
+        if cell.T == 0:
+            raise ValueError(f"cell {ci} ({cell.n} x {cell.p}) has T = 0; the relative "
+                             "error of an all-zero target is undefined")
     select = _SELECTORS[selector]
     gamma = _default_gamma(num_knots)
     schedule = "shifted" if solver == "snap" else "zero"

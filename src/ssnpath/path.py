@@ -98,9 +98,10 @@ class KnotRecord:
     ``dual`` calls it and keeps the result on the record, so later reads
     return that same array, and an in-place edit or an assignment persists.
     ``refreshes`` is the number of full ``X'u`` products the knot's
-    partitions spent building duals and ``screened`` the columns whose duals
-    they computed one by one instead (see :class:`ssnpath.SsnOutcome`); both
-    are 0 for records that come from no partition.
+    partitions spent building duals, ``screened`` the columns whose duals
+    they computed one by one instead and ``corrected`` their float32
+    correction passes (see :class:`ssnpath.SsnOutcome`); all are 0 for
+    records that come from no partition.
     """
 
     t: int
@@ -113,6 +114,7 @@ class KnotRecord:
     dual_source: Callable[[], np.ndarray] = field(repr=False, compare=False)
     refreshes: int = field(default=0, kw_only=True)
     screened: int = field(default=0, kw_only=True)
+    corrected: int = field(default=0, kw_only=True)
 
     @cached_property
     def dual(self):
@@ -275,6 +277,7 @@ def solve_path(prob, config):
                 dual_source=dual_source,
                 refreshes=out.refreshes,
                 screened=out.screened,
+                corrected=out.corrected,
             )
         )
         state = out.state

@@ -28,9 +28,12 @@ _BLOCK_ENTRIES = 1 << 15
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _gamma(k):
-    """gamma_k = k u / (1 - k u): the relative error bound of a k-term dot product (Higham)."""
-    ku = k * _UNIT_ROUNDOFF
+def _gamma(k, unit=_UNIT_ROUNDOFF):
+    """gamma_k = k u / (1 - k u): the relative error bound of a k-term dot product (Higham).
+
+    ``unit`` is the unit roundoff of the arithmetic, float64's by default.
+    """
+    ku = k * unit
     return ku / (1.0 - ku)
 
 
@@ -44,10 +47,13 @@ class ProblemData:
     the caller's own arrays stay writeable and must not be changed while
     the instance is in use. ``max_col_norm`` is an upper bound on every
     column norm (the largest computed norm, rounded up past its own rounding
-    error); it is infinite when a column's squares overflow.
+    error); it is infinite when a column's squares overflow. ``X32`` is a
+    read-only column-major float32 copy of ``X`` (each entry rounded to
+    nearest; n p 4 more bytes), which :func:`ssnpath.kkt.active_partition`
+    uses to screen changes of the dual.
     """
 
-    __slots__ = ("X", "y", "alpha", "xty", "normalized", "max_col_norm")
+    __slots__ = ("X", "y", "alpha", "xty", "normalized", "max_col_norm", "X32")
 
     def __init__(self, X, y, alpha=0.0):
         X = np.asfortranarray(X, dtype=np.float64)
@@ -58,7 +64,8 @@ class ProblemData:
             raise DimensionMismatch(
                 f"response length {y.shape} does not match {X.shape[0]} rows"
             )
-        norms = _column_norms(X)
+        X32 = np.empty(X.shape, dtype=np.float32, order="F")
+        norms = _column_norms(X, X32)
         # Finite norms imply a finite X; a non-finite norm can also come from
         # squares that overflow, so only then is X checked entry by entry.
         finite_X = np.isfinite(norms).all() or np.isfinite(X).all()
@@ -76,7 +83,8 @@ class ProblemData:
         self.max_col_norm = float(
             np.nextafter(np.max(norms) * (1.0 + 2.0 * _gamma(X.shape[0] + 1)), np.inf)
         )
-        for arr in (self.X, self.y, self.xty):
+        self.X32 = X32
+        for arr in (self.X, self.y, self.xty, self.X32):
             arr.flags.writeable = False
 
     @property
@@ -115,11 +123,19 @@ def _block_norms(block):
     return np.sqrt(np.add.reduce(block * block, axis=0))
 
 
-def _column_norms(X):
-    """``np.linalg.norm(X, axis=0)`` without an n-by-p temporary."""
+def _column_norms(X, X32):
+    """``np.linalg.norm(X, axis=0)`` without an n-by-p temporary.
+
+    The float32 array ``X32`` of the same shape receives ``X`` rounded to
+    float32 in the same pass, while each block is in cache.
+    """
     norms = np.empty(X.shape[1])
-    for cols in _column_blocks(X):
-        norms[cols] = _block_norms(X[:, cols])
+    # entries past the float32 range round to inf, which the screen never uses
+    with np.errstate(over="ignore"):
+        for cols in _column_blocks(X):
+            block = X[:, cols]
+            norms[cols] = _block_norms(block)
+            X32[:, cols] = block
     return norms
 
 
@@ -206,14 +222,18 @@ class PrimalDualState:
     from those numbers is the one its ``beta`` gives. Neither property can be
     assigned; :meth:`copy` gives a state with writable vectors.
 
-    Such a state also holds a certificate, a ``(_Pinning, dual, largest)``
-    triple of a built state: its pinning, its built dual and the largest
-    magnitude of that dual off the pinned active set. Until the state's own
-    dual is built it holds the one carried from the last built state of the
-    same data, which :func:`ssnpath.kkt.active_partition` screens with before
-    building anything; once built, its own, which the states updated from it
-    carry. A state from the constructor has none and passes none on, since
-    its dual need not be (X'y - X'u)/n for any u.
+    Such a state also holds a certificate, a ``(_Pinning, dual, largest,
+    err)`` tuple of a reference state: its pinning, a dual within ``err`` of
+    its exact dual off the pinned active set (the pinned values on it) and
+    the largest magnitude of that dual off the pinned active set. A state
+    becomes a reference when its dual is built (``err`` is then the
+    pinning's rounding bound) or when :func:`ssnpath.kkt.active_partition`
+    reads its partition from a float32 correction of the reference before
+    it. Until then it holds the certificate carried from the last reference
+    of the same data, which that function screens with before building
+    anything; the states updated from a reference carry its own. A state
+    from the constructor has none and passes none on, since its dual need
+    not be (X'y - X'u)/n for any u.
     """
 
     __slots__ = ("_beta", "_dual", "_pinning", "_certificate")
@@ -258,16 +278,26 @@ class PrimalDualState:
         if self._dual is None:
             pin = self._pinning
             dual = _pinned_dual(pin.prob, pin.active, pin.beta, pin.dual, pin.u)
-            off = np.abs(dual)
-            off[pin.active] = 0.0
-            # dual_A is finite, so this max is finite exactly when the dual is
-            largest = float(off.max())
-            if not math.isfinite(largest):
-                raise ValueError("state vectors must be finite")
-            dual.flags.writeable = False
-            self._certificate = (pin, dual, largest)
+            self._certify(dual, pin.err)
             self._dual = dual
         return self._dual
+
+    def _certify(self, dual, err):
+        """Make this solver-made state the reference: ``dual`` is within ``err`` of its dual.
+
+        ``dual`` holds the pinned values on the pinned active set and is
+        made read-only, since the states updated from this one screen
+        against it.
+        """
+        pin = self._pinning
+        off = np.abs(dual)
+        off[pin.active] = 0.0
+        # dual_A is finite, so this max is finite exactly when the dual is
+        largest = float(off.max())
+        if not math.isfinite(largest):
+            raise ValueError("state vectors must be finite")
+        dual.flags.writeable = False
+        self._certificate = (pin, dual, largest, err)
 
     def _support(self):
         """Sorted indices of the nonzero ``beta`` entries, in O(|A|) from the pinning if any."""

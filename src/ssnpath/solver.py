@@ -4,12 +4,15 @@ Each iteration guesses the support from |beta + dual| > lam, pins the dual to
 (lam - shift) * sign(beta + dual) there, and solves the restricted ridge
 system for the active coefficients. The complement dual, one full ``X'u``
 product, is built only when a partition cannot be read without it:
-:func:`ssnpath.kkt.active_partition` first screens each coordinate with a
-safe sphere around the last state whose dual was built, and computes only
-the duals of the few coordinates the sphere cannot rule out. On the
-benchmark's ``table2`` cell this leaves 41-47 full products in the 99
-updates of a shifted-schedule path, and on its ``enet`` cell's unshifted
-paths 29-31 in 90-94 updates. The loop stops as soon as the active set
+:func:`ssnpath.kkt.active_partition` screens each coordinate against the
+last reference state, first with a safe sphere and, when the sphere is too
+wide, with a float32 correction of the reference's dual (about half the
+cost of a full product), and computes only the duals of the few
+coordinates the screen cannot rule out. On the benchmark's ``table1`` and
+``table2`` cells this leaves 2 full products and 38-45 float32 passes in
+the 99 updates of a shifted-schedule path, and on its ``enet`` cell's
+unshifted paths 1 full product and 28-30 passes in 90-94 updates. The loop
+stops as soon as the active set
 repeats (the iterate is then a stationary point), a safeguard iteration
 count is hit, or the active set outgrows the sparsity cap. These rules read
 only the active set and its signs, so stopping costs no matrix-vector
@@ -77,7 +80,8 @@ class SsnOutcome:
     ``active`` is the partition of the returned state at ``lam``;
     ``refreshes`` counts the full ``X'u`` products the solve's partitions
     spent building duals they could not be read without; ``screened`` counts
-    the columns whose duals they computed one by one instead (see
+    the columns whose duals they computed one by one instead, and
+    ``corrected`` their float32 correction passes (see
     :class:`ssnpath.ActivePartition`).
     """
 
@@ -87,6 +91,7 @@ class SsnOutcome:
     active: ActivePartition
     refreshes: int
     screened: int = field(default=0, kw_only=True)
+    corrected: int = field(default=0, kw_only=True)
 
 
 def _cg(matvec, rhs, x0, tol, max_iter, curvature_floor):
@@ -188,22 +193,25 @@ def ssn_solve(prob, init, config):
     -------
     SsnOutcome
         Final state, number of updates performed, stop reason, the final
-        partition, and the dual builds and screened columns it paid for. A
+        partition, and the dual builds, screened columns and float32
+        correction passes it paid for. A
         sparsity-cap trip is reported as a normal outcome with
         ``StopReason.SPARSITY_CAP`` and the last state below the cap.
     """
     state = init
     prev_active = init._support()
     prev_signs = None
-    iterations = refreshes = screened = 0
+    iterations = refreshes = screened = corrected = 0
 
     def outcome(reason):
-        return SsnOutcome(state, iterations, reason, part, refreshes, screened=screened)
+        return SsnOutcome(state, iterations, reason, part, refreshes, screened=screened,
+                          corrected=corrected)
 
     for k in range(config.max_iter + 1):
         part = active_partition(state, config.lam)
         refreshes += part.refreshes
         screened += part.screened
+        corrected += part.corrected
         signs = np.sign(state.beta[part.active] + part.dual)
         if config.sparsity_cap is not None and part.size > config.sparsity_cap:
             return outcome(StopReason.SPARSITY_CAP)

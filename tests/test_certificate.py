@@ -1,13 +1,15 @@
-"""Screened partitions: the lazy dual and its safe sphere screen change no result.
+"""Screened partitions: the lazy dual and its screens change no result.
 
 ``solve_path`` builds a state's complement dual only when
 :func:`ssnpath.kkt.active_partition` cannot read the partition without it;
-otherwise it computes the duals of the few coordinates the screen keeps as
-candidates. These tests hold the result to the eager walk in
-``tests/oracles.py`` bit for bit, count the full ``X'u`` products and the
-gathered columns the fit really uses, and check that the screen's radius
-bounds every built complement dual, including on designs with duplicated,
-rescaled and near-collinear columns.
+otherwise it computes the duals of the few coordinates a safe sphere or a
+float32 correction keeps as candidates. These tests hold the result to the
+eager walk in ``tests/oracles.py`` bit for bit, count the full ``X'u``
+products, the float32 passes and the gathered columns the fit really uses,
+check that the sphere's radius and the correction's error bound cover every
+built complement dual, including on designs with duplicated, rescaled and
+near-collinear columns, and check the correction's bound against exact
+arithmetic on cases where it is tight.
 """
 
 import math
@@ -65,6 +67,16 @@ def _screen_all(enabled=True):
     return mock.patch.object(kkt, "SCREEN_MAX_SHARE", 1.0) if enabled else nullcontext()
 
 
+def _correct_all():
+    """Send every candidate set to the float32 correction, and let its chains run long."""
+    return mock.patch.multiple(kkt, SCREEN_MAX_SHARE=0.0, CORRECTION_MAX_SHARE=1.0)
+
+
+# The share patches a test runs under: the package's own, every candidate set
+# gathered, or every candidate set sent to the float32 correction.
+TIERS = {"default": nullcontext, "gather": _screen_all, "correct": _correct_all}
+
+
 def _off_both(state):
     """Mask of the coordinates off the state's and its reference's pinned active sets."""
     off = np.ones(state.beta.shape[0], dtype=bool)
@@ -88,11 +100,25 @@ def _partition(state, A):
 
 def _assert_radius_bounds(state, dual):
     """|dual_j| <= |dual_ref_j| + r off both active sets, and <= largest + r."""
-    ref, ref_dual, largest = state._certificate
-    r = kkt._radius(ref, state._pinning)
+    cert = state._certificate
+    _, ref_dual, largest, _ = cert
+    r = kkt._radius(cert, state._pinning)
     off = _off_both(state)
     assert (np.abs(dual[off]) <= np.abs(ref_dual[off]) + r).all()
     assert np.max(np.abs(dual[off]), initial=0.0) <= largest + r
+
+
+def _assert_reference_bounds(state, built):
+    """A corrected state's certificate: within its err of the exact dual off A, pinned on A."""
+    pin = state._pinning
+    ref, dual, largest, err = state._certificate
+    assert ref is pin and not dual.flags.writeable
+    off = np.ones(dual.shape[0], dtype=bool)
+    off[pin.active] = False
+    # the built dual is within pin.err of the exact dual too
+    assert (np.abs(dual[off] - built[off]) <= err + pin.err).all()
+    assert _same_bits(dual[pin.active], pin.dual)
+    assert largest == np.max(np.abs(dual[off]), initial=0.0)
 
 
 @contextmanager
@@ -128,6 +154,9 @@ def checked_partitions(stats):
             assert _same_bits(np.sign(part.dual[~kept]), np.sign(dual[part.active[~kept]]))
             stats["certified"] += 1
             stats["screened"] += part.screened > 0
+        if part.corrected and state._dual is None:
+            _assert_reference_bounds(state, dual)
+            stats["corrected"] += 1
         return part
 
     with mock.patch.object(solver, "active_partition", partition):
@@ -135,7 +164,7 @@ def checked_partitions(stats):
 
 
 def _stats():
-    return {"bounded": 0, "certified": 0, "screened": 0, "refreshes": 0}
+    return {"bounded": 0, "certified": 0, "screened": 0, "corrected": 0, "refreshes": 0}
 
 
 class TestMatchesEagerWalk:
@@ -146,11 +175,26 @@ class TestMatchesEagerWalk:
     @pytest.mark.parametrize("lambda0_scale", [1.0, 4.0])
     def test_path_is_bitwise_the_eager_path(self, schedule, alpha, max_inner, lambda0_scale,
                                             screen_all):
+        stats = self._walk(schedule, alpha, max_inner, lambda0_scale, _screen_all(screen_all))
+        if screen_all:
+            assert stats["screened"] > 0
+
+    @pytest.mark.parametrize("schedule", ["zero", "shifted"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize("max_inner", [1, 5])
+    @pytest.mark.parametrize("lambda0_scale", [1.0, 4.0])
+    def test_corrected_path_is_bitwise_the_eager_path(self, schedule, alpha, max_inner,
+                                                      lambda0_scale):
+        stats = self._walk(schedule, alpha, max_inner, lambda0_scale, _correct_all())
+        assert stats["corrected"] > 0
+
+    @staticmethod
+    def _walk(schedule, alpha, max_inner, lambda0_scale, shares):
         prob, _ = random_instance(50, 120, alpha=alpha, seed=31, T=5, corr=0.3)
         config = PathConfig(lambda0=lambda0_scale * default_lambda0(prob), gamma=0.9,
                             num_knots=35, max_inner=max_inner, shift_schedule=schedule)
         stats = _stats()
-        with checked_partitions(stats), _screen_all(screen_all):
+        with checked_partitions(stats), shares:
             path = assert_matches_eager(prob, config)
         assert path.terminated_at is None
         assert stats["refreshes"] == sum(r.refreshes for r in path.records)
@@ -158,8 +202,7 @@ class TestMatchesEagerWalk:
         assert stats["certified"] > 0
         assert sum(r.refreshes for r in path.records) < sum(
             r.iterations for r in path.records)
-        if screen_all:
-            assert stats["screened"] > 0
+        return stats
 
     def test_sparsity_cap_termination(self):
         prob, _ = random_instance(30, 90, seed=32, T=10, sigma=0.1)
@@ -172,20 +215,22 @@ class TestMatchesEagerWalk:
 class _CountingDesign(np.ndarray):
     """A design view that counts the work of its products with a vector in ``counts``.
 
-    Views of it (``X.T``, ``X[:, A]``) share the same ``counts``. A full-length
-    ``X.T @ v`` adds one to ``products``; a gathered ``X[:, S].T @ u`` with
-    ``u`` some update's ``u`` (a dual on ``S`` only) adds ``|S|`` to
-    ``gathered``. Active sets stay below p, so only ``X.T`` has the full shape.
+    Views of it (``X.T``, ``X[:, A]``) share the same ``counts`` and ``full``.
+    A full-length ``X.T @ v`` adds one to ``counts[full]``; a gathered
+    ``X[:, S].T @ u`` with ``u`` some update's ``u`` (a dual on ``S`` only)
+    adds ``|S|`` to ``gathered``. Active sets stay below p, so only ``X.T``
+    has the full shape.
     """
 
     def __array_finalize__(self, obj):
         self.counts = getattr(obj, "counts", None)
+        self.full = getattr(obj, "full", None)
 
     def __matmul__(self, other):
         out = np.asarray(self).__matmul__(np.asarray(other))
         if np.ndim(other) == 1 and self.shape[1] == self.counts["shape"][1]:
             if self.shape == self.counts["shape"]:
-                self.counts["products"] += 1
+                self.counts[self.full] += 1
             elif self.counts["us"].get(id(other)) is other:
                 self.counts["gathered"] += self.shape[0]
         return out
@@ -193,42 +238,58 @@ class _CountingDesign(np.ndarray):
 
 @contextmanager
 def _counted(prob):
-    """Swap a counting view of ``prob.X`` in, record every update's ``u``, yield the counts."""
+    """Swap counting views of ``prob.X`` and ``prob.X32`` in, record every update's ``u``,
+    and yield the counts: float64 products, float32 products and gathered columns."""
+    counts = {"shape": prob.X.T.shape, "products": 0, "corrected": 0, "gathered": 0, "us": {}}
     X = prob.X.view(_CountingDesign)
-    X.counts = {"shape": prob.X.T.shape, "products": 0, "gathered": 0, "us": {}}
-    prob.X = X
+    X.counts, X.full = counts, "products"
+    X32 = prob.X32.view(_CountingDesign)
+    X32.counts, X32.full = counts, "corrected"
+    prob.X, prob.X32 = X, X32
 
     class Pinning(problem._Pinning):
         __slots__ = ()
 
         def __init__(self, *args):
             super().__init__(*args)
-            X.counts["us"][id(self.u)] = self.u  # held, so the id stays unique
+            counts["us"][id(self.u)] = self.u  # held, so the id stays unique
 
     with mock.patch.object(solver, "_Pinning", Pinning):
-        yield X.counts
+        yield counts
 
 
 class TestRefreshCounts:
     @pytest.mark.parametrize("screen_all", [False, True])
     @pytest.mark.parametrize("schedule", ["zero", "shifted"])
     def test_path_products_equal_recorded_refreshes(self, schedule, screen_all):
+        self._check_path_counts(schedule, _screen_all(screen_all))
+
+    @pytest.mark.parametrize("schedule", ["zero", "shifted"])
+    def test_corrected_path_products_equal_recorded_counts(self, schedule):
+        counts = self._check_path_counts(schedule, _correct_all())
+        assert counts["corrected"] > 0
+
+    @staticmethod
+    def _check_path_counts(schedule, shares):
         prob, _ = random_instance(60, 150, seed=31, T=6, corr=0.3)
         config = PathConfig(lambda0=default_lambda0(prob), gamma=0.9, num_knots=40,
                             shift_schedule=schedule)
-        with _screen_all(screen_all):
+        with shares:
             expected = solve_path(prob, config)
             with _counted(prob) as counts:
                 path = solve_path(prob, config)
         assert path.terminated_at is None
         assert counts["products"] == sum(r.refreshes for r in path.records)
+        assert counts["corrected"] == sum(r.corrected for r in path.records)
         assert counts["gathered"] == sum(r.screened for r in path.records)
         updates = sum(r.iterations for r in path.records)
         assert 0 < counts["products"] < updates
         assert counts["gathered"] > 0
         for a, b in zip(path.records, expected.records, strict=True):
-            assert (a.refreshes, a.screened) == (b.refreshes, b.screened)
+            assert (a.refreshes, a.screened, a.corrected) == (
+                b.refreshes, b.screened, b.corrected)
             assert _same_bits(a.dual, b.dual)
+        return counts
 
     @pytest.mark.parametrize("shift_fraction", [0.0, 0.9])
     def test_solve_products_equal_outcome_refreshes(self, shift_fraction):
@@ -236,11 +297,12 @@ class TestRefreshCounts:
         state = cold_start(prob)
         with _counted(prob) as counts, _screen_all():
             for lam in default_lambda0(prob) * 0.8 ** np.arange(1, 12):
-                before = counts["products"], counts["gathered"]
+                before = counts["products"], counts["gathered"], counts["corrected"]
                 out = ssn_solve(prob, state, SsnConfig(lam=lam, shift=shift_fraction * lam,
                                                        max_iter=3))
                 assert counts["products"] - before[0] == out.refreshes <= out.iterations + 1
                 assert counts["gathered"] - before[1] == out.screened
+                assert counts["corrected"] - before[2] == out.corrected
                 state = out.state
         assert counts["gathered"] > 0
 
@@ -278,7 +340,9 @@ class TestCertificateConditions:
         # also hold a reference dual and a built dual each off by its full
         # rounding bound: neither err term may be dropped
         for prob, state in self._duplicated_column_states(3, 20):
-            pin, ref = state._pinning, state._certificate[0]
+            pin, cert = state._pinning, state._certificate
+            ref, ref_err = cert[0], cert[3]
+            assert ref_err == ref.err
             X, y = prob.X, prob.y
 
             def exact(u, j):
@@ -287,8 +351,8 @@ class TestCertificateConditions:
 
             for j in (1, 2):
                 moved = abs(exact(pin.u, j)) - abs(exact(ref.u, j))
-                need = moved + Fraction(ref.err) + Fraction(pin.err)
-                assert Fraction(kkt._radius(ref, pin)) >= need
+                need = moved + Fraction(ref_err) + Fraction(pin.err)
+                assert Fraction(kkt._radius(cert, pin)) >= need
 
     def test_rounding_term_dominates_exact_arithmetic(self):
         rng = np.random.default_rng(1)
@@ -307,8 +371,8 @@ class TestCertificateConditions:
                 exact = (sum(Fraction(X[i, j]) * (Fraction(y[i]) - Fraction(u[i]))
                              for i in range(n)) / n)
                 assert abs(Fraction(state.dual[j]) - exact) <= Fraction(pin.err)
-            ref, ref_dual, largest = state._certificate
-            assert ref is pin and ref_dual is state.dual
+            ref, ref_dual, largest, err = state._certificate
+            assert ref is pin and ref_dual is state.dual and err == pin.err
             assert largest == np.abs(state.dual[off]).max()
 
     @staticmethod
@@ -331,15 +395,26 @@ class TestCertificateConditions:
     def test_coordinate_that_left_the_active_set_is_re_added(self, screen_all):
         state = self._left_active_set_state()
         assert np.abs(state._certificate[1][1]) + kkt._radius(
-            state._certificate[0], state._pinning) < 2.0
+            state._certificate, state._pinning) < 2.0
         np.testing.assert_array_equal(kkt._candidates(state, 2.0), [1, 2])
         with _screen_all(screen_all):
             part = kkt.active_partition(state, 2.0)
         np.testing.assert_array_equal(part.active, [0, 1])
-        # four columns leave no room for a screened one unless every share is allowed
-        assert (state._dual is None) == screen_all
-        assert part.screened == (2 if screen_all else 0)
+        # four columns leave no room for the sphere's two candidates unless
+        # every share is allowed; the float32 correction rules out column 2
+        assert state._dual is None
+        assert part.screened == (2 if screen_all else 1)
+        assert part.corrected == (0 if screen_all else 1)
+        assert (state._certificate[0] is state._pinning) == (not screen_all)
         assert np.sign(part.dual).tolist() == [1.0, 1.0]
+
+    def test_correction_past_its_share_builds_the_dual(self):
+        state = self._left_active_set_state()
+        with mock.patch.object(kkt, "CORRECTION_MAX_SHARE", 0.0):
+            part = kkt.active_partition(state, 2.0)
+        np.testing.assert_array_equal(part.active, [0, 1])
+        assert state._dual is not None
+        assert (part.screened, part.corrected, part.refreshes) == (0, 0, 1)
 
     def test_candidate_near_the_penalty_builds_the_dual(self):
         # exact arithmetic puts the re-added x_1's dual at 3 = lam, inside the
@@ -407,6 +482,164 @@ class TestCertificateConditions:
         assert (got.iterations, got.stop_reason.value) == (iters, reason)
 
 
+def _exact_correction(prob, u, u_ref):
+    """X_j'(u - u_ref)/n for every column j, in exact arithmetic."""
+    du = [Fraction(a) - Fraction(b) for a, b in zip(u, u_ref)]
+    return [sum(Fraction(prob.X[i, j]) * du[i] for i in range(prob.n)) / prob.n
+            for j in range(prob.p)]
+
+
+def _correction_error(prob, u, u_ref):
+    """(largest exact error of the float32 correction over the columns, its bound)."""
+    du = u - u_ref
+    got = kkt._correction(prob, du)
+    err = max(abs(Fraction(g) - e) for g, e in zip(got, _exact_correction(prob, u, u_ref)))
+    return err, Fraction(kkt._correction_bound(prob, du))
+
+
+class TestCorrectionBound:
+    """``kkt._correction_bound`` against exact arithmetic, on cases where it is tight."""
+
+    ULP = 2.0**-23  # float32 spacing in [1, 2)
+
+    def _past_midpoint(self, target):
+        """A float64 just past the midpoint below the float32 ``target``: it rounds up to it."""
+        value = target - self.ULP / 2 + 2.0**-50
+        assert float(np.float32(value)) == target
+        return value
+
+    def test_three_roundings_in_one_direction_on_duplicated_columns(self):
+        # one row: x and the difference each round up by almost half an ulp,
+        # and their float32 product lies just past a midpoint and rounds up
+        # too, so the error is nearly 3 u32 |x du|, the whole bound; dropping
+        # any of its three terms leaves about 2 u32
+        x32, w32 = 1.0 + 2**11 * self.ULP, 1.0 + (2**11 + 1) * self.ULP
+        assert float(np.float32(x32) * np.float32(w32)) > x32 * w32
+        x, w = self._past_midpoint(x32), self._past_midpoint(w32)
+        prob = ProblemData(np.array([[x, x]]), np.array([1.0]))
+        err, bound = _correction_error(prob, np.array([w]), np.zeros(1))
+        assert Fraction(999, 1000) * bound < err <= bound
+
+    def test_entries_of_equal_magnitude(self):
+        # |x_i| and |du_i| constant with matching signs: Cauchy-Schwarz holds
+        # with equality, so only the rounding terms separate error and bound
+        x32, w32 = 1.0 + 2**11 * self.ULP, 1.0 + (2**11 + 1) * self.ULP
+        x, w = self._past_midpoint(x32), self._past_midpoint(w32)
+        signs = np.array([1.0, -1.0, -1.0, 1.0])
+        X = np.column_stack([x * signs, x * signs, -x * signs])
+        prob = ProblemData(X, np.ones(4))
+        err, bound = _correction_error(prob, w * signs, np.zeros(4))
+        assert bound / 3 < err <= bound
+
+    @pytest.mark.parametrize("scale", [1e-42, 1e-300, 2.0**-1060, 3e38, 1e300])
+    def test_difference_near_underflow_and_overflow(self, scale):
+        # the power-of-two prescale keeps the float32 difference in range:
+        # near float32 underflow (1e-42) and overflow (3e38, 1e300) the
+        # bound holds and stays relative; at 2^-1060 the float64 result
+        # underflows and only the absolute float64 term covers it
+        rng = np.random.default_rng(7)
+        prob = ProblemData(rng.standard_normal((6, 4)) * (1 + 2.0**-30), rng.standard_normal(6))
+        u = scale * rng.uniform(-1, 1, 6)
+        u_ref = scale * rng.uniform(-1, 1, 6)
+        err, bound = _correction_error(prob, u, u_ref)
+        assert err <= bound
+        n = prob.n
+        relative = (n + 3) * 2.0**-24 * prob.max_col_norm * math.hypot(*(u - u_ref)) / n
+        assert bound <= Fraction(relative) * (1 + Fraction(1, 2**20)) + Fraction(2.0**-1020)
+
+    def test_design_below_float32_range_needs_the_underflow_term(self):
+        # entries at 1.5 * 2^-149 round to 2^-148 in float32, a third off:
+        # no relative term covers that, only the absolute underflow one
+        X = np.full((4, 2), 1.5 * 2.0**-149)
+        X[::2, 1] *= -1.0
+        prob = ProblemData(X, np.ones(4))
+        err, bound = _correction_error(prob, np.full(4, 0.75), np.zeros(4))
+        assert 2.0**-152 < err <= bound
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_difference_falls_back(self, bad):
+        prob = ProblemData(0.5 * np.eye(2), np.array([8.0, 6.0]))
+        assert kkt._correction_bound(prob, np.array([1.0, bad])) == math.inf
+        # finite u and u_ref whose difference overflows: neither screen
+        # applies, so the partition builds the dual in float64
+        state = self._state(prob, u=np.array([1.5e308, 0.0]), u_ref=np.array([-1.5e308, 0.0]),
+                            ref_dual=np.array([2.0, 0.5]), err_ref=0.0)
+        with np.errstate(over="ignore"):
+            assert kkt._corrected(state, 1.0) is None
+            part = kkt.active_partition(state, 1.0)
+        assert (part.corrected, part.refreshes) == (0, 1)
+
+    @staticmethod
+    def _state(prob, u, u_ref, ref_dual, err_ref):
+        """An unbuilt state on A = {0} with u, screened against a reference on A = {0}."""
+        A = np.array([0])
+        ref = problem._Pinning(prob, A, np.array([1.0]), ref_dual[A], u_ref)
+        cert = (ref, ref_dual, float(np.abs(ref_dual[1:]).max()), err_ref)
+        pin = problem._Pinning(prob, A, np.array([1.0]), ref_dual[A], u)
+        beta = np.zeros(prob.p)
+        beta[0] = 1.0
+        return PrimalDualState._from_update(beta, pin, cert)
+
+    def _dyadic_state(self, err_ref):
+        """A state whose u moves 2^-70 from its reference's, and its exact dual off A = {0}.
+
+        Dyadic data make the reference's exact dual representable; it is
+        given off by its whole ``err_ref``.
+        """
+        X = np.array([[1.0, 2.0, -1.0, 0.5], [1.0, -1.0, 2.0, 1.0],
+                      [-1.0, 1.0, 1.0, -2.0], [-1.0, -2.0, -2.0, 0.5]])
+        prob = ProblemData(X, np.array([1.0, 2.0, -1.0, 0.5]))
+        u_ref = np.array([0.5, 1.0, 0.0, -1.0])
+        u = u_ref + 2.0**-70 * np.array([1.0, -1.0, 3.0, 1.0])
+        exact_ref = [Fraction(prob.xty[j]) / 4 - sum(Fraction(X[i, j]) * Fraction(u_ref[i])
+                                                    for i in range(4)) / 4 for j in range(4)]
+        ref_dual = np.array([float(d) for d in exact_ref]) + err_ref
+        ref_dual[0] = 0.75  # pinned
+        assert all(Fraction(ref_dual[j]) - d == Fraction(err_ref)
+                   for j, d in zip(range(1, 4), exact_ref[1:]))
+        moved = _exact_correction(prob, u, u_ref)
+        exact = [d - m for d, m in zip(exact_ref, moved)]
+        return self._state(prob, u, u_ref, ref_dual, err_ref), exact
+
+    @pytest.mark.parametrize("err_ref", [0.0, 2.0**-20])
+    def test_chain_error_covers_reference_and_subtraction(self, err_ref):
+        # dual_ref - correction rounds back to dual_ref, off by the whole
+        # 2^-70 move: err must hold err_ref and that rounding (2 u64 lam)
+        state, exact = self._dyadic_state(err_ref)
+        S, dual, err = kkt._corrected(state, 2.0)
+        rest = [j for j in range(1, 4) if j not in S]
+        assert rest
+        for j in rest:
+            assert abs(Fraction(dual[j]) - exact[j]) <= Fraction(err)
+        assert abs(Fraction(dual[rest[0]]) - exact[rest[0]]) > Fraction(err_ref) + 2.0**-75
+
+    def test_threshold_leaves_room_for_the_built_dual(self):
+        # lam sits half the state's own rounding bound above where the
+        # correction alone would rule coordinate j out: the built dual may
+        # lie up to pin.err above the exact one, so j stays a candidate,
+        # and every coordinate ruled out has room for that rounding
+        state, exact = self._dyadic_state(0.0)
+        pin = state._pinning
+        _, dual, err = kkt._corrected(state, 2.0)
+        j = 1 + int(np.argmax(np.abs(dual[1:])))
+        lam = float(abs(dual[j])) + err + pin.err / 2
+        S, _, _ = kkt._corrected(state, lam)
+        assert j in S
+        for k in set(range(1, 4)) - set(S):
+            assert abs(exact[k]) + Fraction(pin.err) <= lam
+
+    def test_reference_error_covers_the_gathered_duals(self):
+        # the new reference holds gathered float64 duals, each within the
+        # state's own pin.err, beside corrected ones within err
+        state, _ = self._dyadic_state(0.0)
+        pin = state._pinning
+        S, _, err = reference = kkt._corrected(state, 0.5)
+        assert S.shape[0] > 0 and err < pin.err
+        kkt._screened_partition(state, S, 0.5, reference)
+        assert state._certificate[0] is pin
+        assert state._certificate[3] == pin.err
+
+
 class TestLazyStateContract:
     prob = ProblemData(2.0 * np.eye(4), np.array([8.0, 6.0, 0.2, -0.1]))
 
@@ -464,18 +697,18 @@ def degenerate_instances(draw):
     schedule=st.sampled_from(["zero", "shifted"]),
     max_inner=st.integers(1, 5),
     gamma=st.sampled_from([0.6, 0.8, 0.95]),
-    screen_all=st.booleans(),
+    tier=st.sampled_from(sorted(TIERS)),
 )
-def test_certified_bound_holds_on_degenerate_designs(prob, schedule, max_inner, gamma,
-                                                     screen_all):
+def test_certified_bound_holds_on_degenerate_designs(prob, schedule, max_inner, gamma, tier):
     # checked_partitions asserts every screened partition equals the dense mask
+    # and every corrected state's dual lies within its err of the built one
     if not np.abs(prob.xty).max() > 0.0:
         return
     config = PathConfig(lambda0=default_lambda0(prob), gamma=gamma, num_knots=25,
                         max_inner=max_inner, shift_schedule=schedule)
     stats = _stats()
     try:
-        with checked_partitions(stats), _screen_all(screen_all):
+        with checked_partitions(stats), TIERS[tier]():
             path = solve_path(prob, config)
     except CgBreakdown:
         return

@@ -1,5 +1,6 @@
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ssnpath import (
     write_metrics_csv,
     write_path_csv,
 )
+from ssnpath import metrics
 from ssnpath.cli import cli_main
 from ssnpath.io import load_matrix, load_vector, save_instance, save_matrix
 
@@ -127,6 +129,15 @@ class TestCli:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "#schema=1" and len(lines) == 3
+
+    def test_bench_cell_without_true_nonzeros_exits_one_before_fitting(self, capsys):
+        # the relative error of an all-zero target is undefined; the cell used
+        # to fit a whole path first and then exit 2 on ZeroTruth
+        fits = []
+        with mock.patch.object(metrics, "solve_path", side_effect=fits.append):
+            code = cli_main(["bench", "--sim", "n=50,p=100,rho=0.1,sigma=0.1,T=0", "--reps", "1"])
+        assert code == 1 and fits == []
+        assert capsys.readouterr().err.startswith("error: cell 0 (50 x 100) has T = 0")
 
     def test_usage_errors_exit_one(self, capsys):
         assert cli_main(["path", "--x", "missing.csv"]) == 1  # missing required flags

@@ -66,6 +66,10 @@ class TestProblemData:
             prob.X[0, 0] = 1.0
         with pytest.raises(ValueError):
             prob.y[0] = 1.0
+        with pytest.raises(ValueError):
+            prob.X32[0, 0] = 1.0
+        assert prob.X32.flags.f_contiguous
+        assert np.array_equal(prob.X32, prob.X.astype(np.float32))
 
     def test_caller_arrays_stay_writeable(self):
         # float64 input already in the stored layout is kept without a copy;
@@ -129,7 +133,9 @@ class TestProblemData:
         from ssnpath.problem import _column_norms
 
         X = np.array(np.random.default_rng(31).standard_normal(shape), order=order)
-        assert np.array_equal(_column_norms(X), np.linalg.norm(X, axis=0))
+        X32 = np.empty(shape, dtype=np.float32, order="F")
+        assert np.array_equal(_column_norms(X, X32), np.linalg.norm(X, axis=0))
+        assert np.array_equal(X32, X.astype(np.float32))
 
 
 class TestObjective:

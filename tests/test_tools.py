@@ -31,9 +31,10 @@ def test_compare_paths_on_this_checkout():
     assert last.startswith("2 paths, ") and last.endswith(" knots: all identical")
     for name in ("table1", "enet"):
         work = re.search(rf"^work {name}: refreshes OLD (\d+) NEW (\d+); "
-                         rf"screened OLD (\d+) NEW (\d+)$", same.stdout, re.M)
+                         rf"screened OLD (\d+) NEW (\d+); "
+                         rf"corrected OLD (\d+) NEW (\d+)$", same.stdout, re.M)
         assert work, same.stdout
-        assert work[1] == work[2] and work[3] == work[4]
+        assert work[1] == work[2] and work[3] == work[4] and work[5] == work[6]
     planted = _run("--workloads", "table1", "--self-check")
     assert planted.returncode == 1, planted.stdout + planted.stderr
     assert "MISMATCH table1 seed 0: knot 99 field dual differs" in planted.stdout
@@ -47,9 +48,9 @@ def test_work_counters_are_totalled_not_compared():
         return {("table2", 0): {"records": [dict(record, **counters)], "p": 2,
                                 "terminated_at": None, "mbic": {}}}
 
-    old, new = result(refreshes=3), result(refreshes=1, screened=40)
+    old, new = result(refreshes=3), result(refreshes=1, screened=40, corrected=2)
     assert tool.compare(old, new) == ([], [], 1)
     assert tool.work_totals(old) == {"table2": {"refreshes": 3}}
-    assert tool.work_totals(new) == {"table2": {"refreshes": 1, "screened": 40}}
+    assert tool.work_totals(new) == {"table2": {"refreshes": 1, "screened": 40, "corrected": 2}}
     new["table2", 0]["records"][0]["values"][0] = np.nextafter(0.5, 1.0)
     assert tool.compare(old, new)[0] == ["table2 seed 0: knot 0 field values differs"]

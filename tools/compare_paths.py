@@ -10,9 +10,10 @@ knot by mbic. The sides then must agree on every ``KnotRecord`` result field
 they both have (``dual`` read after the fit), ``p``, ``terminated_at`` and
 the mbic pick: same type, dtype, shape and bytes, so a flipped sign bit on a
 zero is a mismatch. Fields only one side has are listed, not compared. The
-work counters (``refreshes``, ``screened``) measure cost, not the result:
-their per-workload totals are printed for both sides and never fail the
-run. The exit status is 1 on any mismatch and 0 when all knots match.
+work counters (``refreshes``, ``screened``, ``corrected``) measure cost, not
+the result: their per-workload totals are printed for both sides and never
+fail the run. The exit status is 1 on any mismatch and 0 when all knots
+match.
 
 ``--self-check`` plants a one-ulp change in NEW's last dual before
 comparing, so a working comparison must exit 1 and name it.
@@ -35,7 +36,7 @@ import numpy as np
 ALL_WORKLOADS = ("table1", "table2", "enet", "cd_small")
 
 # KnotRecord fields that count work; reported as totals, not compared.
-WORK_COUNTERS = ("refreshes", "screened")
+WORK_COUNTERS = ("refreshes", "screened", "corrected")
 
 
 def _seeds(text):
