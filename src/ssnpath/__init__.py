@@ -24,6 +24,7 @@ from .datagen import (
     mutual_coherence,
     theory_check,
 )
+from .dual import ActivePartition, PrimalDualState, active_partition, cold_start
 from .errors import (
     CgBreakdown,
     DegenerateResponse,
@@ -35,15 +36,7 @@ from .errors import (
     ZeroVarianceColumn,
 )
 from .io import write_metrics_csv, write_path_csv
-from .kkt import (
-    ActivePartition,
-    KktResidual,
-    active_partition,
-    kkt_residual,
-    refresh_dual,
-    soft_threshold,
-    soft_threshold_vec,
-)
+from .kkt import KktResidual, kkt_residual, refresh_dual, soft_threshold, soft_threshold_vec
 from .metrics import (
     PRESETS,
     MetricsRecord,
@@ -60,7 +53,7 @@ from .path import (
     sign_recovery_config,
     solve_path,
 )
-from .problem import PrimalDualState, ProblemData, cold_start, normalize, objective
+from .problem import ProblemData, normalize, objective
 from .select import SelectorResult, hbic_select, mbic_select
 from .solver import SsnConfig, SsnOutcome, StopReason, ssn_solve, ssn_update
 

@@ -16,9 +16,9 @@ from functools import partial
 
 import numpy as np
 
+from .dual import cold_start
 from .kkt import refresh_dual, soft_threshold
 from .path import KnotRecord, PathResult, _sparsity_cap
-from .problem import cold_start
 
 # Support threshold for coordinate-descent estimates: unlike the Newton
 # solver, CD leaves tiny nonzeros behind at loose tolerances.

@@ -24,10 +24,12 @@ import numpy as np
 
 from . import io as pio
 from .datagen import SimConfig, make_instance, theory_check
+from .dual import cold_start
 from .errors import DimensionMismatch, SsnPathError
+from .io import _write_csv
 from .metrics import PRESETS, run_benchmark
 from .path import PathConfig, _default_gamma, _sparsity_cap, default_lambda0, solve_path
-from .problem import ProblemData, cold_start, normalize, objective
+from .problem import ProblemData, normalize, objective
 from .select import hbic_select, mbic_select
 from .solver import SsnConfig, ssn_solve
 
@@ -84,7 +86,7 @@ def _cmd_solve(args):
         f"objective={objective(prob, beta, args.lam):.10g}"
     )
     if args.out:
-        pio._write_csv(args.out, "index,value", ((j, beta[j]) for j in np.flatnonzero(beta)))
+        _write_csv(args.out, "index,value", ((j, beta[j]) for j in np.flatnonzero(beta)))
     return 0
 
 

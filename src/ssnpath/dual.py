@@ -1,0 +1,427 @@
+"""The primal-dual state and its lazy dual: how it is held, built, certified and screened.
+
+:func:`active_partition` returns the active indices and the state's dual on
+them, all the solver reads. Off the active set A of the update that made a
+state, the state's dual is (X'y - X'u)/n with u = X_A beta_A, one full ``X'u``
+product to build. A solver-made state whose dual is not built yet is instead
+screened against the last reference state before it: a state whose dual was
+built, or one screened by tier 3 below. The reference holds a dual within
+err_ref of its exact dual off its own active set A_ref, and for j outside
+both active sets the exact duals differ by X_j'(u_ref - u)/n. The tiers, in
+order:
+
+1. Safe sphere (the Cauchy-Schwarz bound of safe screening: El Ghaoui,
+   Viallon & Rabbani 2012; Fercoq, Gramfort & Salmon 2015):
+
+       |dual_j| <= |dual_ref_j| + r,   r = max_j ||X_j|| ||u - u_ref||/n + err_ref + err,
+
+   where err bounds the rounding of the state's own built dual (see
+   :class:`_Pinning`). The candidates are the coordinates off A that are
+   in A_ref or have |dual_ref_j| + r > ``lam``; no other coordinate can be
+   active. With no candidate (the O(n) test against the reference's largest
+   complement dual settles most of these) the partition is read from the
+   pinned values on A.
+2. With at most ``SCREEN_MAX_SHARE`` of p candidates, only their duals are
+   computed, from the gathered columns.
+3. Otherwise (r >= ``lam`` or too many candidates), a float32 correction
+   d = dual_ref - X32'(u - u_ref)/n, about half the cost of a full product,
+   with a bound e on its error (:func:`_correction_bound`). Only the
+   difference u - u_ref is rounded, so e is about (n + 3) 2^-24 of the
+   sphere's Cauchy-Schwarz term (6e-5 at n = 1000). The candidates are
+   A_ref and the j off A with |d_j| + err_ref + e + err > ``lam`` (plus the
+   rounding of d and of this test); their duals are gathered as in tier 2,
+   and the state becomes the next reference with d as its dual. The chain
+   ends, and the dual is built, once the error a reference would carry
+   reaches ``CORRECTION_MAX_SHARE`` of ``lam``.
+
+Otherwise, or when a gathered dual lies within 2 err of ``lam``, the
+complement dual is built and masked as usual. Every way gives the same
+partition bit for bit.
+"""
+
+import math
+from dataclasses import dataclass, field
+from functools import partial
+
+import numpy as np
+
+from .errors import DimensionMismatch
+from .problem import _BLOCK_ENTRIES, _UNIT_ROUNDOFF, _gamma
+
+# Screened partitions compute at most this share of p candidate duals from
+# gathered columns. Gathering p/8 columns takes 0.3-0.5 of one full X'u at the
+# benchmark sizes (n x p = 600 x 3000 and 1000 x 10000, break-even near p/4);
+# a screened state does not become the reference, so the radius of the states
+# after it keeps growing, and the cutoff sits well below break-even.
+SCREEN_MAX_SHARE = 1 / 8
+
+# A state screened by a float32 correction becomes the next reference only
+# while the error its dual carries stays below this share of lam; past it the
+# dual is built in float64, which resets the chain.
+CORRECTION_MAX_SHARE = 0.05
+
+# Unit roundoff of float32.
+_U32 = 2.0**-24
+# Smallest normal float32 and float64: a result rounded into the subnormal
+# range, or flushed to zero, is off by less than these.
+_TINY32 = 2.0**-126
+_TINY64 = 2.0**-1022
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+class PrimalDualState:
+    """Primal coefficients ``beta`` and dual correlations ``dual``, both length p.
+
+    The dual tracks (X'y - G beta)/n with G = X'X + alpha I; see
+    :func:`ssnpath.kkt.refresh_dual`. A state built by the constructor holds
+    both vectors as given. A state made by :func:`ssnpath.ssn_update` holds
+    only the O(n + |A|) numbers its update left (``_Pinning``) and builds the
+    length-p dual, one ``X'u`` product, on the first read of ``dual``; its
+    ``beta`` and its built ``dual`` are read-only, so the partition it reads
+    from those numbers is the one its ``beta`` gives. Neither property can be
+    assigned; :meth:`copy` gives a state with writable vectors.
+
+    A solver-made state also holds the ``_Certificate`` of a reference: its own
+    once its dual is built or tier 3 screened it, else the last reference's of
+    the same data. A state from the constructor has none: its dual need not
+    be (X'y - X'u)/n for any u.
+    """
+
+    __slots__ = ("_beta", "_dual", "_pinning", "_certificate")
+
+    def __init__(self, beta, dual):
+        beta = np.asarray(beta, dtype=np.float64)
+        dual = np.asarray(dual, dtype=np.float64)
+        if beta.shape != dual.shape or beta.ndim != 1:
+            raise DimensionMismatch("beta and dual must be 1-d vectors of equal length")
+        if not (np.isfinite(beta).all() and np.isfinite(dual).all()):
+            raise ValueError("state vectors must be finite")
+        self._beta = beta
+        self._dual = dual
+        self._pinning = None
+        self._certificate = None
+
+    @property
+    def beta(self):
+        return self._beta
+
+    @property
+    def dual(self):
+        if self._dual is None:
+            pin = self._pinning
+            dual = _pinned_dual(pin.prob, pin.active, pin.beta, pin.dual, pin.u)
+            self._certify(dual, pin.err)
+            self._dual = dual
+        return self._dual
+
+    def _certify(self, dual, err):
+        """Make this state the reference: ``dual``, within ``err`` of its dual, turns read-only."""
+        pin = self._pinning
+        off = np.abs(dual)
+        off[pin.active] = 0.0
+        # dual_A is finite, so this max is finite exactly when the dual is
+        largest = float(off.max())
+        if not math.isfinite(largest):
+            raise ValueError("state vectors must be finite")
+        dual.flags.writeable = False
+        self._certificate = _Certificate(pin, dual, largest, err)
+
+    def copy(self):
+        return PrimalDualState(self.beta.copy(), self.dual.copy())
+
+
+class _Pinning:
+    """What an active-set update leaves: its dual is ``dual`` on ``active`` and
+    (X'y - X'u)/n elsewhere, with ``u = X_A beta`` for the coefficients ``beta``.
+
+    ``err`` bounds the rounding error of every built dual entry off
+    ``active``, measured from the exact (X_j'y - X_j'u)/n of the stored u:
+    2 gamma_{n+|A|+4} c (||y|| + 2 c ||beta||_1)/n with c = ``max_col_norm``,
+    twice the error of the two n-term dot products and the two roundings
+    after them, with ||u|| <= c ||beta||_1 (1 + gamma_|A|) <= 2 c ||beta||_1.
+    The outer factor 2 also covers the rounding of evaluating the bound.
+    """
+
+    __slots__ = ("prob", "active", "beta", "dual", "u", "err")
+
+    def __init__(self, prob, active, beta, dual, u):
+        self.prob = prob
+        self.active = active
+        self.beta = beta
+        self.dual = dual
+        self.u = u
+        n, c = prob.n, prob.max_col_norm
+        size = math.sqrt(prob.y @ prob.y) + 2.0 * c * float(np.abs(beta).sum())
+        self.err = 2.0 * _gamma(n + active.shape[0] + 4) * c * size / n
+
+
+@dataclass(frozen=True, slots=True)
+class _Certificate:
+    """A reference's ``dual``: pinned on ``pin.active``, within ``err`` of the exact dual off
+    it, where its largest magnitude is ``largest``."""
+
+    pin: _Pinning
+    dual: np.ndarray
+    largest: float
+    err: float
+
+
+def _pinned_dual(prob, A, beta_A, dual_A, u=None):
+    """The dual an update on active set ``A`` leaves: ``dual_A`` on A, refreshed off it.
+
+    Off A the dual is (X'y - X'u)/n with u = X_A beta_A (computed here when not
+    given); the ridge term vanishes there because the off-active beta is zero.
+    With A empty this is X'y/n, the cold-start dual, and takes no product.
+    Knot records rebuild their dual bitwise through this function.
+    """
+    if A.shape[0] == 0:
+        return prob.xty / prob.n
+    if u is None:
+        u = prob.X[:, A] @ beta_A
+    dual = (prob.xty - prob.X.T @ u) / prob.n
+    dual[A] = dual_A
+    return dual
+
+
+def cold_start(prob):
+    """The canonical all-zeros start: beta = 0, dual = X'y/n."""
+    return PrimalDualState(np.zeros(prob.p), prob.xty / prob.n)
+
+
+def updated_state(prob, state, A, beta_A, dual_A, u):
+    """The state an update from ``state`` left: ``beta_A``, ``dual_A`` on ``A``, u = X_A beta_A.
+
+    It carries ``state``'s certificate when that was built on ``prob``
+    itself: a certificate's dual screens the duals of its own data only.
+    """
+    if not np.isfinite(beta_A).all():
+        raise ValueError("state vectors must be finite")
+    cert = state._certificate
+    cert = cert if cert is not None and cert.pin.prob is prob else None
+    beta = np.zeros(prob.p)
+    beta[A] = beta_A
+    beta.flags.writeable = False
+    new = object.__new__(PrimalDualState)
+    new._beta, new._dual, new._certificate = beta, None, cert
+    new._pinning = _Pinning(prob, A, beta_A, dual_A, u)
+    return new
+
+
+def support(state):
+    """Sorted indices of the nonzero ``beta`` entries, in O(|A|) for a solver-made state."""
+    pin = state._pinning
+    if pin is None:
+        return np.flatnonzero(state.beta)
+    return pin.active[pin.beta != 0]
+
+
+def dual_source(prob, state):
+    """A zero-argument callable that rebuilds ``state``'s dual bitwise, holding O(|A|) numbers.
+
+    ``state`` is solver-made or else ``prob``'s cold start, as a path's knots return them.
+    """
+    pin = state._pinning
+    if pin is None:
+        return partial(_pinned_dual, prob, np.zeros(0, dtype=np.intp), None, None)
+    return partial(_pinned_dual, pin.prob, pin.active, pin.beta, pin.dual)
+
+
+@dataclass
+class ActivePartition:
+    """Sorted indices ``active`` where |beta_j + dual_j| > lam; the rest are inactive.
+
+    ``dual`` is the state's dual on ``active``, as the partition read it. ``screened``
+    counts the complement duals it computed from gathered columns (see
+    :func:`active_partition`); ``corrected`` is 1 when it made a float32 correction pass
+    and ``refreshes`` 1 when it built the state's dual with a full ``X'u`` product.
+    """
+
+    active: np.ndarray
+    dual: np.ndarray
+    screened: int = field(default=0, kw_only=True)
+    corrected: int = field(default=0, kw_only=True)
+    refreshes: int = field(default=0, kw_only=True)
+
+    @property
+    def size(self):
+        return self.active.shape[0]
+
+
+def active_partition(state, lam):
+    """Split coordinates by |beta_j + dual_j| > lam (ties go inactive).
+
+    An unbuilt solver-made state is screened first by the tiers of the module
+    docstring, which read the partition its built dual would give from its
+    pinned values and a few candidate duals whenever they can.
+    """
+    S = reference = None
+    sphere = _sphere(state, lam)
+    if sphere is not None:
+        S, du, _ = sphere
+        if S is None or S.shape[0] > SCREEN_MAX_SHARE * state.beta.shape[0]:
+            reference = _corrected(state, du, lam)
+            S = None if reference is None else reference[0]
+    screened = 0
+    if S is not None:
+        part = _screened_partition(state, S, lam, reference)
+        if part is not None:
+            return part
+        screened = S.shape[0]
+    # an unbuilt dual costs one X'u unless its active set is empty (X'y/n)
+    refreshes = int(state._dual is None and state._pinning.active.shape[0] > 0)
+    dual = state.dual
+    active = np.flatnonzero(np.abs(state.beta + dual) > lam)
+    return ActivePartition(active, dual[active], screened=screened,
+                           corrected=int(reference is not None), refreshes=refreshes)
+
+
+def _sphere(state, lam):
+    """Tier 1: ``(S, du, r)`` with du = u - u_ref and the radius r of the module docstring.
+
+    ``S`` holds the sorted candidates off the pinned active set, or is None
+    (every coordinate) when r is not below ``lam``, as NaN is not. None for
+    a state whose dual is built, given or free (A empty), or uncertified.
+    """
+    pin, cert = state._pinning, state._certificate
+    if state._dual is not None or pin.active.shape[0] == 0 or cert is None:
+        return None
+    ref, prob = cert.pin, pin.prob
+    # a difference past the float64 range makes r and tier 3's bound infinite
+    with np.errstate(over="ignore"):
+        du = pin.u - ref.u
+    r = prob.max_col_norm * math.sqrt(du @ du) / prob.n + cert.err + pin.err
+    if not r < lam:
+        S = None
+    elif cert.largest + r <= lam:
+        # no coordinate off both active sets can reach lam
+        pos = np.searchsorted(pin.active, ref.active)
+        S = ref.active[pin.active.take(pos, mode="clip") != ref.active]
+    else:
+        S = _off_pinned(np.abs(cert.dual) + r > lam, ref, pin)
+    return S, du, r
+
+
+def _off_pinned(mask, ref, pin):
+    """The coordinates ``mask`` marks or ``ref`` holds active, less those ``pin`` holds active."""
+    mask[ref.active] = True
+    mask[pin.active] = False
+    return np.flatnonzero(mask)
+
+
+def _corrected(state, du, lam):
+    """Tier 3: ``(S, dual, err)`` from a float32 correction of the reference's dual, or None.
+
+    ``dual`` is the reference's dual minus :func:`_correction` of ``du``,
+    ``err`` bounds its distance from the exact dual off both active sets
+    wherever |dual_j| <= ``lam``, and ``S`` holds the candidates. None, with
+    no float32 pass, when ``err`` is not below ``CORRECTION_MAX_SHARE`` of ``lam``.
+    """
+    pin, cert = state._pinning, state._certificate
+    # 2 u lam: the rounding of dual_ref - correction, at most lam in size
+    err = cert.err + _correction_bound(pin.prob, du) + 2.0 * _UNIT_ROUNDOFF * lam
+    if not err < CORRECTION_MAX_SHARE * lam:
+        return None
+    dual = _correction(pin.prob, du)
+    np.subtract(cert.dual, dual, out=dual)
+    # the built dual is within pin.err of the exact one; u lam covers the
+    # rounding of this threshold
+    cand = np.abs(dual) > lam - (err + pin.err + _UNIT_ROUNDOFF * lam)
+    return _off_pinned(cand, cert.pin, pin), dual, err
+
+
+def _prescaled(du):
+    """``(du * 2^-exp, exp)``, the power of two that brings max |du| into [1/2, 1)."""
+    exp = math.frexp(float(np.max(np.abs(du))))[1]
+    return np.ldexp(du, -exp), exp
+
+
+def _correction(prob, du):
+    """X'du/n from the float32 copy ``X32``, as a new float64 vector.
+
+    ``du`` is prescaled (:func:`_prescaled`) before it is rounded to float32,
+    so it neither overflows nor, except for entries far below the largest,
+    underflows; the result is scaled back exactly.
+    """
+    scaled, exp = _prescaled(du)
+    out = np.ldexp(prob.X32.T @ scaled.astype(np.float32), exp, dtype=np.float64)
+    out /= prob.n
+    return out
+
+
+def _correction_bound(prob, du):
+    """A bound on |correction_j - X_j'du_exact/n| for every j, where du = fl(u - u_ref).
+
+    With c = ``max_col_norm`` and computed norm ||du||, the correction of
+    :func:`_correction` is off by at most
+
+        (rel c ||du|| + tiny) (1 + gamma_{n+8}) / n + 2 TINY64,
+
+    rel = x + d + x d + g (1 + x)(1 + d) + 2 u64, with
+
+    - x = u32: rounding X to float32;
+    - d = u32 + 2 u64: the float64 subtraction u - u_ref, then the float32
+      cast of the scaled difference;
+    - g = gamma_n in float32: an n-term float32 dot product in any order,
+      FMA included;
+    - 2 u64: the float64 scaling of the result;
+
+    while tiny = 4 TINY32 (sqrt(n) ||du|| + 2 max|du| (sqrt(n) c + 2n))
+    covers underflow (gradual or flushed to zero) of X32, of the scaled
+    difference and inside the dot product, whose results the power-of-two
+    prescale holds at most 2 max|du| below their scaled size; 2 TINY64
+    covers underflow of the float64 scaling. The factor 1 + gamma_{n+8}
+    covers the rounding of ||du|| and of evaluating this bound. Infinite
+    when ``du`` is not finite, when n u32 is not below 1/2, or when a
+    float32 entry or partial sum could overflow.
+    """
+    n, c = prob.n, prob.max_col_norm
+    top = float(np.max(np.abs(du)))
+    root_n = math.sqrt(n)
+    if not (math.isfinite(top) and n * _U32 < 0.5 and c * root_n < _F32_MAX / 4):
+        return math.inf
+    # the norm of the prescaled difference neither overflows nor underflows
+    scaled, exp = _prescaled(du)
+    norm = math.ldexp(math.sqrt(scaled @ scaled), exp)
+    x_cast = _U32
+    d_cast = _U32 + 2.0 * _UNIT_ROUNDOFF
+    dot = _gamma(n, _U32)
+    rel = x_cast + d_cast + x_cast * d_cast + dot * (1.0 + x_cast) * (1.0 + d_cast)
+    rel += 2.0 * _UNIT_ROUNDOFF
+    tiny = 4.0 * _TINY32 * (root_n * norm + 2.0 * top * (root_n * c + 2.0 * n))
+    return (rel * c * norm + tiny) * (1.0 + _gamma(n + 8)) / n + 2.0 * _TINY64
+
+
+def _screened_partition(state, S, lam, reference=None):
+    """The partition from the pinned values on A and the duals of the candidates ``S``.
+
+    The candidate duals are (X_S'y - X_S'u)/n, a block of columns at a time;
+    each lies within ``err`` of the exact dual, as does the built one, so a
+    candidate more than 2 err from ``lam`` falls on the same side of it in
+    both; None when one lies within that band. The partition's dual is the
+    pinned one on A and an entering candidate's own: of the built dual's
+    sign, not always its bits. With ``reference`` (tier 3's ``(S, dual,
+    err)``), the gathered and pinned duals are written into that dual and
+    the state becomes the reference of the states after it.
+    """
+    pin = state._pinning
+    prob = pin.prob
+    xtu = np.empty(S.shape[0])
+    width = max(1, _BLOCK_ENTRIES // prob.n)
+    for a in range(0, S.shape[0], width):
+        xtu[a : a + width] = prob.X[:, S[a : a + width]].T @ pin.u
+    dual_S = (prob.xty[S] - xtu) / prob.n
+    mag = np.abs(dual_S)
+    if (np.abs(mag - lam) <= 2.0 * pin.err).any():
+        return None
+    if reference is not None:
+        _, corrected, err = reference
+        corrected[S] = dual_S
+        corrected[pin.active] = pin.dual
+        state._certify(corrected, max(err, pin.err))
+    keep = np.abs(pin.beta + pin.dual) > lam
+    enter = mag > lam
+    active = np.concatenate([pin.active[keep], S[enter]])
+    order = np.argsort(active)
+    dual = np.concatenate([pin.dual[keep], dual_S[enter]])
+    return ActivePartition(active[order], dual[order], screened=S.shape[0],
+                           corrected=int(reference is not None))

@@ -13,12 +13,12 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
+from .dual import PrimalDualState, cold_start, dual_source, support
 from .errors import CgBreakdown, DegenerateResponse, NoiseTooLarge
-from .problem import PrimalDualState, _pinned_dual, cold_start
 from .solver import SsnConfig, StopReason, ssn_solve
 
 #: Fraction of the penalty kept as shrinkage under the shifted schedule.
@@ -224,11 +224,6 @@ def sign_recovery_config(prob, sigma, max_inner=None):
     )
 
 
-def _dual_source(pinning):
-    """Rebuilds bitwise the dual of the state ``pinning`` made, from its O(|A|) numbers."""
-    return partial(_pinned_dual, pinning.prob, pinning.active, pinning.beta, pinning.dual)
-
-
 def solve_path(prob, config):
     """Run the fixed-penalty solve over the grid with warm starts.
 
@@ -241,8 +236,6 @@ def solve_path(prob, config):
     """
     cap = _sparsity_cap(prob.n, config.sparsity_cap)
     state = cold_start(prob)
-    # An empty active set: X'y/n, the cold start's dual.
-    dual_source = partial(_pinned_dual, prob, np.zeros(0, dtype=np.intp), None, None)
     records = []
     terminated_at = None
     start = time.perf_counter()
@@ -262,9 +255,7 @@ def solve_path(prob, config):
         if out.stop_reason is StopReason.SPARSITY_CAP:
             terminated_at = t
             break
-        if out.state._pinning is not None:
-            dual_source = _dual_source(out.state._pinning)
-        idx = out.state._support()
+        idx = support(out.state)
         records.append(
             KnotRecord(
                 t=t,
@@ -274,7 +265,7 @@ def solve_path(prob, config):
                 iterations=out.iterations,
                 active_size=out.active.size,
                 stop_reason=out.stop_reason.value,
-                dual_source=dual_source,
+                dual_source=dual_source(prob, out.state),
                 refreshes=out.refreshes,
                 screened=out.screened,
                 corrected=out.corrected,

@@ -49,8 +49,8 @@ class ProblemData:
     column norm (the largest computed norm, rounded up past its own rounding
     error); it is infinite when a column's squares overflow. ``X32`` is a
     read-only column-major float32 copy of ``X`` (each entry rounded to
-    nearest; n p 4 more bytes), which :func:`ssnpath.kkt.active_partition`
-    uses to screen changes of the dual.
+    nearest; n p 4 more bytes), with which :mod:`ssnpath.dual` screens
+    changes of the dual.
     """
 
     __slots__ = ("X", "y", "alpha", "xty", "normalized", "max_col_norm", "X32")
@@ -208,152 +208,3 @@ def objective(prob, beta, lam):
     if prob.alpha != 0.0:
         value += 0.5 * prob.alpha * (beta @ beta) / n
     return float(value)
-
-
-class PrimalDualState:
-    """Primal coefficients ``beta`` and dual correlations ``dual``, both length p.
-
-    The dual tracks (X'y - G beta)/n with G = X'X + alpha I; see
-    :func:`ssnpath.kkt.refresh_dual`. A state built by the constructor holds
-    both vectors as given. A state made by :func:`ssnpath.ssn_update` holds
-    only the O(n + |A|) numbers its update left (``_Pinning``) and builds the
-    length-p dual, one ``X'u`` product, on the first read of ``dual``; its
-    ``beta`` and its built ``dual`` are read-only, so the partition it reads
-    from those numbers is the one its ``beta`` gives. Neither property can be
-    assigned; :meth:`copy` gives a state with writable vectors.
-
-    Such a state also holds a certificate, a ``(_Pinning, dual, largest,
-    err)`` tuple of a reference state: its pinning, a dual within ``err`` of
-    its exact dual off the pinned active set (the pinned values on it) and
-    the largest magnitude of that dual off the pinned active set. A state
-    becomes a reference when its dual is built (``err`` is then the
-    pinning's rounding bound) or when :func:`ssnpath.kkt.active_partition`
-    reads its partition from a float32 correction of the reference before
-    it. Until then it holds the certificate carried from the last reference
-    of the same data, which that function screens with before building
-    anything; the states updated from a reference carry its own. A state
-    from the constructor has none and passes none on, since its dual need
-    not be (X'y - X'u)/n for any u.
-    """
-
-    __slots__ = ("_beta", "_dual", "_pinning", "_certificate")
-
-    def __init__(self, beta, dual):
-        beta = np.asarray(beta, dtype=np.float64)
-        dual = np.asarray(dual, dtype=np.float64)
-        if beta.shape != dual.shape or beta.ndim != 1:
-            raise DimensionMismatch("beta and dual must be 1-d vectors of equal length")
-        if not (np.isfinite(beta).all() and np.isfinite(dual).all()):
-            raise ValueError("state vectors must be finite")
-        self._beta = beta
-        self._dual = dual
-        self._pinning = None
-        self._certificate = None
-
-    @classmethod
-    def _from_update(cls, beta, pinning, certificate):
-        """The state an update left: ``beta`` dense, the dual held as ``pinning``.
-
-        ``certificate`` is dropped unless it was built on the same instance
-        as ``pinning``: its dual screens the duals of that data only.
-        """
-        if not np.isfinite(pinning.beta).all():
-            raise ValueError("state vectors must be finite")
-        if certificate is not None and certificate[0].prob is not pinning.prob:
-            certificate = None
-        beta.flags.writeable = False
-        state = object.__new__(cls)
-        state._beta = beta
-        state._dual = None
-        state._pinning = pinning
-        state._certificate = certificate
-        return state
-
-    @property
-    def beta(self):
-        return self._beta
-
-    @property
-    def dual(self):
-        if self._dual is None:
-            pin = self._pinning
-            dual = _pinned_dual(pin.prob, pin.active, pin.beta, pin.dual, pin.u)
-            self._certify(dual, pin.err)
-            self._dual = dual
-        return self._dual
-
-    def _certify(self, dual, err):
-        """Make this solver-made state the reference: ``dual`` is within ``err`` of its dual.
-
-        ``dual`` holds the pinned values on the pinned active set and is
-        made read-only, since the states updated from this one screen
-        against it.
-        """
-        pin = self._pinning
-        off = np.abs(dual)
-        off[pin.active] = 0.0
-        # dual_A is finite, so this max is finite exactly when the dual is
-        largest = float(off.max())
-        if not math.isfinite(largest):
-            raise ValueError("state vectors must be finite")
-        dual.flags.writeable = False
-        self._certificate = (pin, dual, largest, err)
-
-    def _support(self):
-        """Sorted indices of the nonzero ``beta`` entries, in O(|A|) from the pinning if any."""
-        pin = self._pinning
-        if pin is None:
-            return np.flatnonzero(self._beta)
-        return pin.active[pin.beta != 0]
-
-    def copy(self):
-        return PrimalDualState(self.beta.copy(), self.dual.copy())
-
-
-class _Pinning:
-    """What an active-set update leaves: its dual is ``dual`` on ``active`` and
-    (X'y - X'u)/n elsewhere, with ``u = X_A beta`` for the coefficients ``beta``
-    on ``active``.
-
-    ``err`` bounds the rounding error of every built dual entry off
-    ``active``, measured from the exact (X_j'y - X_j'u)/n of the stored u:
-    2 gamma_{n+|A|+4} c (||y|| + 2 c ||beta||_1)/n with c = ``max_col_norm``,
-    twice the error of the two n-term dot products and the two roundings
-    after them, with ||u|| <= c ||beta||_1 (1 + gamma_|A|) <= 2 c ||beta||_1.
-    The outer factor 2 also covers the rounding of evaluating the bound.
-    """
-
-    __slots__ = ("prob", "active", "beta", "dual", "u", "err")
-
-    def __init__(self, prob, active, beta, dual, u):
-        self.prob = prob
-        self.active = active
-        self.beta = beta
-        self.dual = dual
-        self.u = u
-        n, c = prob.n, prob.max_col_norm
-        size = math.sqrt(prob.y @ prob.y) + 2.0 * c * float(np.abs(beta).sum())
-        self.err = 2.0 * _gamma(n + active.shape[0] + 4) * c * size / n
-
-
-def _pinned_dual(prob, A, beta_A, dual_A, u=None):
-    """The dual an update on active set ``A`` leaves: ``dual_A`` on A, refreshed off it.
-
-    Off A the dual is (X'y - X'u)/n with u = X_A beta_A (computed here when not
-    given); the ridge term vanishes there because the off-active beta is zero.
-    With A empty this is X'y/n, the cold-start dual, and takes no product.
-    Knot records rebuild their dual through this function from the same
-    inputs, so the rebuilt dual is bitwise the one the solve produced.
-    """
-    if A.shape[0] == 0:
-        return prob.xty / prob.n
-    if u is None:
-        u = prob.X[:, A] @ beta_A
-    dual = (prob.xty - prob.X.T @ u) / prob.n
-    dual[A] = dual_A
-    return dual
-
-
-def cold_start(prob):
-    """The canonical all-zeros start: beta = 0, dual = X'y/n."""
-    return PrimalDualState(np.zeros(prob.p), prob.xty / prob.n)

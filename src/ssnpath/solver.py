@@ -4,7 +4,7 @@ Each iteration guesses the support from |beta + dual| > lam, pins the dual to
 (lam - shift) * sign(beta + dual) there, and solves the restricted ridge
 system for the active coefficients. The complement dual, one full ``X'u``
 product, is built only when a partition cannot be read without it:
-:func:`ssnpath.kkt.active_partition` screens each coordinate against the
+:func:`ssnpath.dual.active_partition` screens each coordinate against the
 last reference state, first with a safe sphere and, when the sphere is too
 wide, with a float32 correction of the reference's dual (about half the
 cost of a full product), and computes only the duals of the few
@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CgBreakdown
-from .kkt import ActivePartition, active_partition
-from .problem import PrimalDualState, _Pinning
+from .dual import ActivePartition, PrimalDualState, active_partition, support, updated_state
+from .errors import CgBreakdown, DimensionMismatch
 
 
 # The restricted-solve policy of the module docstring.
@@ -144,11 +143,16 @@ def _solve_restricted(prob, XA, rhs, x0):
     return _cg(matvec, rhs, x0, CG_TOL, max(1, prob.p // (2 * a)), curvature_floor=1e-14 * prob.n)
 
 
+def _check_length(prob, state):
+    if state.beta.shape[0] != prob.p:
+        raise DimensionMismatch(f"state of length {state.beta.shape[0]}, not p = {prob.p}")
+
+
 def ssn_update(prob, state, part, lam, shift=0.0):
     """One active-set Newton update from ``state`` under the given partition.
 
     ``part`` must carry the state's dual on its active set, as
-    :func:`ssnpath.kkt.active_partition` returns it. Sets beta to zero off the
+    :func:`ssnpath.dual.active_partition` returns it. Sets beta to zero off the
     active set, pins the active dual to (lam - shift) * sign(beta + dual)
     using the incoming state's signs, and solves the restricted system for
     the active coefficients (warm started from the incoming beta). The
@@ -158,10 +162,13 @@ def ssn_update(prob, state, part, lam, shift=0.0):
 
     Raises
     ------
+    DimensionMismatch
+        If ``state`` is not of length p.
     CgBreakdown
         If the restricted solve hits vanishing curvature (alpha = 0 with a
         rank-deficient active block).
     """
+    _check_length(prob, state)
     A = part.active
     if A.shape[0] == 0:
         beta_active = dual_active = np.zeros(0)
@@ -173,10 +180,7 @@ def ssn_update(prob, state, part, lam, shift=0.0):
         XA = prob.X[:, A]
         beta_active = _solve_restricted(prob, XA, rhs, state.beta[A])
         u = XA @ beta_active
-    beta_new = np.zeros(prob.p)
-    beta_new[A] = beta_active
-    pinning = _Pinning(prob, A, beta_active, dual_active, u)
-    return PrimalDualState._from_update(beta_new, pinning, state._certificate)
+    return updated_state(prob, state, A, beta_active, dual_active, u)
 
 
 def ssn_solve(prob, init, config):
@@ -187,7 +191,8 @@ def ssn_solve(prob, init, config):
     subproblem returns immediately with zero iterations. With shift 0,
     alpha > 0 and an ``ACTIVE_SET_REPEATED`` stop, the returned state
     satisfies the stationarity system to solver accuracy (see
-    :func:`ssnpath.kkt.kkt_residual`).
+    :func:`ssnpath.kkt.kkt_residual`). An ``init`` not of length p raises
+    :class:`ssnpath.DimensionMismatch`.
 
     Returns
     -------
@@ -198,8 +203,9 @@ def ssn_solve(prob, init, config):
         sparsity-cap trip is reported as a normal outcome with
         ``StopReason.SPARSITY_CAP`` and the last state below the cap.
     """
+    _check_length(prob, init)
     state = init
-    prev_active = init._support()
+    prev_active = support(init)
     prev_signs = None
     iterations = refreshes = screened = corrected = 0
 

@@ -1,7 +1,7 @@
 """Screened partitions: the lazy dual and its screens change no result.
 
 ``solve_path`` builds a state's complement dual only when
-:func:`ssnpath.kkt.active_partition` cannot read the partition without it;
+:func:`ssnpath.dual.active_partition` cannot read the partition without it;
 otherwise it computes the duals of the few coordinates a safe sphere or a
 float32 correction keeps as candidates. These tests hold the result to the
 eager walk in ``tests/oracles.py`` bit for bit, count the full ``X'u``
@@ -13,6 +13,7 @@ arithmetic on cases where it is tight.
 """
 
 import math
+import warnings
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from unittest import mock
@@ -36,8 +37,9 @@ from ssnpath import (
     ssn_solve,
     ssn_update,
 )
-from ssnpath import kkt, problem, solver
-from ssnpath.problem import _pinned_dual
+from ssnpath import dual as lazy_dual
+from ssnpath import solver
+from ssnpath.dual import _pinned_dual
 from conftest import random_instance
 from oracles import eager_solve_path, eager_ssn_solve
 
@@ -64,12 +66,12 @@ def assert_matches_eager(prob, config):
 
 def _screen_all(enabled=True):
     """Screen any number of candidates: the share is a cost policy, not a soundness one."""
-    return mock.patch.object(kkt, "SCREEN_MAX_SHARE", 1.0) if enabled else nullcontext()
+    return mock.patch.object(lazy_dual, "SCREEN_MAX_SHARE", 1.0) if enabled else nullcontext()
 
 
 def _correct_all():
     """Send every candidate set to the float32 correction, and let its chains run long."""
-    return mock.patch.multiple(kkt, SCREEN_MAX_SHARE=0.0, CORRECTION_MAX_SHARE=1.0)
+    return mock.patch.multiple(lazy_dual, SCREEN_MAX_SHARE=0.0, CORRECTION_MAX_SHARE=1.0)
 
 
 # The share patches a test runs under: the package's own, every candidate set
@@ -81,7 +83,7 @@ def _off_both(state):
     """Mask of the coordinates off the state's and its reference's pinned active sets."""
     off = np.ones(state.beta.shape[0], dtype=bool)
     off[state._pinning.active] = False
-    off[state._certificate[0].active] = False
+    off[state._certificate.pin.active] = False
     return off
 
 
@@ -89,6 +91,22 @@ def _built_aside(state):
     """The dual ``state`` would build, built on the side so ``state`` stays unbuilt."""
     pin = state._pinning
     return _pinned_dual(pin.prob, pin.active, pin.beta, pin.dual, pin.u)
+
+
+def _candidates(state, lam):
+    """Tier 1's candidates for ``state`` at ``lam``; None where the sphere screens nothing."""
+    sphere = lazy_dual._sphere(state, lam)
+    return None if sphere is None else sphere[0]
+
+
+def _radius(state):
+    """Tier 1's radius r for ``state``, which no penalty level changes."""
+    return lazy_dual._sphere(state, math.inf)[2]
+
+
+def _corrected(state, lam):
+    """Tier 3's ``(S, dual, err)`` for ``state`` at ``lam``, or None."""
+    return lazy_dual._corrected(state, lazy_dual._sphere(state, lam)[1], lam)
 
 
 def _partition(state, A):
@@ -101,24 +119,23 @@ def _partition(state, A):
 def _assert_radius_bounds(state, dual):
     """|dual_j| <= |dual_ref_j| + r off both active sets, and <= largest + r."""
     cert = state._certificate
-    _, ref_dual, largest, _ = cert
-    r = kkt._radius(cert, state._pinning)
+    r = _radius(state)
     off = _off_both(state)
-    assert (np.abs(dual[off]) <= np.abs(ref_dual[off]) + r).all()
-    assert np.max(np.abs(dual[off]), initial=0.0) <= largest + r
+    assert (np.abs(dual[off]) <= np.abs(cert.dual[off]) + r).all()
+    assert np.max(np.abs(dual[off]), initial=0.0) <= cert.largest + r
 
 
 def _assert_reference_bounds(state, built):
     """A corrected state's certificate: within its err of the exact dual off A, pinned on A."""
-    pin = state._pinning
-    ref, dual, largest, err = state._certificate
-    assert ref is pin and not dual.flags.writeable
+    pin, cert = state._pinning, state._certificate
+    dual, err = cert.dual, cert.err
+    assert cert.pin is pin and not dual.flags.writeable
     off = np.ones(dual.shape[0], dtype=bool)
     off[pin.active] = False
     # the built dual is within pin.err of the exact dual too
     assert (np.abs(dual[off] - built[off]) <= err + pin.err).all()
     assert _same_bits(dual[pin.active], pin.dual)
-    assert largest == np.max(np.abs(dual[off]), initial=0.0)
+    assert cert.largest == np.max(np.abs(dual[off]), initial=0.0)
 
 
 @contextmanager
@@ -133,7 +150,7 @@ def checked_partitions(stats):
             dual = _built_aside(state)
             _assert_radius_bounds(state, dual)
             stats["bounded"] += 1
-            S = kkt._candidates(state, lam)
+            S = _candidates(state, lam)
             if S is not None:
                 # no coordinate the screen rules out is active
                 out = np.ones(dual.shape[0], dtype=bool)
@@ -247,14 +264,14 @@ def _counted(prob):
     X32.counts, X32.full = counts, "corrected"
     prob.X, prob.X32 = X, X32
 
-    class Pinning(problem._Pinning):
+    class Pinning(lazy_dual._Pinning):
         __slots__ = ()
 
         def __init__(self, *args):
             super().__init__(*args)
             counts["us"][id(self.u)] = self.u  # held, so the id stays unique
 
-    with mock.patch.object(solver, "_Pinning", Pinning):
+    with mock.patch.object(lazy_dual, "_Pinning", Pinning):
         yield counts
 
 
@@ -307,6 +324,25 @@ class TestRefreshCounts:
         assert counts["gathered"] > 0
 
 
+class TestWorkTotals:
+    # per-path totals of (refreshes, screened, corrected) under the package's
+    # own shares, taken before the lazy dual moved into ssnpath.dual: moving
+    # code must leave the work each tier does unchanged
+    @pytest.mark.parametrize("schedule, alpha, totals", [
+        ("shifted", 0.0, (1, 78, 11)),
+        ("zero", 0.5, (1, 637, 32)),
+    ])
+    def test_path_work_totals(self, schedule, alpha, totals):
+        prob, _ = random_instance(60, 150, alpha=alpha, seed=31, T=6, corr=0.3)
+        config = PathConfig(lambda0=default_lambda0(prob), gamma=0.9, num_knots=40,
+                            max_inner=5, shift_schedule=schedule)
+        path = solve_path(prob, config)
+        assert path.terminated_at is None
+        got = tuple(sum(getattr(r, name) for r in path.records)
+                    for name in ("refreshes", "screened", "corrected"))
+        assert got == totals
+
+
 class TestCertificateConditions:
     @staticmethod
     def _duplicated_column_states(seed, count):
@@ -341,7 +377,7 @@ class TestCertificateConditions:
         # rounding bound: neither err term may be dropped
         for prob, state in self._duplicated_column_states(3, 20):
             pin, cert = state._pinning, state._certificate
-            ref, ref_err = cert[0], cert[3]
+            ref, ref_err = cert.pin, cert.err
             assert ref_err == ref.err
             X, y = prob.X, prob.y
 
@@ -352,7 +388,7 @@ class TestCertificateConditions:
             for j in (1, 2):
                 moved = abs(exact(pin.u, j)) - abs(exact(ref.u, j))
                 need = moved + Fraction(ref_err) + Fraction(pin.err)
-                assert Fraction(kkt._radius(cert, pin)) >= need
+                assert Fraction(_radius(state)) >= need
 
     def test_rounding_term_dominates_exact_arithmetic(self):
         rng = np.random.default_rng(1)
@@ -371,9 +407,9 @@ class TestCertificateConditions:
                 exact = (sum(Fraction(X[i, j]) * (Fraction(y[i]) - Fraction(u[i]))
                              for i in range(n)) / n)
                 assert abs(Fraction(state.dual[j]) - exact) <= Fraction(pin.err)
-            ref, ref_dual, largest, err = state._certificate
-            assert ref is pin and ref_dual is state.dual and err == pin.err
-            assert largest == np.abs(state.dual[off]).max()
+            cert = state._certificate
+            assert cert.pin is pin and cert.dual is state.dual and cert.err == pin.err
+            assert cert.largest == np.abs(state.dual[off]).max()
 
     @staticmethod
     def _left_active_set_state():
@@ -394,24 +430,23 @@ class TestCertificateConditions:
     @pytest.mark.parametrize("screen_all", [False, True])
     def test_coordinate_that_left_the_active_set_is_re_added(self, screen_all):
         state = self._left_active_set_state()
-        assert np.abs(state._certificate[1][1]) + kkt._radius(
-            state._certificate, state._pinning) < 2.0
-        np.testing.assert_array_equal(kkt._candidates(state, 2.0), [1, 2])
+        assert np.abs(state._certificate.dual[1]) + _radius(state) < 2.0
+        np.testing.assert_array_equal(_candidates(state, 2.0), [1, 2])
         with _screen_all(screen_all):
-            part = kkt.active_partition(state, 2.0)
+            part = lazy_dual.active_partition(state, 2.0)
         np.testing.assert_array_equal(part.active, [0, 1])
         # four columns leave no room for the sphere's two candidates unless
         # every share is allowed; the float32 correction rules out column 2
         assert state._dual is None
         assert part.screened == (2 if screen_all else 1)
         assert part.corrected == (0 if screen_all else 1)
-        assert (state._certificate[0] is state._pinning) == (not screen_all)
+        assert (state._certificate.pin is state._pinning) == (not screen_all)
         assert np.sign(part.dual).tolist() == [1.0, 1.0]
 
     def test_correction_past_its_share_builds_the_dual(self):
         state = self._left_active_set_state()
-        with mock.patch.object(kkt, "CORRECTION_MAX_SHARE", 0.0):
-            part = kkt.active_partition(state, 2.0)
+        with mock.patch.object(lazy_dual, "CORRECTION_MAX_SHARE", 0.0):
+            part = lazy_dual.active_partition(state, 2.0)
         np.testing.assert_array_equal(part.active, [0, 1])
         assert state._dual is not None
         assert (part.screened, part.corrected, part.refreshes) == (0, 0, 1)
@@ -421,7 +456,7 @@ class TestCertificateConditions:
         # 2 err band, so the screen cannot tell its side and the dual is built
         state = self._left_active_set_state()
         with _screen_all():
-            part = kkt.active_partition(state, 3.0)
+            part = lazy_dual.active_partition(state, 3.0)
         assert state._dual is not None and state.dual[1] == 3.0
         assert part.screened == 1
         np.testing.assert_array_equal(part.active, [])
@@ -437,7 +472,7 @@ class TestCertificateConditions:
         init = PrimalDualState(beta, np.array([lam, 0.0, 0.0, 0.0]))
         out = ssn_update(prob, init, _partition(init, [0]), lam, 0.0)
         assert out._certificate is None
-        assert kkt._candidates(out, math.inf) is None
+        assert _candidates(out, math.inf) is None
         config = SsnConfig(lam=lam, max_iter=4)
         got = ssn_solve(prob, init, config)
         state, iters, reason, active = eager_ssn_solve(prob, init, lam, 0.0, 4, prob.n)
@@ -492,13 +527,13 @@ def _exact_correction(prob, u, u_ref):
 def _correction_error(prob, u, u_ref):
     """(largest exact error of the float32 correction over the columns, its bound)."""
     du = u - u_ref
-    got = kkt._correction(prob, du)
+    got = lazy_dual._correction(prob, du)
     err = max(abs(Fraction(g) - e) for g, e in zip(got, _exact_correction(prob, u, u_ref)))
-    return err, Fraction(kkt._correction_bound(prob, du))
+    return err, Fraction(lazy_dual._correction_bound(prob, du))
 
 
 class TestCorrectionBound:
-    """``kkt._correction_bound`` against exact arithmetic, on cases where it is tight."""
+    """``dual._correction_bound`` against exact arithmetic, on cases where it is tight."""
 
     ULP = 2.0**-23  # float32 spacing in [1, 2)
 
@@ -559,26 +594,26 @@ class TestCorrectionBound:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_difference_falls_back(self, bad):
         prob = ProblemData(0.5 * np.eye(2), np.array([8.0, 6.0]))
-        assert kkt._correction_bound(prob, np.array([1.0, bad])) == math.inf
+        assert lazy_dual._correction_bound(prob, np.array([1.0, bad])) == math.inf
         # finite u and u_ref whose difference overflows: neither screen
         # applies, so the partition builds the dual in float64
         state = self._state(prob, u=np.array([1.5e308, 0.0]), u_ref=np.array([-1.5e308, 0.0]),
                             ref_dual=np.array([2.0, 0.5]), err_ref=0.0)
-        with np.errstate(over="ignore"):
-            assert kkt._corrected(state, 1.0) is None
-            part = kkt.active_partition(state, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _corrected(state, 1.0) is None
+            part = lazy_dual.active_partition(state, 1.0)
         assert (part.corrected, part.refreshes) == (0, 1)
 
     @staticmethod
     def _state(prob, u, u_ref, ref_dual, err_ref):
         """An unbuilt state on A = {0} with u, screened against a reference on A = {0}."""
         A = np.array([0])
-        ref = problem._Pinning(prob, A, np.array([1.0]), ref_dual[A], u_ref)
-        cert = (ref, ref_dual, float(np.abs(ref_dual[1:]).max()), err_ref)
-        pin = problem._Pinning(prob, A, np.array([1.0]), ref_dual[A], u)
-        beta = np.zeros(prob.p)
-        beta[0] = 1.0
-        return PrimalDualState._from_update(beta, pin, cert)
+        ref = lazy_dual._Pinning(prob, A, np.array([1.0]), ref_dual[A], u_ref)
+        cert = lazy_dual._Certificate(ref, ref_dual, float(np.abs(ref_dual[1:]).max()), err_ref)
+        state = lazy_dual.updated_state(prob, cold_start(prob), A, np.array([1.0]), ref_dual[A], u)
+        state._certificate = cert
+        return state
 
     def _dyadic_state(self, err_ref):
         """A state whose u moves 2^-70 from its reference's, and its exact dual off A = {0}.
@@ -606,7 +641,7 @@ class TestCorrectionBound:
         # dual_ref - correction rounds back to dual_ref, off by the whole
         # 2^-70 move: err must hold err_ref and that rounding (2 u64 lam)
         state, exact = self._dyadic_state(err_ref)
-        S, dual, err = kkt._corrected(state, 2.0)
+        S, dual, err = _corrected(state, 2.0)
         rest = [j for j in range(1, 4) if j not in S]
         assert rest
         for j in rest:
@@ -620,10 +655,10 @@ class TestCorrectionBound:
         # and every coordinate ruled out has room for that rounding
         state, exact = self._dyadic_state(0.0)
         pin = state._pinning
-        _, dual, err = kkt._corrected(state, 2.0)
+        _, dual, err = _corrected(state, 2.0)
         j = 1 + int(np.argmax(np.abs(dual[1:])))
         lam = float(abs(dual[j])) + err + pin.err / 2
-        S, _, _ = kkt._corrected(state, lam)
+        S, _, _ = _corrected(state, lam)
         assert j in S
         for k in set(range(1, 4)) - set(S):
             assert abs(exact[k]) + Fraction(pin.err) <= lam
@@ -633,11 +668,11 @@ class TestCorrectionBound:
         # state's own pin.err, beside corrected ones within err
         state, _ = self._dyadic_state(0.0)
         pin = state._pinning
-        S, _, err = reference = kkt._corrected(state, 0.5)
+        S, _, err = reference = _corrected(state, 0.5)
         assert S.shape[0] > 0 and err < pin.err
-        kkt._screened_partition(state, S, 0.5, reference)
-        assert state._certificate[0] is pin
-        assert state._certificate[3] == pin.err
+        lazy_dual._screened_partition(state, S, 0.5, reference)
+        assert state._certificate.pin is pin
+        assert state._certificate.err == pin.err
 
 
 class TestLazyStateContract:
@@ -665,7 +700,7 @@ class TestLazyStateContract:
                     setattr(state, name, np.zeros(4))
         state = self._unbuilt()
         assert state._pinning is not None and state._certificate is not None
-        assert kkt._candidates(state, 0.5).shape == (0,)
+        assert _candidates(state, 0.5).shape == (0,)
 
 
 @st.composite

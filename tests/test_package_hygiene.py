@@ -4,8 +4,8 @@ Every package module and test module must use each name it imports (the
 package ``__init__`` may instead re-export it through ``__all__``),
 ``__all__`` must list each public name once and only names that exist,
 every function the package defines must be named somewhere outside the tests,
-and no package module may write a private attribute that no class of its own
-declares.
+and no package module may read or write a private attribute that no class of
+its own declares.
 """
 
 import ast
@@ -106,10 +106,15 @@ def _on_self(node):
 
 
 def _declared_private_attributes(tree):
-    """Private names a class of the module declares: in ``__slots__``, its body or on ``self``."""
+    """Private names a class of the module declares: in ``__slots__``, its body or on ``self``.
+
+    Methods defined in a class body count as declared.
+    """
     declared = set()
     for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
         for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                declared.add(stmt.name)
             if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 names = {t.id for t in targets if isinstance(t, ast.Name)}
@@ -124,17 +129,30 @@ def _declared_private_attributes(tree):
     return declared
 
 
+def _foreign_private_attributes(path, ctx):
+    """Private attributes the module uses in context ``ctx`` off ``self`` and undeclared."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    declared = _declared_private_attributes(tree)
+    return [
+        f"{node.value.id if isinstance(node.value, ast.Name) else '...'}.{node.attr} "
+        f"(line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
+        and _private(node.attr) and node.attr not in declared and not _on_self(node)
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_private_attributes_are_written_only_where_declared(path):
     # a private field one module sets on another's object is a hidden channel
     # between them; the value belongs in what the writer returns
-    tree = ast.parse(path.read_text(), filename=str(path))
-    declared = _declared_private_attributes(tree)
-    foreign = [
-        f"{node.value.id if isinstance(node.value, ast.Name) else '...'}.{node.attr} "
-        f"(line {node.lineno})"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-        and _private(node.attr) and node.attr not in declared and not _on_self(node)
-    ]
+    foreign = _foreign_private_attributes(path, ast.Store)
     assert foreign == [], f"{path.name} writes private attributes it does not declare: {foreign}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_attributes_are_read_only_where_declared(path):
+    # a module that reads another's private fields depends on how that one
+    # holds its data; it should call what the owner exposes instead
+    foreign = _foreign_private_attributes(path, ast.Load)
+    assert foreign == [], f"{path.name} reads private attributes it does not declare: {foreign}"

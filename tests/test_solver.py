@@ -3,6 +3,7 @@ import pytest
 
 from ssnpath import (
     CgBreakdown,
+    DimensionMismatch,
     PrimalDualState,
     ProblemData,
     SsnConfig,
@@ -222,6 +223,28 @@ class TestSsnSolve:
             with pytest.raises(ValueError, match="finite"):
                 SsnConfig(lam=lam)
         SsnConfig(lam=1.0, sparsity_cap=0)  # null model only
+
+
+class TestStateLength:
+    # a state of another length belongs to no column set of this problem; it
+    # is rejected before a partition or an update indexes into it
+    @pytest.mark.parametrize("offset", [-1, 1])
+    @pytest.mark.parametrize("dual_value", [0.0, 0.5])
+    def test_solve_rejects_wrong_length(self, offset, dual_value):
+        prob, _ = random_instance(12, 5, seed=3)
+        m = prob.p + offset
+        init = PrimalDualState(np.zeros(m), np.full(m, dual_value))
+        with pytest.raises(DimensionMismatch):
+            ssn_solve(prob, init, SsnConfig(lam=0.1))
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    @pytest.mark.parametrize("dual_value", [0.0, 0.5])
+    def test_update_rejects_wrong_length(self, offset, dual_value):
+        prob, _ = random_instance(12, 5, seed=3)
+        m = prob.p + offset
+        state = PrimalDualState(np.zeros(m), np.full(m, dual_value))
+        with pytest.raises(DimensionMismatch):
+            ssn_update(prob, state, active_partition(state, 0.1), 0.1)
 
 
 class TestOneStepConvergence:
