@@ -46,6 +46,8 @@ def _parse_sim(text):
         key = key.strip()
         if key not in _SIM_KEYS:
             raise ValueError(f"unknown --sim key {key!r}")
+        if key in fields:
+            raise ValueError(f"--sim repeats key {key!r}")
         fields[key] = _SIM_KEYS[key](value)
     for required in ("n", "p", "sigma", "T"):
         if required not in fields:

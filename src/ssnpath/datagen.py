@@ -198,8 +198,6 @@ def mutual_coherence(prob, force=False):
             f"coherence is O(p^2 n) dense work and p = {p} > {COHERENCE_GUARD_P}; "
             "pass force=True to override"
         )
-    if p == 1:
-        return 0.0
     G = prob.X.T @ prob.X
     np.fill_diagonal(G, 0.0)
     return float(np.max(np.abs(G))) / prob.n

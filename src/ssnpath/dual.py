@@ -18,9 +18,8 @@ order:
    where err bounds the rounding of the state's own built dual (see
    :class:`_Pinning`). The candidates are the coordinates off A that are
    in A_ref or have |dual_ref_j| + r > ``lam``; no other coordinate can be
-   active. With no candidate (the O(n) test against the reference's largest
-   complement dual settles most of these) the partition is read from the
-   pinned values on A.
+   active. With no candidate the partition is read from the pinned values
+   on A.
 2. With at most ``SCREEN_MAX_SHARE`` of p candidates, only their duals are
    computed, from the gathered columns.
 3. Otherwise (r >= ``lam`` or too many candidates), a float32 correction
@@ -116,15 +115,10 @@ class PrimalDualState:
 
     def _certify(self, dual, err):
         """Make this state the reference: ``dual``, within ``err`` of its dual, turns read-only."""
-        pin = self._pinning
-        off = np.abs(dual)
-        off[pin.active] = 0.0
-        # dual_A is finite, so this max is finite exactly when the dual is
-        largest = float(off.max())
-        if not math.isfinite(largest):
+        if not np.isfinite(dual).all():
             raise ValueError("state vectors must be finite")
         dual.flags.writeable = False
-        self._certificate = _Certificate(pin, dual, largest, err)
+        self._certificate = _Certificate(self._pinning, dual, err)
 
     def copy(self):
         return PrimalDualState(self.beta.copy(), self.dual.copy())
@@ -157,12 +151,10 @@ class _Pinning:
 
 @dataclass(frozen=True, slots=True)
 class _Certificate:
-    """A reference's ``dual``: pinned on ``pin.active``, within ``err`` of the exact dual off
-    it, where its largest magnitude is ``largest``."""
+    """A reference's ``dual``: pinned on ``pin.active``, within ``err`` of the exact dual off it."""
 
     pin: _Pinning
     dual: np.ndarray
-    largest: float
     err: float
 
 
@@ -290,14 +282,7 @@ def _sphere(state, lam):
     with np.errstate(over="ignore"):
         du = pin.u - ref.u
     r = prob.max_col_norm * math.sqrt(du @ du) / prob.n + cert.err + pin.err
-    if not r < lam:
-        S = None
-    elif cert.largest + r <= lam:
-        # no coordinate off both active sets can reach lam
-        pos = np.searchsorted(pin.active, ref.active)
-        S = ref.active[pin.active.take(pos, mode="clip") != ref.active]
-    else:
-        S = _off_pinned(np.abs(cert.dual) + r > lam, ref, pin)
+    S = _off_pinned(np.abs(cert.dual) + r > lam, ref, pin) if r < lam else None
     return S, du, r
 
 

@@ -24,16 +24,7 @@ class NoiseTooLarge(SsnPathError, ValueError):
 
 
 class CgBreakdown(SsnPathError, RuntimeError):
-    """Vanishing curvature in the restricted solve (singular Gram block at alpha = 0).
-
-    ``state`` carries the last valid primal-dual pair and ``knot`` the path
-    index, when raised from inside a solve or a path run.
-    """
-
-    def __init__(self, message, state=None, knot=None):
-        self.state = state
-        self.knot = knot
-        super().__init__(message)
+    """Vanishing curvature or a singular Gram block in the restricted solve (alpha = 0)."""
 
 
 class ZeroResidual(SsnPathError, ValueError):

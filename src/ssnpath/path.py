@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .dual import PrimalDualState, cold_start, dual_source, support
-from .errors import CgBreakdown, DegenerateResponse, NoiseTooLarge
+from .errors import DegenerateResponse, NoiseTooLarge
 from .solver import SsnConfig, StopReason, ssn_solve
 
 #: Fraction of the penalty kept as shrinkage under the shifted schedule.
@@ -33,7 +33,8 @@ class PathConfig:
     whose last point underflows to 0 is rejected.
     ``shift_schedule`` is one of:
 
-    - ``"zero"``: no shift, every knot solves the stated problem;
+    - ``"zero"``: no shift, every knot solves the stated problem; a nonzero
+      ``shift_delta`` is rejected;
     - ``"shifted"``: shift_t = 0.9 * lam_t + shift_delta, which keeps only a
       tenth of the penalty (plus ``shift_delta``) as shrinkage on the active
       coefficients while the support is still estimated at the full level.
@@ -66,6 +67,9 @@ class PathConfig:
             raise ValueError(f"sparsity_cap must be non-negative, got {self.sparsity_cap}")
         if self.shift_schedule not in ("zero", "shifted"):
             raise ValueError(f"unknown shift schedule {self.shift_schedule!r}")
+        if self.shift_schedule == "zero" and self.shift_delta != 0.0:
+            raise ValueError(f"shift_delta = {self.shift_delta!r} needs shift_schedule "
+                             "'shifted'; the 'zero' schedule applies no shift")
         lam_last = self.lam(self.num_knots - 1)
         if not lam_last > 0.0:
             raise ValueError(f"grid underflows: lam = {lam_last!r} at the last knot "
@@ -179,16 +183,19 @@ def grid_floor_index(lambda0, gamma, floor):
     Raises NoiseTooLarge when even the second grid point is at or below the
     floor.
     """
-    if not (0.0 < gamma < 1.0) or not lambda0 > 0.0 or not floor > 0.0:
-        raise ValueError("need lambda0 > 0, gamma in (0, 1), floor > 0")
+    if not (0.0 < gamma < 1.0) or not 0.0 < lambda0 < math.inf or not floor > 0.0:
+        raise ValueError("need finite lambda0 > 0, gamma in (0, 1), floor > 0")
     if lambda0 * gamma <= floor:
         raise NoiseTooLarge(
             f"floor {floor:.3e} is not below the second grid point "
             f"{lambda0 * gamma:.3e}; no valid grid length exists"
         )
-    t = 1
+    # start from the real-valued answer, then step until the bracket holds
+    t = max(1, math.floor((math.log(floor) - math.log(lambda0)) / math.log(gamma)))
     while lambda0 * gamma ** (t + 1) > floor:
         t += 1
+    while t > 1 and not lambda0 * gamma**t > floor:
+        t -= 1
     return t
 
 
@@ -231,8 +238,8 @@ def solve_path(prob, config):
     state is kept; each record holds the active set, coefficients and pinned
     dual of the update that made its state, from which its dual is rebuilt
     (a knot solved with no update shares the previous knot's; knot 0's cold
-    start is rebuilt from an empty active set). Knot-level solver failures
-    propagate with the knot index attached.
+    start is rebuilt from an empty active set). A solver failure at any knot
+    propagates as raised, and the knots before it are not returned.
     """
     cap = _sparsity_cap(prob.n, config.sparsity_cap)
     state = cold_start(prob)
@@ -247,11 +254,7 @@ def solve_path(prob, config):
             max_iter=config.max_inner,
             sparsity_cap=cap,
         )
-        try:
-            out = ssn_solve(prob, state, knot_cfg)
-        except CgBreakdown as exc:
-            exc.knot = t
-            raise
+        out = ssn_solve(prob, state, knot_cfg)
         if out.stop_reason is StopReason.SPARSITY_CAP:
             terminated_at = t
             break

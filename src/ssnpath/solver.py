@@ -3,21 +3,13 @@
 Each iteration guesses the support from |beta + dual| > lam, pins the dual to
 (lam - shift) * sign(beta + dual) there, and solves the restricted ridge
 system for the active coefficients. The complement dual, one full ``X'u``
-product, is built only when a partition cannot be read without it:
-:func:`ssnpath.dual.active_partition` screens each coordinate against the
-last reference state, first with a safe sphere and, when the sphere is too
-wide, with a float32 correction of the reference's dual (about half the
-cost of a full product), and computes only the duals of the few
-coordinates the screen cannot rule out. On the benchmark's ``table1`` and
-``table2`` cells this leaves 2 full products and 38-45 float32 passes in
-the 99 updates of a shifted-schedule path, and on its ``enet`` cell's
-unshifted paths 1 full product and 28-30 passes in 90-94 updates. The loop
-stops as soon as the active set
-repeats (the iterate is then a stationary point), a safeguard iteration
-count is hit, or the active set outgrows the sparsity cap. These rules read
-only the active set and its signs, so stopping costs no matrix-vector
-product; how far a returned state is from stationarity is measured
-separately by :func:`ssnpath.kkt.kkt_residual`.
+product, is built only when a partition cannot be read without it; see
+:mod:`ssnpath.dual` for how a partition is screened instead. The loop
+stops as soon as the active set repeats (the iterate is then a stationary
+point), a safeguard iteration count is hit, or the active set outgrows the
+sparsity cap. These rules read only the active set and its signs, so
+stopping costs no matrix-vector product; how far a returned state is from
+stationarity is measured separately by :func:`ssnpath.kkt.kkt_residual`.
 
 The restricted system G_AA x = rhs is solved by a fixed policy, not a
 setting: active sets of at most ``DIRECT_MAX`` coordinates go through a dense
@@ -170,16 +162,12 @@ def ssn_update(prob, state, part, lam, shift=0.0):
     """
     _check_length(prob, state)
     A = part.active
-    if A.shape[0] == 0:
-        beta_active = dual_active = np.zeros(0)
-        u = np.zeros(prob.n)
-    else:
-        signs = np.sign(state.beta[A] + part.dual)
-        dual_active = (lam - shift) * signs
-        rhs = prob.xty[A] - prob.n * dual_active
-        XA = prob.X[:, A]
-        beta_active = _solve_restricted(prob, XA, rhs, state.beta[A])
-        u = XA @ beta_active
+    signs = np.sign(state.beta[A] + part.dual)
+    dual_active = (lam - shift) * signs
+    rhs = prob.xty[A] - prob.n * dual_active
+    XA = prob.X[:, A]
+    beta_active = _solve_restricted(prob, XA, rhs, state.beta[A])
+    u = XA @ beta_active
     return updated_state(prob, state, A, beta_active, dual_active, u)
 
 
@@ -236,11 +224,7 @@ def ssn_solve(prob, init, config):
                 return outcome(StopReason.ACTIVE_SET_REPEATED)
         if k >= config.max_iter:
             return outcome(StopReason.MAX_ITER)
-        try:
-            state = ssn_update(prob, state, part, config.lam, config.shift)
-        except CgBreakdown as exc:
-            exc.state = state
-            raise
+        state = ssn_update(prob, state, part, config.lam, config.shift)
         prev_active = part.active
         prev_signs = signs
         iterations += 1

@@ -186,6 +186,26 @@ class TestCli:
         assert capsys.readouterr().err.count("finite") == 4
         assert not out.exists()
 
+    def test_shift_delta_under_zero_schedule_exits_one(self, tmp_path, csv_instance, capsys):
+        x_path, y_path, _, _ = csv_instance
+        out = tmp_path / "p.csv"
+        data = ["--x", str(x_path), "--y", str(y_path), "--out", str(out)]
+        assert cli_main(["path", "--shift-delta", "0.5", *data]) == 1
+        err = capsys.readouterr().err
+        assert "shift_delta" in err and "shift_schedule" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "bench"])
+    def test_repeated_sim_key_exits_one(self, tmp_path, capsys, command):
+        argv = [command, "--sim", "n=10,n=20,p=30,rho=0.1,sigma=0.1,T=2"]
+        if command == "simulate":
+            argv += ["--out-dir", str(tmp_path / "sim")]
+        elif command == "bench":
+            argv += ["--reps", "1"]
+        assert cli_main(argv) == 1
+        assert "error: --sim repeats key 'n'" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("normalize_flag", [[], ["--raw"]])
     def test_infinite_alpha_exits_one(self, tmp_path, csv_instance, capsys, normalize_flag):
         x_path, y_path, _, _ = csv_instance

@@ -4,8 +4,8 @@ Every package module and test module must use each name it imports (the
 package ``__init__`` may instead re-export it through ``__all__``),
 ``__all__`` must list each public name once and only names that exist,
 every function the package defines must be named somewhere outside the tests,
-and no package module may read or write a private attribute that no class of
-its own declares.
+no package module may read or write a private attribute that no class of
+its own declares, and none may set an attribute on an exception it caught.
 """
 
 import ast
@@ -156,3 +156,20 @@ def test_private_attributes_are_read_only_where_declared(path):
     # holds its data; it should call what the owner exposes instead
     foreign = _foreign_private_attributes(path, ast.Load)
     assert foreign == [], f"{path.name} reads private attributes it does not declare: {foreign}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_caught_exceptions_are_not_mutated(path):
+    # an attribute set on a caught exception before re-raising it is a field
+    # the exception's class does not declare and no handler is bound to read
+    tree = ast.parse(path.read_text(), filename=str(path))
+    mutated = [
+        f"{handler.name}.{node.attr} (line {node.lineno})"
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and handler.name is not None
+        for stmt in handler.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == handler.name
+    ]
+    assert mutated == [], f"{path.name} sets attributes on caught exceptions: {mutated}"

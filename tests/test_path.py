@@ -1,10 +1,14 @@
 import io
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssnpath
 from ssnpath import (
     DegenerateResponse,
     NoiseTooLarge,
@@ -61,6 +65,46 @@ class TestGridFloorIndex:
             t = grid_floor_index(lam0, gamma, floor)
             assert lam0 * gamma**t > floor >= lam0 * gamma ** (t + 1)
 
+    @staticmethod
+    def _stepped(lambda0, gamma, floor):
+        """The grid index found by stepping t up from 1, one knot at a time."""
+        t = 1
+        while lambda0 * gamma ** (t + 1) > floor:
+            t += 1
+        return t
+
+    def test_matches_stepping_from_one(self):
+        rng = np.random.default_rng(2)
+        cases = [(rng.uniform(0.5, 10), rng.uniform(0.2, 0.95), rng.uniform(0.01, 0.99))
+                 for _ in range(50)]
+        rng = np.random.default_rng(5)
+        cases += [(10.0 ** rng.uniform(-300, 300), rng.uniform(0.001, 0.9999),
+                   10.0 ** rng.uniform(-8, 0)) for _ in range(500)]
+        # floors that sit exactly on grid points, where the bracket's >= decides
+        cases += [(1.0, 0.5, 0.5), (3.0, 0.5, 0.25), (1.0, 0.5, 2.0**-20), (1.0, 0.1, 0.1)]
+        for lam0, gamma, share in cases:
+            floor = lam0 * gamma * share
+            assert grid_floor_index(lam0, gamma, floor) == self._stepped(lam0, gamma, floor)
+
+    def test_gamma_near_one_returns_quickly(self):
+        # stepping from t = 1 takes about 7e9 steps here
+        src = Path(ssnpath.__file__).resolve().parent.parent
+        code = (f"import sys, time; sys.path.insert(0, {str(src)!r}); "
+                "from ssnpath import grid_floor_index; "
+                "start = time.perf_counter(); t = grid_floor_index(1.0, 1 - 1e-9, 1e-3); "
+                "print(t, time.perf_counter() - start)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60)
+        assert run.returncode == 0, run.stderr
+        t, seconds = run.stdout.split()
+        t, gamma = int(t), 1 - 1e-9
+        assert float(seconds) < 1.0
+        assert gamma**t > 1e-3 >= gamma ** (t + 1)
+
+    def test_infinite_lambda0_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            grid_floor_index(math.inf, 0.5, 0.1)
+
 
 class TestPathConfig:
     def test_validation(self):
@@ -86,6 +130,12 @@ class TestPathConfig:
             with pytest.raises(ValueError, match="underflows"):
                 PathConfig(lambda0=1.0, gamma=1e-10, num_knots=40, shift_schedule=schedule)
         PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, sparsity_cap=0)  # null model only
+
+    def test_zero_schedule_rejects_shift_delta(self):
+        for delta in (0.5, -0.5, 1e-300):
+            with pytest.raises(ValueError, match="shift_delta.*shift_schedule"):
+                PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, shift_delta=delta)
+        assert PathConfig(lambda0=1.0, gamma=0.5, num_knots=3, shift_delta=-0.0).shift(2) == 0.0
 
     def test_shifted_schedule_feasibility(self):
         # delta must stay below a tenth of the smallest grid point

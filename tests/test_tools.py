@@ -1,4 +1,5 @@
-"""``tools/compare_paths.py`` passes a checkout against itself and catches one ulp."""
+"""``tools/compare_paths.py`` passes a checkout against itself and catches one ulp;
+``tools/loc.py`` counts the lines a code token touches."""
 
 import importlib.util
 import re
@@ -10,6 +11,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_paths.py"
+LOC = ROOT / "tools" / "loc.py"
 
 
 def _run(*args):
@@ -17,8 +19,8 @@ def _run(*args):
                            *args], capture_output=True, text=True, timeout=120)
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("compare_paths", TOOL)
+def _tool(path=TOOL):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -54,3 +56,27 @@ def test_work_counters_are_totalled_not_compared():
     assert tool.work_totals(new) == {"table2": {"refreshes": 1, "screened": 40, "corrected": 2}}
     new["table2", 0]["records"][0]["values"][0] = np.nextafter(0.5, 1.0)
     assert tool.compare(old, new)[0] == ["table2 seed 0: knot 0 field values differs"]
+
+
+def test_loc_counts_lines_a_code_token_touches():
+    code_lines = _tool(LOC).code_lines
+    assert code_lines('"""Module docstring."""\n') == 0
+    assert code_lines('def f():\n    """One.\n\n    Two.\n    """\n    return 1\n') == 2
+    assert code_lines("# a comment\nx = 1  # trailing\n\n\ny = 2\n") == 2
+    # a bare string statement anywhere is not code; a string argument is, on every line
+    assert code_lines("x = 1\n'''note'''\n") == 1
+    assert code_lines("f(\n    '''one\ntwo''',\n)\n") == 4
+    assert code_lines("x = (1 +\n     2)\n") == 2
+
+
+def test_loc_prints_per_file_counts_and_totals(tmp_path):
+    package = tmp_path / "src" / "ssnpath"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""Doc."""\n\nx = 1\n')
+    (package / "b.py").write_text("# only a comment\n")
+    run = subprocess.run([sys.executable, str(LOC), str(tmp_path)], capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    rows = [line.split() for line in run.stdout.splitlines()[2:]]
+    assert rows == [["3", "1", "src/ssnpath/a.py"], ["1", "0", "src/ssnpath/b.py"],
+                    ["4", "1", "total"]]
