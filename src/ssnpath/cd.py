@@ -16,7 +16,6 @@ from functools import partial
 
 import numpy as np
 
-from .dual import cold_start
 from .kkt import refresh_dual, soft_threshold
 from .path import KnotRecord, PathResult, _sparsity_cap
 
@@ -85,7 +84,7 @@ def cd_path(prob, config, tol=1e-8, max_sweeps=500):
     if config.shift_schedule != "zero":
         raise ValueError(f"cd_path solves unshifted knots only, got {config.shift_schedule!r}")
     cap = _sparsity_cap(prob.n, config.sparsity_cap)
-    beta = cold_start(prob).beta
+    beta = None  # knot 0 starts from zero
     records = []
     terminated_at = None
     start = time.perf_counter()

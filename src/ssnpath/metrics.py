@@ -18,7 +18,7 @@ from .cd import cd_path
 from .datagen import SimConfig, make_instance
 from .errors import SsnPathError, ZeroTruth
 from .path import PathConfig, _default_gamma, default_lambda0, solve_path
-from .select import hbic_select, mbic_select
+from .select import SELECTORS
 
 
 @dataclass
@@ -86,9 +86,6 @@ PRESETS = {
     "small": [SimConfig(n=200, p=1000, design="classical", corr=0.1, sigma=0.01, T=5)],
 }
 
-_SELECTORS = {"mbic": mbic_select, "hbic": hbic_select}
-
-
 def _mean(xs):
     return math.fsum(xs) / len(xs) if xs else float("nan")
 
@@ -123,7 +120,7 @@ def run_benchmark(
     """
     if solver not in ("snap", "cdpath"):
         raise ValueError(f"unknown solver {solver!r}")
-    if selector not in _SELECTORS:
+    if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
     if reps < 1:
         raise ValueError("need at least one replication")
@@ -132,12 +129,12 @@ def run_benchmark(
         if cell.T == 0:
             raise ValueError(f"cell {ci} ({cell.n} x {cell.p}) has T = 0; the relative "
                              "error of an all-zero target is undefined")
-    select = _SELECTORS[selector]
+    select = SELECTORS[selector]
     gamma = _default_gamma(num_knots)
     schedule = "shifted" if solver == "snap" else "zero"
     records = []
     for ci, cell in enumerate(grid):
-        times, mss, cms, aes, res_, contains = [], [], [], [], [], []
+        rows = []
         failures = 0
         for m in range(reps):
             cfg = replace(cell, seed=(base_seed, ci, m))
@@ -162,33 +159,11 @@ def run_benchmark(
                 continue
             elapsed = time.perf_counter() - start
             rep = solution_metrics(beta_hat, truth)
-            times.append(elapsed)
-            mss.append(rep.ms)
-            cms.append(1.0 if rep.correct else 0.0)
-            aes.append(rep.ae)
-            res_.append(rep.re)
-            contains.append(1.0 if set(truth.support) <= set(np.flatnonzero(beta_hat)) else 0.0)
-        # A correct model implies support containment, so the exact-recovery
-        # rate can never exceed the containment rate.
-        if cms:
-            assert _mean(cms) <= _mean(contains) + 1e-12
-        records.append(
-            MetricsRecord(
-                config=cell,
-                solver=solver,
-                selector=selector,
-                reps=reps,
-                failures=failures,
-                time_s=_mean(times),
-                time_se=_spread(times),
-                ms=_mean(mss),
-                ms_se=_spread(mss),
-                cm=_mean(cms),
-                cm_se=_spread(cms),
-                ae=_mean(aes),
-                ae_se=_spread(aes),
-                re=_mean(res_),
-                re_se=_spread(res_),
-            )
-        )
+            # a correct model contains the true support
+            assert not rep.correct or set(truth.support) <= set(np.flatnonzero(beta_hat))
+            rows.append((elapsed, rep.ms, 1.0 if rep.correct else 0.0, rep.ae, rep.re))
+        # columns (time, ms, cm, ae, re), each as (mean, spread) in field order
+        columns = list(zip(*rows)) or [()] * 5
+        aggregates = [f(col) for col in columns for f in (_mean, _spread)]
+        records.append(MetricsRecord(cell, solver, selector, reps, failures, *aggregates))
     return records

@@ -34,17 +34,26 @@ def _rss_per_knot(prob, path):
     return out
 
 
-def mbic_select(prob, path):
-    """Minimize RSS/(2n) + |support| * log(n) log(p) / n over the path."""
+def _select(name, prob, path, criterion):
+    """Minimize ``criterion(rss, sizes)`` over the knots of ``path``."""
     if len(path.records) == 0:
         raise ValueError("path has no knots")
-    n, p = prob.n, prob.p
-    unit = math.log(n) * math.log(p) / n
     rss = _rss_per_knot(prob, path)
     sizes = np.array([rec.nnz for rec in path.records])
-    values = rss / (2.0 * n) + sizes * unit
+    values = criterion(rss, sizes)
     k = int(np.argmin(values))
-    return SelectorResult("mbic", k, path.records[k].lam, values)
+    return SelectorResult(name, k, path.records[k].lam, values)
+
+
+def mbic_select(prob, path):
+    """Minimize RSS/(2n) + |support| * log(n) log(p) / n over the path."""
+    n, p = prob.n, prob.p
+
+    def mbic(rss, sizes):
+        unit = math.log(n) * math.log(p) / n
+        return rss / (2.0 * n) + sizes * unit
+
+    return _select("mbic", prob, path, mbic)
 
 
 def hbic_select(prob, path):
@@ -52,15 +61,18 @@ def hbic_select(prob, path):
 
     Raises ZeroResidual for a knot that interpolates exactly.
     """
-    if len(path.records) == 0:
-        raise ValueError("path has no knots")
     n, p = prob.n, prob.p
-    unit = math.log(math.log(n)) * math.log(p) / n
-    rss = _rss_per_knot(prob, path)
-    zero = np.flatnonzero(rss == 0.0)
-    if zero.shape[0] > 0:
-        raise ZeroResidual(path.records[int(zero[0])].t)
-    sizes = np.array([rec.nnz for rec in path.records])
-    values = np.log(rss / n) + sizes * unit
-    k = int(np.argmin(values))
-    return SelectorResult("hbic", k, path.records[k].lam, values)
+
+    def hbic(rss, sizes):
+        zero = np.flatnonzero(rss == 0.0)
+        if zero.shape[0] > 0:
+            raise ZeroResidual(path.records[int(zero[0])].t)
+        unit = math.log(math.log(n)) * math.log(p) / n
+        return np.log(rss / n) + sizes * unit
+
+    return _select("hbic", prob, path, hbic)
+
+
+#: The selectors by name, as ``ssnpath path/bench --selector`` and
+#: :func:`ssnpath.run_benchmark` take them.
+SELECTORS = {"mbic": mbic_select, "hbic": hbic_select}

@@ -5,11 +5,12 @@ Each iteration guesses the support from |beta + dual| > lam, pins the dual to
 system for the active coefficients. The complement dual, one full ``X'u``
 product, is built only when a partition cannot be read without it; see
 :mod:`ssnpath.dual` for how a partition is screened instead. The loop
-stops as soon as the active set repeats (the iterate is then a stationary
-point), a safeguard iteration count is hit, or the active set outgrows the
-sparsity cap. These rules read only the active set and its signs, so
-stopping costs no matrix-vector product; how far a returned state is from
-stationarity is measured separately by :func:`ssnpath.kkt.kkt_residual`.
+stops as soon as the active set repeats with its dual pinned at this level
+(the iterate is then a stationary point), a safeguard iteration count is
+hit, or the active set outgrows the sparsity cap. These rules read only the
+active set and its dual, so stopping costs no matrix-vector product; how far
+a returned state is from stationarity is measured separately by
+:func:`ssnpath.kkt.kkt_residual`.
 
 The restricted system G_AA x = rhs is solved by a fixed policy, not a
 setting: active sets of at most ``DIRECT_MAX`` coordinates go through a dense
@@ -194,11 +195,11 @@ def ssn_solve(prob, init, config):
     _check_length(prob, init)
     state = init
     prev_active = support(init)
-    prev_signs = None
-    iterations = refreshes = screened = corrected = 0
+    refreshes = screened = corrected = 0
 
     def outcome(reason):
-        return SsnOutcome(state, iterations, reason, part, refreshes, screened=screened,
+        # each pass of the loop returns or makes one update, so k counts them
+        return SsnOutcome(state, k, reason, part, refreshes, screened=screened,
                           corrected=corrected)
 
     for k in range(config.max_iter + 1):
@@ -206,26 +207,22 @@ def ssn_solve(prob, init, config):
         refreshes += part.refreshes
         screened += part.screened
         corrected += part.corrected
-        signs = np.sign(state.beta[part.active] + part.dual)
         if config.sparsity_cap is not None and part.size > config.sparsity_cap:
             return outcome(StopReason.SPARSITY_CAP)
         if np.array_equal(part.active, prev_active):
             # The update is a function of the active set AND the sign
-            # pattern; a set repeat with flipped signs (possible on badly
-            # conditioned starts) is not a fixed point, so keep iterating.
-            if prev_signs is None:
-                # a warm start from another penalty level carries a dual
-                # pinned there; only states ssn_update made at this
-                # (lam, shift) carry this pinning bit for bit
-                repeated = np.array_equal(part.dual, (config.lam - config.shift) * signs)
-            else:
-                repeated = np.array_equal(signs, prev_signs)
-            if repeated:
+            # pattern, so a set repeat with flipped signs (possible on badly
+            # conditioned starts) is not a fixed point. One test covers both
+            # cases: after an update on prev_active, the partition returns
+            # that update's pinned dual (lam - shift) * prev_signs bit for
+            # bit, which equals (lam - shift) * signs exactly when the signs
+            # repeat. A warm start passes only if its dual is pinned at
+            # this (lam, shift) already.
+            signs = np.sign(state.beta[part.active] + part.dual)
+            if np.array_equal(part.dual, (config.lam - config.shift) * signs):
                 return outcome(StopReason.ACTIVE_SET_REPEATED)
         if k >= config.max_iter:
             return outcome(StopReason.MAX_ITER)
         state = ssn_update(prob, state, part, config.lam, config.shift)
         prev_active = part.active
-        prev_signs = signs
-        iterations += 1
     raise AssertionError("unreachable: loop always returns at k == max_iter")

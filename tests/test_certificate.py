@@ -415,8 +415,8 @@ class TestCertificateConditions:
         Dropping x_1 sends its dual back to X_1'y/n = 3, above lam = 2, while
         the reference's pinned dual there, (lam - shift) = 0.5, plus the
         radius (about 1.25) stays below it. Column 2's dual, 1, plus the
-        radius exceeds lam = 2, so at that level the screen passes over every
-        coordinate instead of stopping at the reference's largest dual.
+        radius exceeds lam = 2, so at that level the sphere leaves both
+        columns 1 and 2 as candidates.
         """
         prob = ProblemData(2.0 * np.eye(4), np.array([8.0, 6.0, 2.0, -0.1]), alpha=4.0)
         init = cold_start(prob)

@@ -12,7 +12,9 @@ from ssnpath import (
     SelectorResult,
     SimConfig,
     default_lambda0,
+    hbic_select,
     make_instance,
+    normalize,
     solve_path,
     write_metrics_csv,
     write_path_csv,
@@ -84,6 +86,23 @@ class TestCli:
         assert lines[-1].startswith("#selector,mbic,")
         assert coefs.exists()
 
+    def test_path_hbic_selector_row(self, tmp_path, csv_instance, capsys):
+        x_path, y_path, _, _ = csv_instance
+        out = tmp_path / "path.csv"
+        code = cli_main([
+            "path", "--x", str(x_path), "--y", str(y_path), "--gamma", "0.7",
+            "--knots", "30", "--selector", "hbic", "--out", str(out),
+        ])
+        assert code == 0
+        prob = normalize(load_matrix(x_path), load_vector(y_path))
+        path = solve_path(prob, PathConfig(lambda0=default_lambda0(prob), gamma=0.7,
+                                           num_knots=30, max_inner=1))
+        expected = io.StringIO()
+        write_path_csv(path, expected, selector=hbic_select(prob, path))
+        row = expected.getvalue().strip().split("\n")[-1]
+        assert row.startswith("#selector,hbic,")
+        assert out.read_text().strip().split("\n")[-1] == row
+
     def test_solve_command(self, tmp_path, csv_instance, capsys):
         x_path, y_path, _, _ = csv_instance
         out = tmp_path / "beta.csv"
@@ -129,6 +148,25 @@ class TestCli:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "#schema=1" and len(lines) == 3
+
+    def test_bench_hbic_selector_row(self, tmp_path, capsys):
+        out = tmp_path / "metrics.csv"
+        code = cli_main([
+            "bench", "--sim", "n=40,p=60,rho=0.1,sigma=0.05,T=2", "--reps", "1",
+            "--selector", "hbic", "--knots", "30", "--out", str(out),
+        ])
+        assert code == 0
+        header, row = (line.split(",") for line in out.read_text().strip().split("\n")[1:])
+        assert row[header.index("selector")] == "hbic"
+
+    @pytest.mark.parametrize("command", ["path", "bench"])
+    def test_unknown_selector_exits_one(self, tmp_path, csv_instance, capsys, command):
+        x_path, y_path, _, _ = csv_instance
+        argv = (["path", "--x", str(x_path), "--y", str(y_path), "--out", str(tmp_path / "o")]
+                if command == "path" else ["bench", "--preset", "small", "--reps", "1"])
+        assert cli_main(argv + ["--selector", "aic"]) == 1
+        assert "invalid choice: 'aic'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bench_cell_without_true_nonzeros_exits_one_before_fitting(self, capsys):
         # the relative error of an all-zero target is undefined; the cell used

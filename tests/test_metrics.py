@@ -1,24 +1,31 @@
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
 
 from ssnpath import (
     PRESETS,
+    CgBreakdown,
     PathConfig,
     ProblemData,
     SimConfig,
     TruthModel,
     ZeroTruth,
     default_lambda0,
+    make_instance,
     mbic_select,
     run_benchmark,
     solution_metrics,
     solve_path,
     write_metrics_csv,
 )
+from ssnpath import metrics
+from ssnpath.path import _default_gamma
 from conftest import random_instance
+
+AGGREGATES = ("time_s", "time_se", "ms", "ms_se", "cm", "cm_se", "ae", "ae_se", "re", "re_se")
 
 
 class TestSolutionMetrics:
@@ -86,6 +93,37 @@ class TestRunBenchmark:
         b = run_benchmark(grid, reps=3, base_seed=11, num_knots=30)[0]
         for field in ("ms", "cm", "ae", "re", "ms_se", "cm_se", "ae_se", "re_se", "failures"):
             assert getattr(a, field) == getattr(b, field), field
+
+    def test_aggregates_are_mean_and_spread_of_each_replication(self):
+        cell = SimConfig(n=40, p=60, design="classical", corr=0.2, sigma=0.1, T=3)
+        rec = run_benchmark([cell], reps=3, base_seed=4, num_knots=30)[0]
+        columns = {"ms": [], "cm": [], "ae": [], "re": []}
+        for m in range(3):
+            prob, truth = make_instance(dataclasses.replace(cell, seed=(4, 0, m)))
+            cfg = PathConfig(lambda0=default_lambda0(prob), gamma=_default_gamma(30),
+                             num_knots=30, max_inner=1, shift_schedule="shifted")
+            path = solve_path(prob, cfg)
+            beta = path.records[mbic_select(prob, path).chosen_knot].beta_dense(prob.p)
+            rep = solution_metrics(beta, truth)
+            for name, value in zip(columns, (rep.ms, float(rep.correct), rep.ae, rep.re)):
+                columns[name].append(value)
+        assert rec.failures == 0
+        for name, values in columns.items():
+            assert getattr(rec, name) == math.fsum(values) / 3, name
+            assert getattr(rec, name + "_se") == float(np.std(values, ddof=1)), name
+        # the timings differ run to run; both aggregates exist for three replications
+        assert rec.time_s > 0.0 and math.isfinite(rec.time_se)
+
+    def test_all_failed_cell_has_nan_aggregates(self, monkeypatch):
+        def breakdown(prob, config):
+            raise CgBreakdown("planted")
+
+        monkeypatch.setattr(metrics, "solve_path", breakdown)
+        cell = SimConfig(n=40, p=60, design="classical", corr=0.2, sigma=0.1, T=3)
+        rec = run_benchmark([cell], reps=2, base_seed=4, num_knots=30)[0]
+        assert (rec.reps, rec.failures) == (2, 2)
+        for name in AGGREGATES:
+            assert math.isnan(getattr(rec, name)), name
 
     def test_solver_and_selector_validation(self):
         grid = PRESETS["small"]

@@ -19,7 +19,7 @@ from ssnpath import (
 )
 from ssnpath import solver
 from conftest import random_instance
-from oracles import newton_step_dense
+from oracles import eager_ssn_solve, newton_step_dense
 
 
 class TestSsnUpdate:
@@ -183,6 +183,31 @@ class TestSsnSolve:
             part = active_partition(out.state, lam)
             nxt = ssn_update(prob, out.state, part, lam)
             np.testing.assert_allclose(nxt.beta, out.state.beta, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_set_repeat_with_flipped_signs_matches_two_branch_oracle(self, seed):
+        # these cold starts meet a repeated active set with flipped signs,
+        # where the single pinned-dual test must keep iterating exactly as
+        # the oracle's separate sign comparison does
+        prob, _ = random_instance(20, 35, alpha=0.2, seed=seed)
+        lam = 0.2 * float(np.max(np.abs(prob.xty))) / prob.n
+        state, prev, flipped = cold_start(prob), None, []
+        for k in range(20):
+            part = active_partition(state, lam)
+            signs = np.sign(state.beta[part.active] + part.dual)
+            if prev is not None and np.array_equal(part.active, prev[0]):
+                if not np.array_equal(signs, prev[1]):
+                    flipped.append(k)
+            prev = part.active, signs
+            state = ssn_update(prob, state, part, lam)
+        assert flipped, "walk never repeated its active set with flipped signs"
+        for shift in (0.0, 0.9 * lam):
+            out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, shift=shift, max_iter=20))
+            eager, iterations, reason, _ = eager_ssn_solve(
+                prob, cold_start(prob), lam, shift, 20, prob.p
+            )
+            assert (out.iterations, out.stop_reason.value) == (iterations, reason)
+            assert out.state.beta.tobytes() == eager.beta.tobytes()
 
     def test_support_nesting_at_fixed_point(self):
         for seed in range(5):

@@ -58,6 +58,26 @@ def test_work_counters_are_totalled_not_compared():
     assert tool.compare(old, new)[0] == ["table2 seed 0: knot 0 field values differs"]
 
 
+def test_selector_picks_are_compared_bitwise():
+    tool = _tool()
+
+    def result(hbic):
+        return {("table1", 0): {"records": [], "p": 2, "terminated_at": None,
+                                "mbic": {"chosen_knot": 0}, "hbic": hbic}}
+
+    def pick(value):
+        return {"criterion": "hbic", "chosen_knot": 1, "chosen_lambda": 0.5,
+                "values": np.array([-1.0, value])}
+
+    assert tool.compare(result(pick(-2.0)), result(pick(-2.0))) == ([], [], 0)
+    assert tool.compare(result(pick(-2.0)), result(pick(np.nextafter(-2.0, 0.0))))[0] == [
+        "table1 seed 0: hbic values differs"]
+    raised = {"raised": "ZeroResidual"}
+    assert tool.compare(result(raised), result(dict(raised)))[0] == []
+    assert "table1 seed 0: hbic raised differs" in tool.compare(result(raised),
+                                                                result(pick(-2.0)))[0]
+
+
 def test_loc_counts_lines_a_code_token_touches():
     code_lines = _tool(LOC).code_lines
     assert code_lines('"""Module docstring."""\n') == 0

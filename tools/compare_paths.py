@@ -6,14 +6,15 @@ OLD and NEW are checkout roots, each with its own ``src/ssnpath`` and
 ``perfbench/``. For every workload and seed, each side fits instance
 (seed, index, 0) of ``perfbench/workloads.py`` in its own subprocess with its
 own ``src/`` first on ``sys.path``, walks the workload's path and selects a
-knot by mbic. The sides then must agree on every ``KnotRecord`` result field
-they both have (``dual`` read after the fit), ``p``, ``terminated_at`` and
-the mbic pick: same type, dtype, shape and bytes, so a flipped sign bit on a
-zero is a mismatch. Fields only one side has are listed, not compared. The
-work counters (``refreshes``, ``screened``, ``corrected``) measure cost, not
-the result: their per-workload totals are printed for both sides and never
-fail the run. The exit status is 1 on any mismatch and 0 when all knots
-match.
+knot by mbic and by hbic. The sides then must agree on every ``KnotRecord``
+result field they both have (``dual`` read after the fit), ``p``,
+``terminated_at`` and each pick both sides made: same type, dtype, shape and
+bytes, so a flipped sign bit on a zero is a mismatch. A selector that raises
+``ZeroResidual`` is compared by the exception's type. Fields only one side
+has are listed, not compared. The work counters (``refreshes``,
+``screened``, ``corrected``) measure cost, not the result: their
+per-workload totals are printed for both sides and never fail the run. The
+exit status is 1 on any mismatch and 0 when all knots match.
 
 ``--self-check`` plants a one-ulp change in NEW's last dual before
 comparing, so a working comparison must exit 1 and name it.
@@ -38,6 +39,9 @@ ALL_WORKLOADS = ("table1", "table2", "enet", "cd_small")
 # KnotRecord fields that count work; reported as totals, not compared.
 WORK_COUNTERS = ("refreshes", "screened", "corrected")
 
+# Selectors whose picks are compared, by their ssnpath.<name>_select function.
+SELECTORS = ("mbic", "hbic")
+
 
 def _seeds(text):
     """``"0-4"`` or ``"0,3,7"`` as a list of ints."""
@@ -53,7 +57,7 @@ def _dump(checkout, out, workloads, seeds):
     root = Path(checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import ssnpath
-    from ssnpath import mbic_select
+    from ssnpath import ZeroResidual
     from workloads import WORKLOADS
 
     if Path(ssnpath.__file__).resolve().parent != root / "src" / "ssnpath":
@@ -65,7 +69,13 @@ def _dump(checkout, out, workloads, seeds):
         for seed in seeds:
             prob, _ = wl.instance(seed, index[name], 0)
             path = wl.run_path(prob, wl.path_config(prob))
-            pick = mbic_select(prob, path)
+            picks = {}
+            for selector in SELECTORS:
+                try:
+                    pick = getattr(ssnpath, f"{selector}_select")(prob, path)
+                    picks[selector] = dataclasses.asdict(pick)
+                except ZeroResidual as exc:
+                    picks[selector] = {"raised": type(exc).__name__}
             records = []
             for rec in path.records:
                 fields = {
@@ -79,7 +89,7 @@ def _dump(checkout, out, workloads, seeds):
                 "records": records,
                 "p": path.p,
                 "terminated_at": path.terminated_at,
-                "mbic": dataclasses.asdict(pick),
+                **picks,
             }
     with open(out, "wb") as f:
         pickle.dump(results, f)
@@ -127,9 +137,10 @@ def compare(old, new):
         for name in ("p", "terminated_at"):
             if not same(a[name], b[name]):
                 bad.append(f"{label}: {name} {a[name]!r} != {b[name]!r}")
-        for name in a["mbic"]:
-            if not same(a["mbic"][name], b["mbic"][name]):
-                bad.append(f"{label}: mbic {name} differs")
+        for selector in (s for s in SELECTORS if s in a and s in b):
+            for name in sorted(a[selector].keys() | b[selector].keys()):
+                if not same(a[selector].get(name), b[selector].get(name)):
+                    bad.append(f"{label}: {selector} {name} differs")
         if len(a["records"]) != len(b["records"]):
             bad.append(f"{label}: {len(a['records'])} knots != {len(b['records'])}")
         for ra, rb in zip(a["records"], b["records"]):
