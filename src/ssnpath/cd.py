@@ -16,6 +16,7 @@ from functools import partial
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .kkt import refresh_dual, soft_threshold
 from .path import KnotRecord, PathResult, _sparsity_cap
 
@@ -36,7 +37,8 @@ def cd_solve(prob, lam, init=None, tol=1e-8, max_sweeps=1000):
 
     Stops when the largest coordinate change in a sweep is at most ``tol``.
     When ``max_sweeps`` is exhausted the best iterate is returned with
-    ``converged = False``; no exception is raised.
+    ``converged = False``; no exception is raised. An ``init`` not of
+    shape (p,) raises :class:`ssnpath.DimensionMismatch`.
     """
     if not prob.normalized:
         raise ValueError("coordinate descent requires normalized columns")
@@ -45,6 +47,8 @@ def cd_solve(prob, lam, init=None, tol=1e-8, max_sweeps=1000):
     n, p = prob.n, prob.p
     X = prob.X
     beta = np.zeros(p) if init is None else np.asarray(init, dtype=np.float64).copy()
+    if beta.shape != (p,):
+        raise DimensionMismatch(f"init of shape {beta.shape}, not ({p},)")
     r = prob.y - X @ beta
     shrink = n / (n + prob.alpha)
     for sweep in range(1, max_sweeps + 1):

@@ -17,7 +17,6 @@ solving.
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import io as pio
 from .datagen import SimConfig, make_instance, theory_check
 from .dual import cold_start
 from .errors import DimensionMismatch, SsnPathError
-from .io import _write_csv
+from .io import _write_csv, _write_json
 from .metrics import PRESETS, run_benchmark
 from .path import PathConfig, _default_gamma, _sparsity_cap, default_lambda0, solve_path
 from .problem import ProblemData, normalize, objective
@@ -36,8 +35,8 @@ from .solver import SsnConfig, ssn_solve
 _SIM_KEYS = {"n": int, "p": int, "rho": float, "nu": float, "sigma": float, "T": int}
 
 
-def _parse_sim(text):
-    """Parse 'n=200,p=1000,rho=0.1,sigma=0.01,T=5' into a SimConfig."""
+def _parse_sim(text, seed=0):
+    """Parse 'n=200,p=1000,rho=0.1,sigma=0.01,T=5' into a SimConfig with ``seed``."""
     fields = {}
     for item in text.split(","):
         if "=" not in item:
@@ -60,7 +59,7 @@ def _parse_sim(text):
         design, corr = "autocorr", fields["nu"]
     return SimConfig(
         n=fields["n"], p=fields["p"], design=design, corr=corr,
-        sigma=fields["sigma"], T=fields["T"],
+        sigma=fields["sigma"], T=fields["T"], seed=seed,
     )
 
 
@@ -121,7 +120,7 @@ def _cmd_path(args):
 
 
 def _cmd_simulate(args):
-    config = dataclasses.replace(_parse_sim(args.sim), seed=args.seed)
+    config = _parse_sim(args.sim, args.seed)
     prob, truth = make_instance(config)
     paths = pio.save_instance(args.out_dir, prob.X, prob.y, config, truth)
     print("wrote " + " ".join(paths))
@@ -129,16 +128,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_bench(args):
-    if (args.preset is None) == (args.sim is None):
-        raise ValueError("bench needs exactly one of --preset or --sim")
-    if args.preset is not None:
-        if args.preset not in PRESETS:
-            raise ValueError(
-                f"unknown preset {args.preset!r}; choices: {', '.join(sorted(PRESETS))}"
-            )
-        grid = PRESETS[args.preset]
-    else:
-        grid = [_parse_sim(args.sim)]
+    grid = PRESETS[args.preset] if args.preset is not None else [_parse_sim(args.sim)]
     records = run_benchmark(
         grid,
         solver=args.solver,
@@ -148,24 +138,16 @@ def _cmd_bench(args):
         num_knots=args.knots,
         max_inner=args.k,
     )
+    pio.write_metrics_csv(records, args.out or sys.stdout)
     if args.out:
-        pio.write_metrics_csv(records, args.out)
         print(f"wrote {len(records)} rows to {args.out}")
-    else:
-        pio.write_metrics_csv(records, sys.stdout)
     return 0
 
 
 def _cmd_check(args):
-    config = dataclasses.replace(_parse_sim(args.sim), seed=args.seed)
-    prob, truth = make_instance(config)
+    prob, truth = make_instance(_parse_sim(args.sim, args.seed))
     report = theory_check(prob, truth, force=args.force)
-    text = json.dumps(report.to_dict(), indent=2)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    _write_json(args.out or sys.stdout, dataclasses.asdict(report))
     return 0
 
 
@@ -216,9 +198,9 @@ def _build_parser():
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_bench = sub.add_parser("bench", help="run a simulation benchmark grid")
-    p_bench.add_argument("--preset", default=None,
-                         help=f"one of: {', '.join(sorted(PRESETS))}")
-    p_bench.add_argument("--sim", default=None, help="single custom cell (see simulate)")
+    grid_flags = p_bench.add_mutually_exclusive_group(required=True)
+    grid_flags.add_argument("--preset", choices=sorted(PRESETS))
+    grid_flags.add_argument("--sim", help="single custom cell (see simulate)")
     p_bench.add_argument("--reps", type=int, default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--solver", choices=("snap", "cdpath"), default="snap")

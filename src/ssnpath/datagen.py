@@ -29,7 +29,7 @@ bitwise against a reference generator written with those formulas.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,9 +222,6 @@ class TheoryReport:
     beta_min: float
     a2_holds: bool
     recovery_last_knot: int | None
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def theory_check(prob, truth, force=False):

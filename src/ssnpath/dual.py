@@ -78,7 +78,7 @@ class PrimalDualState:
     length-p dual, one ``X'u`` product, on the first read of ``dual``; its
     ``beta`` and its built ``dual`` are read-only, so the partition it reads
     from those numbers is the one its ``beta`` gives. Neither property can be
-    assigned; :meth:`copy` gives a state with writable vectors.
+    assigned.
 
     A solver-made state also holds the ``_Certificate`` of a reference: its own
     once its dual is built or tier 3 screened it, else the last reference's of
@@ -119,9 +119,6 @@ class PrimalDualState:
             raise ValueError("state vectors must be finite")
         dual.flags.writeable = False
         self._certificate = _Certificate(self._pinning, dual, err)
-
-    def copy(self):
-        return PrimalDualState(self.beta.copy(), self.dual.copy())
 
 
 class _Pinning:

@@ -1,17 +1,24 @@
-"""Plain-file formats: CSV matrices, vectors and result tables, and JSON instance sidecars.
+"""Plain-file formats: CSV matrices, vectors and result tables, and JSON documents.
+
+Every file the package writes goes through this module. The table and JSON
+writers take a path or an open text file (:func:`_text_out`).
 
 Matrices are rows of comma-separated decimals with no header; vectors, written
 by the same :func:`save_matrix`, are a single column. Result tables (path
 knots, path coefficients, benchmark metrics, the coefficients of one solve)
 all go through :func:`_write_csv`: a
 ``#schema=1`` comment line, a header line, then one comma-separated row per
-record, with floats written as ``.17g`` so they read back exactly. The
-sidecar written next to a simulated instance records the generating
-configuration and the ground truth so metrics can be recomputed later.
+record, with floats written as ``.17g`` so they read back exactly. JSON
+documents, the sidecar written next to a simulated instance and the CLI's
+``check`` report, go through :func:`_write_json`. The sidecar records the
+generating configuration and the ground truth so metrics can be recomputed
+later.
 """
 
+import dataclasses
 import json
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -29,6 +36,22 @@ def save_matrix(path, X):
     np.savetxt(path, np.asarray(X), delimiter=",", fmt="%.17g")
 
 
+@contextmanager
+def _text_out(file):
+    """Yield ``file`` itself when it has a ``write`` method, else ``file`` opened for writing."""
+    if hasattr(file, "write"):
+        yield file
+    else:
+        with open(file, "w") as f:
+            yield f
+
+
+def _write_json(file, obj):
+    """Write ``obj`` as JSON with two-space indent and one trailing newline."""
+    with _text_out(file) as f:
+        f.write(json.dumps(obj, indent=2) + "\n")
+
+
 def _write_csv(file, header, rows):
     """Write a schema-tagged CSV table to a path or an open text file.
 
@@ -38,19 +61,12 @@ def _write_csv(file, header, rows):
     Comment rows, such as ``#selector``, are rows whose first field starts
     with ``#``.
     """
-
-    def _write(f):
+    with _text_out(file) as f:
         f.write("#schema=1\n")
         f.write(header + "\n")
         for row in rows:
             f.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
             f.write("\n")
-
-    if hasattr(file, "write"):
-        _write(file)
-    else:
-        with open(file, "w") as f:
-            _write(f)
 
 
 def write_path_csv(result, file, coef_file=None, selector=None):
@@ -100,23 +116,12 @@ def save_instance(out_dir, X, y, config, truth):
     meta_path = os.path.join(out_dir, "instance.json")
     save_matrix(x_path, X)
     save_matrix(y_path, y)
-    meta = {
-        "sim": {
-            "n": config.n,
-            "p": config.p,
-            "design": config.design,
-            "corr": config.corr,
-            "sigma": config.sigma,
-            "T": config.T,
-            "seed": list(config.seed) if isinstance(config.seed, tuple) else config.seed,
-        },
+    _write_json(meta_path, {
+        "sim": dataclasses.asdict(config),
         "truth": {
             "support": [int(j) for j in truth.support],
             "values": [float(v) for v in truth.beta_true[truth.support]],
             "sigma": truth.sigma,
         },
-    }
-    with open(meta_path, "w") as f:
-        json.dump(meta, f, indent=2)
-        f.write("\n")
+    })
     return x_path, y_path, meta_path

@@ -159,8 +159,6 @@ def run_benchmark(
                 continue
             elapsed = time.perf_counter() - start
             rep = solution_metrics(beta_hat, truth)
-            # a correct model contains the true support
-            assert not rep.correct or set(truth.support) <= set(np.flatnonzero(beta_hat))
             rows.append((elapsed, rep.ms, 1.0 if rep.correct else 0.0, rep.ae, rep.re))
         # columns (time, ms, cm, ae, re), each as (mean, spread) in field order
         columns = list(zip(*rows)) or [()] * 5

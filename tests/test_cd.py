@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssnpath import (
+    DimensionMismatch,
     PathConfig,
     PrimalDualState,
     ProblemData,
@@ -84,6 +85,13 @@ class TestCdSolve:
         prob = ProblemData(np.eye(4), np.ones(4))
         with pytest.raises(ValueError, match="normalized"):
             cd_solve(prob, 0.1)
+
+    @pytest.mark.parametrize("shape", ["p+1", "(p,1)"])
+    def test_rejects_malformed_init(self, shape):
+        prob, _ = random_instance(12, 5, seed=3)
+        init = np.zeros(prob.p + 1) if shape == "p+1" else np.zeros((prob.p, 1))
+        with pytest.raises(DimensionMismatch, match=r"init of shape"):
+            cd_solve(prob, 0.1, init=init)
 
 
 class TestCdPath:

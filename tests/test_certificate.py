@@ -506,7 +506,8 @@ class TestCertificateConditions:
         assert out._certificate is None
         got = ssn_solve(other_prob, init, SsnConfig(lam=lam, shift=0.9 * lam, max_iter=4))
         state, iters, reason, active = eager_ssn_solve(
-            other_prob, init.copy(), lam, 0.9 * lam, 4, other_prob.n)
+            other_prob, PrimalDualState(init.beta.copy(), init.dual.copy()), lam, 0.9 * lam,
+            4, other_prob.n)
         assert 2 in active
         np.testing.assert_array_equal(got.active.active, active)
         assert _same_bits(got.state.beta, state.beta)
@@ -685,7 +686,7 @@ class TestLazyStateContract:
             state.beta[2] = 1.0
         with pytest.raises(ValueError):
             state.dual[2] = 1.0
-        copy = state.copy()
+        copy = PrimalDualState(state.beta.copy(), state.dual.copy())
         copy.beta[2] = copy.dual[2] = 1.0
 
     def test_beta_and_dual_cannot_be_assigned(self):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -320,7 +320,7 @@ class TestTheoryCheck:
 
     def test_report_serializes(self):
         prob, truth = random_instance(60, 25, seed=27, sigma=0.001, T=2)
-        d = theory_check(prob, truth).to_dict()
+        d = asdict(theory_check(prob, truth))
         assert set(d) == {
             "coherence", "t_times_coherence", "a1_holds", "lambda_u",
             "delta_u", "beta_min", "a2_holds", "recovery_last_knot",

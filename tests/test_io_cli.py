@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -67,6 +68,17 @@ class TestIo:
         np.testing.assert_array_equal(beta, truth.beta_true)
         assert meta["truth"]["sigma"] == truth.sigma
 
+    def test_instance_sidecar_bytes(self, tmp_path):
+        cfg = SimConfig(n=20, p=10, design="classical", corr=0.3, sigma=0.1, T=2, seed=(1, 2, 3))
+        prob, truth = make_instance(cfg)
+        _, _, meta_path = save_instance(tmp_path, prob.X, prob.y, cfg, truth)
+        sim = {"n": 20, "p": 10, "design": "classical", "corr": 0.3, "sigma": 0.1, "T": 2,
+               "seed": [1, 2, 3]}
+        values = [float(v) for v in truth.beta_true[truth.support]]
+        expected = {"sim": sim, "truth": {"support": [int(j) for j in truth.support],
+                                          "values": values, "sigma": 0.1}}
+        assert Path(meta_path).read_text() == json.dumps(expected, indent=2) + "\n"
+
 
 class TestCli:
     def test_path_command(self, tmp_path, csv_instance, capsys):
@@ -131,6 +143,17 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert set(report) >= {"coherence", "a1_holds", "a2_holds", "lambda_u"}
 
+    def test_check_stdout_and_out_file_bytes_agree(self, tmp_path, capsys):
+        argv = ["check", "--sim", "n=40,p=20,rho=0.3,sigma=0.01,T=2", "--seed", "5"]
+        assert cli_main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        assert cli_main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+        assert printed.endswith("}\n") and not printed.endswith("\n\n")
+        assert printed.splitlines()[1].startswith('  "coherence": ')
+
     def test_check_one_column_design(self, capsys):
         # log p = 0 puts the noise floor at 0, so no recovery grid exists
         code = cli_main(["check", "--sim", "n=20,p=1,rho=0.5,sigma=0.1,T=1"])
@@ -176,6 +199,18 @@ class TestCli:
             code = cli_main(["bench", "--sim", "n=50,p=100,rho=0.1,sigma=0.1,T=0", "--reps", "1"])
         assert code == 1 and fits == []
         assert capsys.readouterr().err.startswith("error: cell 0 (50 x 100) has T = 0")
+
+    @pytest.mark.parametrize("grid", [
+        ["--preset", "small", "--sim", "n=40,p=60,rho=0.1,sigma=0.05,T=2"],
+        ["--preset", "nope"],
+        [],
+    ], ids=["preset-and-sim", "unknown-preset", "neither"])
+    def test_bench_grid_usage_error_prints_usage_and_exits_one(self, capsys, grid):
+        fits = []
+        with mock.patch.object(metrics, "solve_path", side_effect=fits.append):
+            assert cli_main(["bench", *grid, "--reps", "1"]) == 1
+        assert fits == []
+        assert capsys.readouterr().err.startswith("usage: ssnpath bench ")
 
     def test_usage_errors_exit_one(self, capsys):
         assert cli_main(["path", "--x", "missing.csv"]) == 1  # missing required flags

@@ -1,5 +1,5 @@
 """``tools/compare_paths.py`` passes a checkout against itself and catches one ulp;
-``tools/loc.py`` counts the lines a code token touches."""
+``tools/loc.py`` counts the lines a code token touches and the names ``__all__`` lists."""
 
 import importlib.util
 import re
@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+import ssnpath
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_paths.py"
@@ -100,3 +102,17 @@ def test_loc_prints_per_file_counts_and_totals(tmp_path):
     rows = [line.split() for line in run.stdout.splitlines()[2:]]
     assert rows == [["3", "1", "src/ssnpath/a.py"], ["1", "0", "src/ssnpath/b.py"],
                     ["4", "1", "total"]]
+
+
+def test_loc_prints_the_number_of_public_names(tmp_path):
+    package = tmp_path / "src" / "ssnpath"
+    package.mkdir(parents=True)
+    # the module is parsed, not imported: its import would fail
+    (package / "__init__.py").write_text('from .missing import a, b\n__all__ = ["a", "b"]\n')
+    run = subprocess.run([sys.executable, str(LOC), str(tmp_path), str(ROOT)],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[2:5] == ["      2      2  src/ssnpath/__init__.py", "      2      2  total",
+                          "      2  names  ssnpath.__all__"]
+    assert lines[-1].split() == [str(len(ssnpath.__all__)), "names", "ssnpath.__all__"]

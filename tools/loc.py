@@ -1,11 +1,13 @@
-"""Count the lines of the package sources, all of them and those that carry code.
+"""Count the package's source lines, all of them and those that carry code, and its public names.
 
     python3 tools/loc.py [ROOT ...]
 
 For each checkout ROOT (default: this checkout) it prints, for every file in
 ``src/ssnpath/``, the line count ``wc -l`` reports and the number of code
-lines, then the totals. A code line is one that a token touches, other than
-a comment, a bare string statement (which covers docstrings), NL, NEWLINE,
+lines, then the totals, and then how many names ``ssnpath.__all__`` lists,
+read from ``__init__.py`` with ``ast`` and not imported (no line when the
+root has none). A code line is one that a token touches, other than a
+comment, a bare string statement (which covers docstrings), NL, NEWLINE,
 INDENT or DEDENT; a string spread over several lines touches each of them.
 """
 
@@ -44,6 +46,18 @@ def count(root):
     return rows
 
 
+def public_names(root):
+    """The number of names ``__all__`` lists in ``root/src/ssnpath/__init__.py``, or None."""
+    init = Path(root) / "src" / "ssnpath" / "__init__.py"
+    if init.exists():
+        for node in ast.parse(init.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                return len(node.value.elts)
+    return None
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("roots", nargs="*", default=[str(Path(__file__).resolve().parent.parent)],
@@ -55,6 +69,9 @@ def main(argv=None):
         for name, lines, code in rows:
             print(f"{lines:7d} {code:6d}  src/ssnpath/{name}")
         print(f"{sum(r[1] for r in rows):7d} {sum(r[2] for r in rows):6d}  total")
+        names = public_names(root)
+        if names is not None:
+            print(f"{names:7d} {'names':>6}  ssnpath.__all__")
 
 
 if __name__ == "__main__":
