@@ -45,7 +45,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch
-from .problem import _BLOCK_ENTRIES, _UNIT_ROUNDOFF, _gamma
+from .problem import _BLOCK_ENTRIES, _UNIT_ROUNDOFF, _columns_times, _gamma
 
 # Screened partitions compute at most this share of p candidate duals from
 # gathered columns. Gathering p/8 columns takes 0.3-0.5 of one full X'u at the
@@ -74,7 +74,8 @@ class PrimalDualState:
     The dual tracks (X'y - G beta)/n with G = X'X + alpha I; see
     :func:`ssnpath.kkt.refresh_dual`. A state built by the constructor holds
     both vectors as given. A state made by :func:`ssnpath.ssn_update` holds
-    only the O(n + |A|) numbers its update left (``_Pinning``) and builds the
+    only the O(n + |A|) numbers its update left (``_Pinning``), plus its
+    |A| x |A| Gram block until the next update takes it, and builds the
     length-p dual, one ``X'u`` product, on the first read of ``dual``; its
     ``beta`` and its built ``dual`` are read-only, so the partition it reads
     from those numbers is the one its ``beta`` gives. Neither property can be
@@ -125,6 +126,9 @@ class _Pinning:
     """What an active-set update leaves: its dual is ``dual`` on ``active`` and
     (X'y - X'u)/n elsewhere, with ``u = X_A beta`` for the coefficients ``beta``.
 
+    ``gram`` is the block X_A'X_A + alpha I the update solved with, kept for
+    the next update until one releases it (:func:`held_gram`); None after that.
+
     ``err`` bounds the rounding error of every built dual entry off
     ``active``, measured from the exact (X_j'y - X_j'u)/n of the stored u:
     2 gamma_{n+|A|+4} c (||y|| + 2 c ||beta||_1)/n with c = ``max_col_norm``,
@@ -133,14 +137,15 @@ class _Pinning:
     The outer factor 2 also covers the rounding of evaluating the bound.
     """
 
-    __slots__ = ("prob", "active", "beta", "dual", "u", "err")
+    __slots__ = ("prob", "active", "beta", "dual", "u", "err", "gram")
 
-    def __init__(self, prob, active, beta, dual, u):
+    def __init__(self, prob, active, beta, dual, u, gram):
         self.prob = prob
         self.active = active
         self.beta = beta
         self.dual = dual
         self.u = u
+        self.gram = gram
         n, c = prob.n, prob.max_col_norm
         size = math.sqrt(prob.y @ prob.y) + 2.0 * c * float(np.abs(beta).sum())
         self.err = 2.0 * _gamma(n + active.shape[0] + 4) * c * size / n
@@ -158,15 +163,16 @@ class _Certificate:
 def _pinned_dual(prob, A, beta_A, dual_A, u=None):
     """The dual an update on active set ``A`` leaves: ``dual_A`` on A, refreshed off it.
 
-    Off A the dual is (X'y - X'u)/n with u = X_A beta_A (computed here when not
-    given); the ridge term vanishes there because the off-active beta is zero.
+    Off A the dual is (X'y - X'u)/n with u = X_A beta_A (computed here, one
+    row block at a time as the update computes it, when not given); the
+    ridge term vanishes there because the off-active beta is zero.
     With A empty this is X'y/n, the cold-start dual, and takes no product.
     Knot records rebuild their dual bitwise through this function.
     """
     if A.shape[0] == 0:
         return prob.xty / prob.n
     if u is None:
-        u = prob.X[:, A] @ beta_A
+        u = _columns_times(prob.X, A, beta_A)
     dual = (prob.xty - prob.X.T @ u) / prob.n
     dual[A] = dual_A
     return dual
@@ -177,8 +183,9 @@ def cold_start(prob):
     return PrimalDualState(np.zeros(prob.p), prob.xty / prob.n)
 
 
-def updated_state(prob, state, A, beta_A, dual_A, u):
-    """The state an update from ``state`` left: ``beta_A``, ``dual_A`` on ``A``, u = X_A beta_A.
+def updated_state(prob, state, A, beta_A, dual_A, gram):
+    """The state an update from ``state`` left: ``beta_A`` and ``dual_A`` on ``A``, and the
+    Gram block ``gram`` it solved with. u = X_A beta_A is computed as :func:`_pinned_dual` does.
 
     It carries ``state``'s certificate when that was built on ``prob``
     itself: a certificate's dual screens the duals of its own data only.
@@ -192,8 +199,25 @@ def updated_state(prob, state, A, beta_A, dual_A, u):
     beta.flags.writeable = False
     new = object.__new__(PrimalDualState)
     new._beta, new._dual, new._certificate = beta, None, cert
-    new._pinning = _Pinning(prob, A, beta_A, dual_A, u)
+    new._pinning = _Pinning(prob, A, beta_A, dual_A, _columns_times(prob.X, A, beta_A), gram)
     return new
+
+
+def held_gram(prob, state, A, release=False):
+    """The Gram block of the update that made ``state`` if it ran on ``prob`` with active set ``A``.
+
+    None when there is no such block: ``state`` is not solver-made, its
+    update ran on other data or another active set, or the block was
+    released. With ``release``, ``state`` gives its block up either way, so
+    an update that takes it leaves at most one block alive.
+    """
+    pin = state._pinning
+    if pin is None:
+        return None
+    gram = pin.gram if pin.prob is prob and np.array_equal(pin.active, A) else None
+    if release:
+        pin.gram = None
+    return gram
 
 
 def support(state):

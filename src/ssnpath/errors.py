@@ -24,7 +24,7 @@ class NoiseTooLarge(SsnPathError, ValueError):
 
 
 class CgBreakdown(SsnPathError, RuntimeError):
-    """Vanishing curvature or a singular Gram block in the restricted solve (alpha = 0)."""
+    """The restricted solve found its Gram block singular (alpha = 0, duplicated active columns)."""
 
 
 class ZeroResidual(SsnPathError, ValueError):

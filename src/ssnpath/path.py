@@ -103,9 +103,10 @@ class KnotRecord:
     return that same array, and an in-place edit or an assignment persists.
     ``refreshes`` is the number of full ``X'u`` products the knot's
     partitions spent building duals, ``screened`` the columns whose duals
-    they computed one by one instead and ``corrected`` their float32
-    correction passes (see :class:`ssnpath.SsnOutcome`); all are 0 for
-    records that come from no partition.
+    they computed one by one instead, ``corrected`` their float32
+    correction passes and ``reused`` the updates that solved with the Gram
+    block the update before them left (see :class:`ssnpath.SsnOutcome`);
+    all are 0 for records that come from no partition.
     """
 
     t: int
@@ -119,6 +120,7 @@ class KnotRecord:
     refreshes: int = field(default=0, kw_only=True)
     screened: int = field(default=0, kw_only=True)
     corrected: int = field(default=0, kw_only=True)
+    reused: int = field(default=0, kw_only=True)
 
     @cached_property
     def dual(self):
@@ -272,6 +274,7 @@ def solve_path(prob, config):
                 refreshes=out.refreshes,
                 screened=out.screened,
                 corrected=out.corrected,
+                reused=out.reused,
             )
         )
         state = out.state

@@ -118,6 +118,21 @@ def _column_blocks(X):
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
+def _row_blocks(X, cols):
+    """Blocks ``X[rows, cols]`` for row slices that cover ``X`` in order.
+
+    Each holds about ``_BLOCK_ENTRIES`` entries, and at least one row.
+    """
+    height = max(1, _BLOCK_ENTRIES // max(cols.shape[0], 1))
+    for start in range(0, X.shape[0], height):
+        yield X[start : start + height, cols]
+
+
+def _columns_times(X, cols, x):
+    """``X[:, cols] @ x``, one row block at a time, so the n x |cols| gather is never made whole."""
+    return np.concatenate([block @ x for block in _row_blocks(X, cols)])
+
+
 def _block_norms(block):
     """Column norms of one block, summed in the order ``np.linalg.norm(axis=0)`` uses."""
     return np.sqrt(np.add.reduce(block * block, axis=0))

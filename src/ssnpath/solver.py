@@ -12,12 +12,17 @@ active set and its dual, so stopping costs no matrix-vector product; how far
 a returned state is from stationarity is measured separately by
 :func:`ssnpath.kkt.kkt_residual`.
 
-The restricted system G_AA x = rhs is solved by a fixed policy, not a
-setting: active sets of at most ``DIRECT_MAX`` coordinates go through a dense
-factorization; larger ones through conjugate gradients to relative residual
-``CG_TOL``, warm started from the previous coefficients on the active set,
-with the iteration count capped at max(1, p // (2|A|)) so one outer
-iteration stays O(np).
+Every update solves its restricted system G x = rhs, with the block
+G = X_A'X_A + alpha I, exactly by a dense factorization (``np.linalg.solve``),
+as the one-step local convergence of the Newton update needs. Forming G
+costs O(n|A|^2), so G is kept on the state the update leaves and reused by
+the next update when that one runs on the same problem with an equal active
+set, as about 60% of the updates on the benchmark's shifted paths do (see
+:func:`ssnpath.dual.held_gram`). A fresh G and the product u = X_A beta_A
+are each summed one row block of X[:, A] at a time, so the n x |A| gather is
+never made whole and at most one block is alive along a solve. A block the
+factorization finds singular (alpha = 0 with duplicated active columns)
+raises :class:`ssnpath.CgBreakdown`.
 """
 
 import enum
@@ -26,13 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual import ActivePartition, PrimalDualState, active_partition, support, updated_state
+from .dual import (ActivePartition, PrimalDualState, active_partition, held_gram, support,
+                   updated_state)
 from .errors import CgBreakdown, DimensionMismatch
-
-
-# The restricted-solve policy of the module docstring.
-DIRECT_MAX = 32
-CG_TOL = 1e-12
+from .problem import _row_blocks
 
 
 class StopReason(enum.Enum):
@@ -74,7 +76,8 @@ class SsnOutcome:
     spent building duals they could not be read without; ``screened`` counts
     the columns whose duals they computed one by one instead, and
     ``corrected`` their float32 correction passes (see
-    :class:`ssnpath.ActivePartition`).
+    :class:`ssnpath.ActivePartition`); ``reused`` counts the updates that
+    solved with the Gram block the update before them left.
     """
 
     state: PrimalDualState
@@ -84,10 +87,16 @@ class SsnOutcome:
     refreshes: int
     screened: int = field(default=0, kw_only=True)
     corrected: int = field(default=0, kw_only=True)
+    reused: int = field(default=0, kw_only=True)
 
 
 def _cg(matvec, rhs, x0, tol, max_iter, curvature_floor):
-    """Conjugate gradients with a hard iteration cap and a breakdown guard."""
+    """Conjugate gradients with a hard iteration cap and a breakdown guard.
+
+    Nothing in the package calls this: the benchmark's tracer wraps it by
+    name and its self-test deletes it, so it stays until the benchmark does
+    neither.
+    """
     x = x0.copy()
     r = rhs - matvec(x)
     rhs_norm = float(np.linalg.norm(rhs))
@@ -114,26 +123,20 @@ def _cg(matvec, rhs, x0, tol, max_iter, curvature_floor):
     return x
 
 
-def _solve_restricted(prob, XA, rhs, x0):
-    """Solve (X_A'X_A + alpha I) x = rhs for the active columns ``XA = X[:, A]``."""
-    a = XA.shape[1]
-    if a <= DIRECT_MAX:
-        G = XA.T @ XA
-        G[np.diag_indices_from(G)] += prob.alpha
-        try:
-            return np.linalg.solve(G, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise CgBreakdown(f"restricted Gram block is singular: {exc}") from exc
+def _solve_restricted(prob, A, rhs, gram=None):
+    """``(x, G)``: the exact solution of G x = rhs with G = X_A'X_A + alpha I, and G.
 
-    def matvec(v):
-        out = XA.T @ (XA @ v)
-        if prob.alpha != 0.0:
-            out += prob.alpha * v
-        return out
-
-    # Diagonal entries of the Gram block equal n on normalized data, so this
-    # floor flags only genuinely null directions.
-    return _cg(matvec, rhs, x0, CG_TOL, max(1, prob.p // (2 * a)), curvature_floor=1e-14 * prob.n)
+    ``gram`` is G when the caller holds it; otherwise G is summed over row
+    blocks of X[:, A].
+    """
+    if gram is None:
+        gram = prob.alpha * np.eye(A.shape[0])
+        for block in _row_blocks(prob.X, A):
+            gram += block.T @ block
+    try:
+        return np.linalg.solve(gram, rhs), gram
+    except np.linalg.LinAlgError as exc:
+        raise CgBreakdown(f"restricted Gram block is singular: {exc}") from exc
 
 
 def _check_length(prob, state):
@@ -148,28 +151,26 @@ def ssn_update(prob, state, part, lam, shift=0.0):
     :func:`ssnpath.dual.active_partition` returns it. Sets beta to zero off the
     active set, pins the active dual to (lam - shift) * sign(beta + dual)
     using the incoming state's signs, and solves the restricted system for
-    the active coefficients (warm started from the incoming beta). The
-    inactive dual is built when first read; the new state carries the
-    incoming state's certificate when that was built on ``prob`` itself (see
-    :class:`ssnpath.PrimalDualState`).
+    the active coefficients exactly, with the Gram block the incoming state
+    holds when its update ran on ``prob`` with the same active set (the
+    incoming state gives its block up either way). The inactive dual is built
+    when first read; the new state carries the incoming state's certificate
+    when that was built on ``prob`` itself (see :class:`ssnpath.PrimalDualState`).
 
     Raises
     ------
     DimensionMismatch
         If ``state`` is not of length p.
     CgBreakdown
-        If the restricted solve hits vanishing curvature (alpha = 0 with a
-        rank-deficient active block).
+        If the factorization finds the restricted Gram block singular
+        (alpha = 0 with duplicated active columns).
     """
     _check_length(prob, state)
     A = part.active
-    signs = np.sign(state.beta[A] + part.dual)
-    dual_active = (lam - shift) * signs
+    dual_active = (lam - shift) * np.sign(state.beta[A] + part.dual)
     rhs = prob.xty[A] - prob.n * dual_active
-    XA = prob.X[:, A]
-    beta_active = _solve_restricted(prob, XA, rhs, state.beta[A])
-    u = XA @ beta_active
-    return updated_state(prob, state, A, beta_active, dual_active, u)
+    beta_active, gram = _solve_restricted(prob, A, rhs, held_gram(prob, state, A, release=True))
+    return updated_state(prob, state, A, beta_active, dual_active, gram)
 
 
 def ssn_solve(prob, init, config):
@@ -187,20 +188,21 @@ def ssn_solve(prob, init, config):
     -------
     SsnOutcome
         Final state, number of updates performed, stop reason, the final
-        partition, and the dual builds, screened columns and float32
-        correction passes it paid for. A
+        partition, the dual builds, screened columns and float32
+        correction passes it paid for, and how many updates reused a Gram
+        block. A
         sparsity-cap trip is reported as a normal outcome with
         ``StopReason.SPARSITY_CAP`` and the last state below the cap.
     """
     _check_length(prob, init)
     state = init
     prev_active = support(init)
-    refreshes = screened = corrected = 0
+    refreshes = screened = corrected = reused = 0
 
     def outcome(reason):
         # each pass of the loop returns or makes one update, so k counts them
         return SsnOutcome(state, k, reason, part, refreshes, screened=screened,
-                          corrected=corrected)
+                          corrected=corrected, reused=reused)
 
     for k in range(config.max_iter + 1):
         part = active_partition(state, config.lam)
@@ -223,6 +225,7 @@ def ssn_solve(prob, init, config):
                 return outcome(StopReason.ACTIVE_SET_REPEATED)
         if k >= config.max_iter:
             return outcome(StopReason.MAX_ITER)
+        reused += held_gram(prob, state, part.active) is not None
         state = ssn_update(prob, state, part, config.lam, config.shift)
         prev_active = part.active
     raise AssertionError("unreachable: loop always returns at k == max_iter")

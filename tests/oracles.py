@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ssnpath import PrimalDualState, ProblemData, SsnPathError, cd_solve, soft_threshold_vec
+from ssnpath.problem import _columns_times
 from ssnpath.solver import _solve_restricted
 
 # assemble_newton_matrix is for verification only; refuse matrices beyond this
@@ -145,10 +146,8 @@ def eager_ssn_update(prob, state, active, lam, shift):
         return PrimalDualState(beta, prob.xty / prob.n)
     dual_active = (lam - shift) * np.sign(state.beta[active] + state.dual[active])
     rhs = prob.xty[active] - prob.n * dual_active
-    beta[active] = beta_active = _solve_restricted(
-        prob, prob.X[:, active], rhs, state.beta[active]
-    )
-    dual = (prob.xty - prob.X.T @ (prob.X[:, active] @ beta_active)) / prob.n
+    beta[active] = beta_active = _solve_restricted(prob, active, rhs)[0]
+    dual = (prob.xty - prob.X.T @ _columns_times(prob.X, active, beta_active)) / prob.n
     dual[active] = dual_active
     return PrimalDualState(beta, dual)
 

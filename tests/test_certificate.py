@@ -607,9 +607,11 @@ class TestCorrectionBound:
     def _state(prob, u, u_ref, ref_dual, err_ref):
         """An unbuilt state on A = {0} with u, screened against a reference on A = {0}."""
         A = np.array([0])
-        ref = lazy_dual._Pinning(prob, A, np.array([1.0]), ref_dual[A], u_ref)
+        ref = lazy_dual._Pinning(prob, A, np.array([1.0]), ref_dual[A], u_ref, None)
         cert = lazy_dual._Certificate(ref, ref_dual, err_ref)
-        state = lazy_dual.updated_state(prob, cold_start(prob), A, np.array([1.0]), ref_dual[A], u)
+        state = lazy_dual.updated_state(prob, cold_start(prob), A, np.array([1.0]), ref_dual[A],
+                                        None)
+        state._pinning.u = u
         state._certificate = cert
         return state
 

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import ssnpath
 from ssnpath import (
+    PRESETS,
     DegenerateResponse,
     NoiseTooLarge,
     PathConfig,
@@ -19,6 +21,7 @@ from ssnpath import (
     default_lambda0,
     grid_floor_index,
     kkt_residual,
+    make_instance,
     mbic_select,
     sign_recovery_config,
     soft_threshold_vec,
@@ -243,6 +246,39 @@ class TestSolvePath:
                 seen += 1
                 assert kkt_residual(prob, rec.state(prob.p), rec.lam).norm_inf <= 1e-8
         assert seen > 0
+
+    def test_elastic_net_pick_is_stationary(self):
+        # the table1 cell at alpha = 0.1 n, seed (1466602153, 2, 79): with
+        # conjugate-gradient restricted solves, the mbic pick (knot 42) stopped
+        # on active_set_repeated at a KKT residual of 1.05e-4 (2e-4 lam)
+        cell = replace(PRESETS["table1"][0], seed=(1466602153, 2, 79))
+        prob, _ = make_instance(cell, alpha=0.1 * cell.n)
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=1e-3 ** (1 / 99), num_knots=100,
+                         max_inner=5)
+        path = solve_path(prob, cfg)
+        k = mbic_select(prob, path).chosen_knot
+        rec = path.records[k]
+        assert (k, rec.stop_reason) == (42, "active_set_repeated")
+        assert kkt_residual(prob, rec.state(prob.p), rec.lam).norm_inf <= 1e-6 * rec.lam
+
+    def test_reused_counts_updates_that_repeat_the_last_active_set(self, monkeypatch):
+        # along a path every update starts from the last update's output, so
+        # each update on the active set of the one before it reuses its block
+        prob, _ = random_instance(60, 120, alpha=0.1, seed=17, T=8)
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.9, num_knots=40, max_inner=3)
+        sets = []
+        update = ssnpath.solver.ssn_update
+
+        def recording(prob, state, part, *args):
+            sets.append(part.active)
+            return update(prob, state, part, *args)
+
+        monkeypatch.setattr(ssnpath.solver, "ssn_update", recording)
+        path = solve_path(prob, cfg)
+        assert path.terminated_at is None
+        repeats = sum(np.array_equal(a, b) for a, b in zip(sets, sets[1:]))
+        assert sum(rec.reused for rec in path.records) == repeats > 0
+        assert sum(rec.iterations for rec in path.records) == len(sets) > repeats
 
     def test_sparsity_cap_truncates(self):
         prob, _ = random_instance(20, 60, seed=12, T=10, sigma=0.1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ssnpath import (
     ssn_update,
 )
 from ssnpath import solver
+from ssnpath.dual import held_gram
 from conftest import random_instance
 from oracles import eager_ssn_solve, newton_step_dense
 
@@ -96,30 +99,71 @@ class TestSsnUpdate:
 
 
 class TestSolveRestricted:
-    def test_direct_solve_up_to_threshold_then_budgeted_cg(self, monkeypatch):
-        prob, _ = random_instance(80, 200, alpha=0.1, seed=21)
-        rng = np.random.default_rng(21)
+    @pytest.mark.parametrize("size", [1, 32, 33, 60])
+    def test_exact_at_every_size(self, monkeypatch, size):
+        # n = 600 puts a 60-column block past one row block (546 rows)
+        prob, _ = random_instance(600, 200, alpha=0.1, seed=21)
+        rng = np.random.default_rng(size)
         calls = []
-        real_cg = solver._cg
-
-        def recording_cg(matvec, rhs, x0, tol, max_iter, curvature_floor):
-            calls.append((tol, max_iter))
-            return real_cg(matvec, rhs, x0, tol, max_iter, curvature_floor)
-
-        monkeypatch.setattr(solver, "_cg", recording_cg)
-
-        A = np.arange(32)
-        rhs = rng.standard_normal(A.size)
+        monkeypatch.setattr(solver, "_cg", lambda *args, **kwargs: calls.append(args))
+        A = np.sort(rng.choice(prob.p, size, replace=False))
+        rhs = rng.standard_normal(size)
         XA = prob.X[:, A]
-        G = XA.T @ XA
-        G[np.diag_indices_from(G)] += prob.alpha
-        x = solver._solve_restricted(prob, XA, rhs, np.zeros(A.size))
-        np.testing.assert_array_equal(x, np.linalg.solve(G, rhs))
+        G = XA.T @ XA + prob.alpha * np.eye(size)
+        x, gram = solver._solve_restricted(prob, A, rhs)
+        np.testing.assert_allclose(gram, G, rtol=0, atol=1e-12 * prob.n)
+        np.testing.assert_array_equal(x, np.linalg.solve(gram, rhs))
+        np.testing.assert_allclose(G @ x, rhs, rtol=0, atol=1e-10 * np.abs(rhs).max())
+        assert solver._solve_restricted(prob, A, rhs, gram)[1] is gram
         assert calls == []
 
-        A = np.arange(33)
-        solver._solve_restricted(prob, prob.X[:, A], rng.standard_normal(A.size), np.zeros(A.size))
-        assert calls == [(1e-12, max(1, prob.p // 66))]
+    def test_repeated_active_set_reuses_the_block_bitwise(self):
+        prob, _ = random_instance(600, 200, alpha=0.1, seed=22, T=40)
+        lam = 0.1 * float(np.max(np.abs(prob.xty))) / prob.n
+        state, prev = cold_start(prob), None
+        for _ in range(20):
+            part = active_partition(state, lam)
+            if prev is not None and np.array_equal(part.active, prev):
+                break
+            state, prev = ssn_update(prob, state, part, lam), part.active
+        else:
+            pytest.fail("no active set repeated")
+        assert part.size > 33
+        block = held_gram(prob, state, part.active)
+        assert block is not None
+        fresh = PrimalDualState(state.beta.copy(), state.dual.copy())
+        out = ssn_update(prob, state, part, lam, shift=0.5 * lam)
+        ref = ssn_update(prob, fresh, part, lam, shift=0.5 * lam)
+        assert held_gram(prob, state, part.active) is None
+        assert held_gram(prob, out, part.active) is block
+        assert out.beta.tobytes() == ref.beta.tobytes()
+        assert out.dual.tobytes() == ref.dual.tobytes()
+
+    def test_block_is_held_only_for_its_own_problem_and_active_set(self):
+        prob, _ = random_instance(40, 30, alpha=0.1, seed=23)
+        state = PrimalDualState(np.zeros(prob.p), np.where(np.arange(prob.p) < 5, 2.0, 0.0))
+        out = ssn_update(prob, state, active_partition(state, 1.0), 1.0)
+        A = np.arange(5)
+        assert held_gram(prob, out, A) is not None
+        assert held_gram(prob, out, A[:4]) is None
+        other = ProblemData(prob.X, prob.y, alpha=0.2)
+        assert held_gram(other, out, A) is None
+
+    def test_update_peak_stays_below_one_active_gather(self):
+        # 8 n k bytes is the n x k gather X[:, A]; a row block holds 327 rows
+        n, k = 2000, 100
+        rng = np.random.default_rng(24)
+        prob = ProblemData(rng.standard_normal((n, 2 * k)), rng.standard_normal(n), alpha=1.0)
+        state = PrimalDualState(np.zeros(2 * k), np.where(np.arange(2 * k) < k, 2.0, 0.0))
+        part = active_partition(state, 1.0)
+        assert part.size == k
+        tracemalloc.start()
+        try:
+            ssn_update(prob, state, part, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * k
 
 
 class TestSsnSolve:

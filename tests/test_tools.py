@@ -1,5 +1,6 @@
-"""``tools/compare_paths.py`` passes a checkout against itself and catches one ulp;
-``tools/loc.py`` counts the lines a code token touches and the names ``__all__`` lists."""
+"""``tools/compare_paths.py`` passes a checkout against itself and catches one ulp, and its
+``--models`` mode catches a sign flip; ``tools/loc.py`` counts the lines a code token touches
+and the names ``__all__`` lists."""
 
 import importlib.util
 import re
@@ -36,9 +37,11 @@ def test_compare_paths_on_this_checkout():
     for name in ("table1", "enet"):
         work = re.search(rf"^work {name}: refreshes OLD (\d+) NEW (\d+); "
                          rf"screened OLD (\d+) NEW (\d+); "
-                         rf"corrected OLD (\d+) NEW (\d+)$", same.stdout, re.M)
+                         rf"corrected OLD (\d+) NEW (\d+); "
+                         rf"reused OLD (\d+) NEW (\d+)$", same.stdout, re.M)
         assert work, same.stdout
-        assert work[1] == work[2] and work[3] == work[4] and work[5] == work[6]
+        assert all(work[i] == work[i + 1] for i in range(1, 9, 2))
+    assert int(re.search(r"^work table1: .*reused OLD (\d+)", same.stdout, re.M)[1]) > 0
     planted = _run("--workloads", "table1", "--self-check")
     assert planted.returncode == 1, planted.stdout + planted.stderr
     assert "MISMATCH table1 seed 0: knot 99 field dual differs" in planted.stdout
@@ -78,6 +81,41 @@ def test_selector_picks_are_compared_bitwise():
     assert tool.compare(result(raised), result(dict(raised)))[0] == []
     assert "table1 seed 0: hbic raised differs" in tool.compare(result(raised),
                                                                 result(pick(-2.0)))[0]
+
+
+def test_compare_models_on_this_checkout():
+    same = _run("--workloads", "table1", "--models")
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert "models table1: largest relative coefficient gap 0\n" in same.stdout
+    assert same.stdout.splitlines()[-1] == "1 paths, 100 knots: same models"
+    planted = _run("--workloads", "table1", "--models", "--self-check")
+    assert planted.returncode == 1, planted.stdout + planted.stderr
+    assert "MISMATCH table1 seed 0: knot 99 signs differ" in planted.stdout
+
+
+def test_models_compare_supports_signs_stops_and_picks_not_bits():
+    tool = _tool()
+
+    def result(values, indices=(1, 3), stop="active_set_repeated", pick=1, terminated_at=None):
+        record = {"t": 0, "lam": 0.5, "indices": np.array(indices), "values": np.array(values),
+                  "stop_reason": stop, "dual": np.zeros(4)}
+        return {("table1", 0): {"records": [record], "p": 4, "terminated_at": terminated_at,
+                                "mbic": {"chosen_knot": pick}, "hbic": {"raised": "ZeroResidual"}}}
+
+    old = result([2.0, -1.0])
+    bad, gaps, knots = tool.compare_models(old, result([2.0, -1.0 + 2.0**-40]))
+    assert (bad, knots) == ([], 1)
+    assert gaps == {"table1": 2.0**-41}
+    label = "table1 seed 0"
+    assert tool.compare_models(old, result([2.0, 1.0]))[0] == [f"{label}: knot 0 signs differ"]
+    assert tool.compare_models(old, result([2.0, -1.0], indices=(1, 2)))[0] == [
+        f"{label}: knot 0 supports differ"]
+    assert tool.compare_models(old, result([2.0, -1.0], stop="max_iter"))[0] == [
+        f"{label}: knot 0 stop_reason 'active_set_repeated' != 'max_iter'"]
+    assert tool.compare_models(old, result([2.0, -1.0], pick=0))[0] == [
+        f"{label}: mbic picks 1 != 0"]
+    assert tool.compare_models(old, result([2.0, -1.0], terminated_at=1))[0] == [
+        f"{label}: terminated_at None != 1"]
 
 
 def test_loc_counts_lines_a_code_token_touches():

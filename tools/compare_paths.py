@@ -1,6 +1,6 @@
-"""Check that two checkouts fit bitwise-identical paths on the benchmark workloads.
+"""Compare the paths two checkouts fit on the benchmark workloads, bit for bit or model by model.
 
-    python3 tools/compare_paths.py OLD NEW [--seeds 0-4] [--workloads table1,enet]
+    python3 tools/compare_paths.py OLD NEW [--seeds 0-4] [--workloads table1,enet] [--models]
 
 OLD and NEW are checkout roots, each with its own ``src/ssnpath`` and
 ``perfbench/``. For every workload and seed, each side fits instance
@@ -12,12 +12,21 @@ result field they both have (``dual`` read after the fit), ``p``,
 bytes, so a flipped sign bit on a zero is a mismatch. A selector that raises
 ``ZeroResidual`` is compared by the exception's type. Fields only one side
 has are listed, not compared. The work counters (``refreshes``,
-``screened``, ``corrected``) measure cost, not the result: their
+``screened``, ``corrected``, ``reused``) measure cost, not the result: their
 per-workload totals are printed for both sides and never fail the run. The
 exit status is 1 on any mismatch and 0 when all knots match.
 
+``--models`` compares the fitted models instead of their bits, for a change
+that moves coefficients by rounding: each knot's ``t``, ``lam``, support
+(``indices``), coefficient signs and ``stop_reason``, and each path's ``p``,
+``terminated_at`` and the knot each selector picked (or the exception it
+raised) must be equal. The largest relative coefficient gap,
+max |b - a| / max |a| over a knot's coefficients where the supports agree,
+is printed per workload and never fails the run.
+
 ``--self-check`` plants a one-ulp change in NEW's last dual before
-comparing, so a working comparison must exit 1 and name it.
+comparing (with ``--models``, a sign flip of NEW's last nonzero
+coefficient), so a working comparison must exit 1 and name it.
 
 Neither checkout is written: the children import the workloads with
 bytecode caching off.
@@ -37,7 +46,7 @@ import numpy as np
 ALL_WORKLOADS = ("table1", "table2", "enet", "cd_small")
 
 # KnotRecord fields that count work; reported as totals, not compared.
-WORK_COUNTERS = ("refreshes", "screened", "corrected")
+WORK_COUNTERS = ("refreshes", "screened", "corrected", "reused")
 
 # Selectors whose picks are compared, by their ssnpath.<name>_select function.
 SELECTORS = ("mbic", "hbic")
@@ -154,6 +163,48 @@ def compare(old, new):
     return bad, sorted(notes), knots
 
 
+def _signs(values):
+    return np.sign(np.asarray(values)).astype(np.int8)
+
+
+def _picked(pick):
+    """The knot a selector picked, or the name of the exception it raised."""
+    return pick.get("chosen_knot", pick.get("raised"))
+
+
+def compare_models(old, new):
+    """(mismatch lines, {workload: largest relative coefficient gap}, knots compared)."""
+    bad, gaps, knots = [], {}, 0
+    for key in old:
+        label = "{} seed {}".format(*key)
+        a, b = old[key], new[key]
+        for name in ("p", "terminated_at"):
+            if a[name] != b[name]:
+                bad.append(f"{label}: {name} {a[name]!r} != {b[name]!r}")
+        for selector in (s for s in SELECTORS if s in a and s in b):
+            pa, pb = (_picked(side[selector]) for side in (a, b))
+            if pa != pb:
+                bad.append(f"{label}: {selector} picks {pa!r} != {pb!r}")
+        if len(a["records"]) != len(b["records"]):
+            bad.append(f"{label}: {len(a['records'])} knots != {len(b['records'])}")
+        gap = gaps.setdefault(key[0], 0.0)
+        for ra, rb in zip(a["records"], b["records"]):
+            knots += 1
+            for name in ("t", "lam", "stop_reason"):
+                if ra[name] != rb[name]:
+                    bad.append(f"{label}: knot {ra['t']} {name} {ra[name]!r} != {rb[name]!r}")
+            if not same(ra["indices"], rb["indices"]):
+                bad.append(f"{label}: knot {ra['t']} supports differ")
+                continue
+            if not same(_signs(ra["values"]), _signs(rb["values"])):
+                bad.append(f"{label}: knot {ra['t']} signs differ")
+            va, vb = np.asarray(ra["values"]), np.asarray(rb["values"])
+            if va.size:
+                gap = max(gap, float(np.max(np.abs(vb - va)) / np.max(np.abs(va))))
+        gaps[key[0]] = gap
+    return bad, gaps, knots
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", nargs=2, metavar=("CHECKOUT", "OUT"), help=argparse.SUPPRESS)
@@ -162,8 +213,11 @@ def main(argv=None):
     parser.add_argument("--seeds", default="0-4", help="e.g. 0-4 or 0,7 (default 0-4)")
     parser.add_argument("--workloads", default=",".join(ALL_WORKLOADS),
                         help="comma-separated workload names (default: all four)")
+    parser.add_argument("--models", action="store_true",
+                        help="compare supports, signs, stop reasons and picks, not bits")
     parser.add_argument("--self-check", action="store_true",
-                        help="plant a one-ulp change in NEW's last dual; the run must fail")
+                        help="plant a one-ulp change in NEW's last dual (with --models, a "
+                             "sign flip of its last coefficient); the run must fail")
     args = parser.parse_args(argv)
     workloads, seeds = args.workloads.split(","), _seeds(args.seeds)
     if args.dump:
@@ -176,13 +230,22 @@ def main(argv=None):
         new = _fit(args.new, workloads, seeds, tmp)
     if args.self_check:
         key = next(iter(new))
-        dual = new[key]["records"][-1]["dual"]
-        dual[0] = np.nextafter(dual[0], np.inf)
-        print(f"self-check: planted a one-ulp change in {key[0]} seed {key[1]}, "
-              "last knot, dual[0]")
-    bad, notes, knots = compare(old, new)
-    for line in notes:
-        print(line)
+        record = new[key]["records"][-1]
+        if args.models:
+            record["values"][-1] *= -1.0
+            planted = "a sign flip in values[-1]"
+        else:
+            record["dual"][0] = np.nextafter(record["dual"][0], np.inf)
+            planted = "a one-ulp change in dual[0]"
+        print(f"self-check: planted {planted} of {key[0]} seed {key[1]}, last knot")
+    if args.models:
+        bad, gaps, knots = compare_models(old, new)
+        for name, gap in gaps.items():
+            print(f"models {name}: largest relative coefficient gap {gap:.3g}")
+    else:
+        bad, notes, knots = compare(old, new)
+        for line in notes:
+            print(line)
     old_work, new_work = work_totals(old), work_totals(new)
     for name in old_work:
         print(f"work {name}: " + "; ".join(
@@ -190,8 +253,8 @@ def main(argv=None):
             for c in WORK_COUNTERS))
     for line in bad:
         print("MISMATCH " + line)
-    print(f"{len(old)} paths, {knots} knots: "
-          + (f"{len(bad)} mismatches" if bad else "all identical"))
+    verdict = "same models" if args.models else "all identical"
+    print(f"{len(old)} paths, {knots} knots: " + (f"{len(bad)} mismatches" if bad else verdict))
     return 1 if bad else 0
 
 
