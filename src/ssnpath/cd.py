@@ -7,10 +7,11 @@ On normalized columns (||X_j||^2 = n) the exact single-coordinate minimizer is
 applied cyclically with the residual y - X beta maintained incrementally.
 The objective is nonincreasing sweep over sweep, and for alpha > 0 the
 iterates converge to the unique minimizer, which makes this an independent
-check for the Newton solver.
+check for the Newton solver. :func:`cd_path` walks the Newton path's grid with
+the same loop (:func:`ssnpath.path._walk`) and supplies only the per-knot
+solve, warm-started from the previous knot's unthresholded iterate.
 """
 
-import time
 from dataclasses import dataclass
 from functools import partial
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .kkt import refresh_dual, soft_threshold
-from .path import KnotRecord, PathResult, _sparsity_cap
+from .path import KnotRecord, _walk
 
 # Support threshold for coordinate-descent estimates: unlike the Newton
 # solver, CD leaves tiny nonzeros behind at loose tolerances.
@@ -82,35 +83,28 @@ def cd_path(prob, config, tol=1e-8, max_sweeps=500):
     ``converged`` / ``max_sweeps`` as the stop reason. Supports use the
     |beta_j| > 1e-10 threshold. A record's dual is :func:`refresh_dual` of
     the unthresholded iterate, built from that iterate's nonzeros when it is
-    first read. The sparsity cap ends the path the same way. CD solves the
-    stated problem, so only the ``"zero"`` shift schedule is accepted.
+    first read. The sparsity cap ends the path as it ends the Newton path.
+    CD solves the stated problem, so only the ``"zero"`` shift schedule is
+    accepted.
     """
     if config.shift_schedule != "zero":
         raise ValueError(f"cd_path solves unshifted knots only, got {config.shift_schedule!r}")
-    cap = _sparsity_cap(prob.n, config.sparsity_cap)
-    beta = None  # knot 0 starts from zero
-    records = []
-    terminated_at = None
-    start = time.perf_counter()
-    for t in range(config.num_knots):
-        lam = config.lam(t)
+
+    def solve_knot(t, lam, cap, beta):
         res = cd_solve(prob, lam, init=beta, tol=tol, max_sweeps=max_sweeps)
         idx = np.flatnonzero(np.abs(res.beta) > CD_SUPPORT_TOL)
         if idx.shape[0] > cap:
-            terminated_at = t
-            break
+            return None, None
         nz = np.flatnonzero(res.beta)
-        records.append(
-            KnotRecord(
-                t=t,
-                lam=lam,
-                indices=idx,
-                values=res.beta[idx].copy(),
-                iterations=res.sweeps,
-                active_size=idx.shape[0],
-                stop_reason="converged" if res.converged else "max_sweeps",
-                dual_source=partial(_sparse_refresh_dual, prob, nz, res.beta[nz]),
-            )
+        return res.beta, KnotRecord(
+            t=t,
+            lam=lam,
+            indices=idx,
+            values=res.beta[idx].copy(),
+            iterations=res.sweeps,
+            active_size=idx.shape[0],
+            stop_reason="converged" if res.converged else "max_sweeps",
+            dual_source=partial(_sparse_refresh_dual, prob, nz, res.beta[nz]),
         )
-        beta = res.beta
-    return PathResult(records, prob.p, time.perf_counter() - start, terminated_at)
+
+    return _walk(prob, config, solve_knot, None)  # knot 0 starts from zero

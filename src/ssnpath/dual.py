@@ -239,21 +239,44 @@ def dual_source(prob, state):
     return partial(_pinned_dual, pin.prob, pin.active, pin.beta, pin.dual)
 
 
+@dataclass(slots=True)
+class Work:
+    """Work counters, summed from a partition to a solve (:class:`ssnpath.SsnOutcome`) to a knot.
+
+    - ``refreshes``: full ``X'u`` products that built a state's dual because a
+      partition could not be read without it;
+    - ``screened``: complement duals computed one by one from gathered
+      columns instead (tiers 2 and 3 of the module docstring);
+    - ``corrected``: float32 correction passes (tier 3);
+    - ``reused``: updates that solved with the Gram block the update before
+      them left (:func:`held_gram`).
+
+    ``a + b`` adds field by field into a new value and leaves both as they
+    were. A knot no partition read, such as a coordinate-descent knot, holds
+    all zeros.
+    """
+
+    refreshes: int = 0
+    screened: int = 0
+    corrected: int = 0
+    reused: int = 0
+
+    def __add__(self, other):
+        return Work(self.refreshes + other.refreshes, self.screened + other.screened,
+                    self.corrected + other.corrected, self.reused + other.reused)
+
+
 @dataclass
 class ActivePartition:
     """Sorted indices ``active`` where |beta_j + dual_j| > lam; the rest are inactive.
 
-    ``dual`` is the state's dual on ``active``, as the partition read it. ``screened``
-    counts the complement duals it computed from gathered columns (see
-    :func:`active_partition`); ``corrected`` is 1 when it made a float32 correction pass
-    and ``refreshes`` 1 when it built the state's dual with a full ``X'u`` product.
+    ``dual`` is the state's dual on ``active``, as the partition read it, and
+    ``work`` (:class:`Work`) what reading it cost.
     """
 
     active: np.ndarray
     dual: np.ndarray
-    screened: int = field(default=0, kw_only=True)
-    corrected: int = field(default=0, kw_only=True)
-    refreshes: int = field(default=0, kw_only=True)
+    work: Work = field(default_factory=Work)
 
     @property
     def size(self):
@@ -274,18 +297,16 @@ def active_partition(state, lam):
         if S is None or S.shape[0] > SCREEN_MAX_SHARE * state.beta.shape[0]:
             reference = _corrected(state, du, lam)
             S = None if reference is None else reference[0]
-    screened = 0
+    work = Work(screened=0 if S is None else S.shape[0], corrected=int(reference is not None))
     if S is not None:
-        part = _screened_partition(state, S, lam, reference)
-        if part is not None:
-            return part
-        screened = S.shape[0]
+        read = _screened_partition(state, S, lam, reference)
+        if read is not None:
+            return ActivePartition(*read, work)
     # an unbuilt dual costs one X'u unless its active set is empty (X'y/n)
-    refreshes = int(state._dual is None and state._pinning.active.shape[0] > 0)
+    work += Work(refreshes=int(state._dual is None and state._pinning.active.shape[0] > 0))
     dual = state.dual
     active = np.flatnonzero(np.abs(state.beta + dual) > lam)
-    return ActivePartition(active, dual[active], screened=screened,
-                           corrected=int(reference is not None), refreshes=refreshes)
+    return ActivePartition(active, dual[active], work)
 
 
 def _sphere(state, lam):
@@ -398,7 +419,7 @@ def _correction_bound(prob, du):
 
 
 def _screened_partition(state, S, lam, reference=None):
-    """The partition from the pinned values on A and the duals of the candidates ``S``.
+    """The partition's ``(active, dual)`` from the pinned values on A and the duals of ``S``.
 
     The candidate duals are (X_S'y - X_S'u)/n, a block of columns at a time;
     each lies within ``err`` of the exact dual, as does the built one, so a
@@ -429,5 +450,4 @@ def _screened_partition(state, S, lam, reference=None):
     active = np.concatenate([pin.active[keep], S[enter]])
     order = np.argsort(active)
     dual = np.concatenate([pin.dual[keep], dual_S[enter]])
-    return ActivePartition(active[order], dual[order], screened=S.shape[0],
-                           corrected=int(reference is not None))
+    return active[order], dual[order]

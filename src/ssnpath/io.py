@@ -22,14 +22,19 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 
 def load_matrix(path):
     return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
 
 
 def load_vector(path):
-    y = np.loadtxt(path, delimiter=",", dtype=np.float64)
-    return np.atleast_1d(y)
+    """The single column of ``path`` as a 1-d vector; any other number of columns is rejected."""
+    y = load_matrix(path)
+    if y.shape[1] != 1:
+        raise DimensionMismatch(f"response file {path} has {y.shape[1]} columns, not 1")
+    return y[:, 0]
 
 
 def save_matrix(path, X):

@@ -6,7 +6,9 @@ initialized from the previous knot's output (the very first knot starts from
 beta = 0, dual = X'y/n). At lambda0 = ||X'y/n||_inf that start is already
 stationary, so the path begins at the null model. A knot whose active set
 outgrows the sparsity cap ends the path; the knots completed so far are
-returned.
+returned. That walk over the grid is written once, in :func:`_walk`, for
+this solver and for :func:`ssnpath.cd_path` alike; each supplies only its
+per-knot step.
 """
 
 import math
@@ -17,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual import PrimalDualState, cold_start, dual_source, support
+from .dual import PrimalDualState, Work, cold_start, dual_source, support
 from .errors import DegenerateResponse, NoiseTooLarge
 from .solver import SsnConfig, StopReason, ssn_solve
 
@@ -101,12 +103,7 @@ class KnotRecord:
     length-p dual from the O(|A|) numbers it holds. The first read of
     ``dual`` calls it and keeps the result on the record, so later reads
     return that same array, and an in-place edit or an assignment persists.
-    ``refreshes`` is the number of full ``X'u`` products the knot's
-    partitions spent building duals, ``screened`` the columns whose duals
-    they computed one by one instead, ``corrected`` their float32
-    correction passes and ``reused`` the updates that solved with the Gram
-    block the update before them left (see :class:`ssnpath.SsnOutcome`);
-    all are 0 for records that come from no partition.
+    ``work`` (:class:`ssnpath.dual.Work`) is what the knot's solve spent.
     """
 
     t: int
@@ -117,10 +114,7 @@ class KnotRecord:
     active_size: int
     stop_reason: str
     dual_source: Callable[[], np.ndarray] = field(repr=False, compare=False)
-    refreshes: int = field(default=0, kw_only=True)
-    screened: int = field(default=0, kw_only=True)
-    corrected: int = field(default=0, kw_only=True)
-    reused: int = field(default=0, kw_only=True)
+    work: Work = field(default_factory=Work, kw_only=True)
 
     @cached_property
     def dual(self):
@@ -233,6 +227,26 @@ def sign_recovery_config(prob, sigma, max_inner=None):
     )
 
 
+def _walk(prob, config, solve_knot, carry):
+    """The path over the grid of ``config``: one ``solve_knot`` call per knot, timed.
+
+    ``solve_knot(t, lam, cap, carry)`` solves knot t at penalty ``lam`` from
+    ``carry``, what the knot before it left, under the sparsity cap ``cap``.
+    It returns the carry for the next knot and knot t's record, or no record
+    (None) when the knot's active set outgrows the cap; the path then ends
+    with ``terminated_at = t`` and keeps the knots before it.
+    """
+    cap = _sparsity_cap(prob.n, config.sparsity_cap)
+    records = []
+    start = time.perf_counter()
+    for t in range(config.num_knots):
+        carry, record = solve_knot(t, config.lam(t), cap, carry)
+        if record is None:
+            return PathResult(records, prob.p, time.perf_counter() - start, t)
+        records.append(record)
+    return PathResult(records, prob.p, time.perf_counter() - start)
+
+
 def solve_path(prob, config):
     """Run the fixed-penalty solve over the grid with warm starts.
 
@@ -243,13 +257,8 @@ def solve_path(prob, config):
     start is rebuilt from an empty active set). A solver failure at any knot
     propagates as raised, and the knots before it are not returned.
     """
-    cap = _sparsity_cap(prob.n, config.sparsity_cap)
-    state = cold_start(prob)
-    records = []
-    terminated_at = None
-    start = time.perf_counter()
-    for t in range(config.num_knots):
-        lam = config.lam(t)
+
+    def solve_knot(t, lam, cap, state):
         knot_cfg = SsnConfig(
             lam=lam,
             shift=config.shift(t),
@@ -258,24 +267,18 @@ def solve_path(prob, config):
         )
         out = ssn_solve(prob, state, knot_cfg)
         if out.stop_reason is StopReason.SPARSITY_CAP:
-            terminated_at = t
-            break
+            return None, None
         idx = support(out.state)
-        records.append(
-            KnotRecord(
-                t=t,
-                lam=lam,
-                indices=idx,
-                values=out.state.beta[idx],
-                iterations=out.iterations,
-                active_size=out.active.size,
-                stop_reason=out.stop_reason.value,
-                dual_source=dual_source(prob, out.state),
-                refreshes=out.refreshes,
-                screened=out.screened,
-                corrected=out.corrected,
-                reused=out.reused,
-            )
+        return out.state, KnotRecord(
+            t=t,
+            lam=lam,
+            indices=idx,
+            values=out.state.beta[idx],
+            iterations=out.iterations,
+            active_size=out.active.size,
+            stop_reason=out.stop_reason.value,
+            dual_source=dual_source(prob, out.state),
+            work=out.work,
         )
-        state = out.state
-    return PathResult(records, prob.p, time.perf_counter() - start, terminated_at)
+
+    return _walk(prob, config, solve_knot, cold_start(prob))

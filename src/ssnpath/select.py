@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroResidual
+from .problem import _columns_times
 
 
 @dataclass
@@ -27,9 +28,10 @@ class SelectorResult:
 
 
 def _rss_per_knot(prob, path):
+    """Each knot's residual sum of squares, without gathering its n x |A| columns whole."""
     out = np.empty(len(path.records))
     for i, rec in enumerate(path.records):
-        r = prob.y - prob.X[:, rec.indices] @ rec.values
+        r = prob.y - _columns_times(prob.X, rec.indices, rec.values)
         out[i] = r @ r
     return out
 

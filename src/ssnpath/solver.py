@@ -23,15 +23,20 @@ are each summed one row block of X[:, A] at a time, so the n x |A| gather is
 never made whole and at most one block is alive along a solve. A block the
 factorization finds singular (alpha = 0 with duplicated active columns)
 raises :class:`ssnpath.CgBreakdown`.
+
+What a solve spends besides its updates (dual builds, screened columns,
+float32 correction passes) and how many updates reused a Gram block are
+summed into one :class:`ssnpath.dual.Work` value on its outcome, which a
+path passes on to the knot's record as it is.
 """
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (ActivePartition, PrimalDualState, active_partition, held_gram, support,
+from .dual import (ActivePartition, PrimalDualState, Work, active_partition, held_gram, support,
                    updated_state)
 from .errors import CgBreakdown, DimensionMismatch
 from .problem import _row_blocks
@@ -71,23 +76,16 @@ class SsnConfig:
 class SsnOutcome:
     """Result of :func:`ssn_solve`.
 
-    ``active`` is the partition of the returned state at ``lam``;
-    ``refreshes`` counts the full ``X'u`` products the solve's partitions
-    spent building duals they could not be read without; ``screened`` counts
-    the columns whose duals they computed one by one instead, and
-    ``corrected`` their float32 correction passes (see
-    :class:`ssnpath.ActivePartition`); ``reused`` counts the updates that
-    solved with the Gram block the update before them left.
+    ``active`` is the partition of the returned state at ``lam``, and
+    ``work`` (:class:`ssnpath.dual.Work`) the sum of what the solve's
+    partitions and updates spent.
     """
 
     state: PrimalDualState
     iterations: int
     stop_reason: StopReason
     active: ActivePartition
-    refreshes: int
-    screened: int = field(default=0, kw_only=True)
-    corrected: int = field(default=0, kw_only=True)
-    reused: int = field(default=0, kw_only=True)
+    work: Work
 
 
 def _cg(matvec, rhs, x0, tol, max_iter, curvature_floor):
@@ -188,29 +186,20 @@ def ssn_solve(prob, init, config):
     -------
     SsnOutcome
         Final state, number of updates performed, stop reason, the final
-        partition, the dual builds, screened columns and float32
-        correction passes it paid for, and how many updates reused a Gram
-        block. A
-        sparsity-cap trip is reported as a normal outcome with
-        ``StopReason.SPARSITY_CAP`` and the last state below the cap.
+        partition and the work the solve spent. A sparsity-cap trip is
+        reported as a normal outcome with ``StopReason.SPARSITY_CAP`` and
+        the last state below the cap.
     """
     _check_length(prob, init)
     state = init
     prev_active = support(init)
-    refreshes = screened = corrected = reused = 0
-
-    def outcome(reason):
-        # each pass of the loop returns or makes one update, so k counts them
-        return SsnOutcome(state, k, reason, part, refreshes, screened=screened,
-                          corrected=corrected, reused=reused)
-
+    work = Work()
+    # each pass of the loop returns or makes one update, so k counts them
     for k in range(config.max_iter + 1):
         part = active_partition(state, config.lam)
-        refreshes += part.refreshes
-        screened += part.screened
-        corrected += part.corrected
+        work += part.work
         if config.sparsity_cap is not None and part.size > config.sparsity_cap:
-            return outcome(StopReason.SPARSITY_CAP)
+            return SsnOutcome(state, k, StopReason.SPARSITY_CAP, part, work)
         if np.array_equal(part.active, prev_active):
             # The update is a function of the active set AND the sign
             # pattern, so a set repeat with flipped signs (possible on badly
@@ -222,10 +211,10 @@ def ssn_solve(prob, init, config):
             # this (lam, shift) already.
             signs = np.sign(state.beta[part.active] + part.dual)
             if np.array_equal(part.dual, (config.lam - config.shift) * signs):
-                return outcome(StopReason.ACTIVE_SET_REPEATED)
+                return SsnOutcome(state, k, StopReason.ACTIVE_SET_REPEATED, part, work)
         if k >= config.max_iter:
-            return outcome(StopReason.MAX_ITER)
-        reused += held_gram(prob, state, part.active) is not None
+            return SsnOutcome(state, k, StopReason.MAX_ITER, part, work)
+        work += Work(reused=int(held_gram(prob, state, part.active) is not None))
         state = ssn_update(prob, state, part, config.lam, config.shift)
         prev_active = part.active
     raise AssertionError("unreachable: loop always returns at k == max_iter")

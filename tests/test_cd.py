@@ -95,15 +95,6 @@ class TestCdSolve:
 
 
 class TestCdPath:
-    def test_same_grid_and_truncation_contract(self):
-        prob, _ = random_instance(20, 60, seed=8, T=10, sigma=0.1)
-        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.7, num_knots=40, sparsity_cap=4)
-        path = cd_path(prob, cfg, tol=1e-10)
-        assert path.terminated_at is not None
-        assert all(rec.active_size <= 4 for rec in path.records)
-        ratios = path.lambdas()[1:] / path.lambdas()[:-1]
-        assert np.max(np.abs(ratios - 0.7)) < 1e-14
-
     def test_matches_newton_path_objectives(self):
         prob, _ = random_instance(25, 50, alpha=0.1, seed=9)
         cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.8, num_knots=12, max_inner=10)

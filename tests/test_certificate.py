@@ -156,8 +156,8 @@ def checked_partitions(stats):
                 out[S] = False
                 assert (np.abs(dual[out]) <= lam).all()
         part = real(state, lam)
-        assert part.refreshes == int(owed and state._dual is not None)
-        stats["refreshes"] += part.refreshes
+        assert part.work.refreshes == int(owed and state._dual is not None)
+        stats["refreshes"] += part.work.refreshes
         if state._dual is not None:
             assert _same_bits(part.dual, state._dual[part.active])
         elif screenable:
@@ -168,8 +168,8 @@ def checked_partitions(stats):
             assert _same_bits(part.dual[kept], dual[part.active[kept]])
             assert _same_bits(np.sign(part.dual[~kept]), np.sign(dual[part.active[~kept]]))
             stats["certified"] += 1
-            stats["screened"] += part.screened > 0
-        if part.corrected and state._dual is None:
+            stats["screened"] += part.work.screened > 0
+        if part.work.corrected and state._dual is None:
             _assert_reference_bounds(state, dual)
             stats["corrected"] += 1
         return part
@@ -212,10 +212,10 @@ class TestMatchesEagerWalk:
         with checked_partitions(stats), shares:
             path = assert_matches_eager(prob, config)
         assert path.terminated_at is None
-        assert stats["refreshes"] == sum(r.refreshes for r in path.records)
+        assert stats["refreshes"] == sum(r.work.refreshes for r in path.records)
         assert stats["bounded"] > 0
         assert stats["certified"] > 0
-        assert sum(r.refreshes for r in path.records) < sum(
+        assert sum(r.work.refreshes for r in path.records) < sum(
             r.iterations for r in path.records)
         return stats
 
@@ -294,15 +294,14 @@ class TestRefreshCounts:
             with _counted(prob) as counts:
                 path = solve_path(prob, config)
         assert path.terminated_at is None
-        assert counts["products"] == sum(r.refreshes for r in path.records)
-        assert counts["corrected"] == sum(r.corrected for r in path.records)
-        assert counts["gathered"] == sum(r.screened for r in path.records)
+        assert counts["products"] == sum(r.work.refreshes for r in path.records)
+        assert counts["corrected"] == sum(r.work.corrected for r in path.records)
+        assert counts["gathered"] == sum(r.work.screened for r in path.records)
         updates = sum(r.iterations for r in path.records)
         assert 0 < counts["products"] < updates
         assert counts["gathered"] > 0
         for a, b in zip(path.records, expected.records, strict=True):
-            assert (a.refreshes, a.screened, a.corrected) == (
-                b.refreshes, b.screened, b.corrected)
+            assert a.work == b.work
             assert _same_bits(a.dual, b.dual)
         return counts
 
@@ -315,9 +314,9 @@ class TestRefreshCounts:
                 before = counts["products"], counts["gathered"], counts["corrected"]
                 out = ssn_solve(prob, state, SsnConfig(lam=lam, shift=shift_fraction * lam,
                                                        max_iter=3))
-                assert counts["products"] - before[0] == out.refreshes <= out.iterations + 1
-                assert counts["gathered"] - before[1] == out.screened
-                assert counts["corrected"] - before[2] == out.corrected
+                assert counts["products"] - before[0] == out.work.refreshes <= out.iterations + 1
+                assert counts["gathered"] - before[1] == out.work.screened
+                assert counts["corrected"] - before[2] == out.work.corrected
                 state = out.state
         assert counts["gathered"] > 0
 
@@ -336,9 +335,8 @@ class TestWorkTotals:
                             max_inner=5, shift_schedule=schedule)
         path = solve_path(prob, config)
         assert path.terminated_at is None
-        got = tuple(sum(getattr(r, name) for r in path.records)
-                    for name in ("refreshes", "screened", "corrected"))
-        assert got == totals
+        total = sum((r.work for r in path.records), lazy_dual.Work())
+        assert (total.refreshes, total.screened, total.corrected) == totals
 
 
 class TestCertificateConditions:
@@ -435,8 +433,8 @@ class TestCertificateConditions:
         # four columns leave no room for the sphere's two candidates unless
         # every share is allowed; the float32 correction rules out column 2
         assert state._dual is None
-        assert part.screened == (2 if screen_all else 1)
-        assert part.corrected == (0 if screen_all else 1)
+        assert part.work.screened == (2 if screen_all else 1)
+        assert part.work.corrected == (0 if screen_all else 1)
         assert (state._certificate.pin is state._pinning) == (not screen_all)
         assert np.sign(part.dual).tolist() == [1.0, 1.0]
 
@@ -446,7 +444,7 @@ class TestCertificateConditions:
             part = lazy_dual.active_partition(state, 2.0)
         np.testing.assert_array_equal(part.active, [0, 1])
         assert state._dual is not None
-        assert (part.screened, part.corrected, part.refreshes) == (0, 0, 1)
+        assert (part.work.screened, part.work.corrected, part.work.refreshes) == (0, 0, 1)
 
     def test_candidate_near_the_penalty_builds_the_dual(self):
         # exact arithmetic puts the re-added x_1's dual at 3 = lam, inside the
@@ -455,7 +453,7 @@ class TestCertificateConditions:
         with _screen_all():
             part = lazy_dual.active_partition(state, 3.0)
         assert state._dual is not None and state.dual[1] == 3.0
-        assert part.screened == 1
+        assert part.work.screened == 1
         np.testing.assert_array_equal(part.active, [])
 
     def test_user_state_never_seeds_a_certificate(self):
@@ -601,7 +599,7 @@ class TestCorrectionBound:
             warnings.simplefilter("error", RuntimeWarning)
             assert _corrected(state, 1.0) is None
             part = lazy_dual.active_partition(state, 1.0)
-        assert (part.corrected, part.refreshes) == (0, 1)
+        assert (part.work.corrected, part.work.refreshes) == (0, 1)
 
     @staticmethod
     def _state(prob, u, u_ref, ref_dual, err_ref):
@@ -748,7 +746,7 @@ def test_certified_bound_holds_on_degenerate_designs(prob, schedule, max_inner, 
     except CgBreakdown:
         return
     if path.terminated_at is None:
-        assert stats["refreshes"] == sum(r.refreshes for r in path.records)
+        assert stats["refreshes"] == sum(r.work.refreshes for r in path.records)
     knots, terminated_at = eager_solve_path(prob, config)
     assert path.terminated_at == terminated_at
     for rec, ref in zip(path.records, knots, strict=True):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ssnpath import (
+    DimensionMismatch,
     MetricsRecord,
     PathConfig,
     ProblemData,
@@ -49,6 +50,23 @@ class TestIo:
         path = tmp_path / "v.csv"
         save_matrix(path, y)
         np.testing.assert_array_equal(load_vector(path), y)
+
+    @pytest.mark.parametrize("text", ["1,2,3\n", "1,2\n3,4\n"], ids=["one-row", "two-column"])
+    def test_vector_file_must_be_one_column(self, tmp_path, text):
+        # a transposed response would otherwise load as a vector of its row's length
+        path = tmp_path / "v.csv"
+        path.write_text(text)
+        with pytest.raises(DimensionMismatch, match="columns, not 1"):
+            load_vector(path)
+
+    @pytest.mark.parametrize("text, y", [("2.5\n", [2.5]), ("1\n-2\n", [1.0, -2.0])],
+                             ids=["one-value", "one-column"])
+    def test_vector_from_one_value_or_one_column(self, tmp_path, text, y):
+        path = tmp_path / "v.csv"
+        path.write_text(text)
+        got = load_vector(path)
+        assert got.shape == (len(y),)
+        np.testing.assert_array_equal(got, y)
 
     def test_single_row_matrix_shape(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -291,18 +309,23 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "path"])
-    @pytest.mark.parametrize("y_shape", [(15,), (20, 2)], ids=["short", "two-column"])
-    def test_mismatched_response_exits_one(self, tmp_path, capsys, command, y_shape):
-        # a response that does not fit the design is a usage error, not a numerical one
+    @pytest.mark.parametrize("y_shape, error", [
+        ((15, 1), "error: response length"),
+        ((20, 2), "error: response file"),
+        ((1, 20), "error: response file"),
+    ], ids=["short", "two-column", "one-row"])
+    def test_mismatched_response_exits_one(self, tmp_path, capsys, command, y_shape, error):
+        # a response that does not fit the design is a usage error, not a numerical one;
+        # so is a response written as one row, even one of n values
         rng = np.random.default_rng(3)
         x_path, y_path, out = tmp_path / "X.csv", tmp_path / "y.csv", tmp_path / "out.csv"
         save_matrix(x_path, rng.standard_normal((20, 4)))
-        save_matrix(y_path, rng.standard_normal(y_shape).reshape(y_shape[0], -1))
+        save_matrix(y_path, rng.standard_normal(y_shape))
         argv = [command, "--x", str(x_path), "--y", str(y_path), "--out", str(out)]
         if command == "solve":
             argv += ["--lambda", "0.1"]
         assert cli_main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: response length")
+        assert capsys.readouterr().err.startswith(error)
         assert not out.exists()
 
     def test_numerical_failure_exits_two(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from ssnpath import (
     PathConfig,
     ProblemData,
     SsnConfig,
+    cd_path,
     cold_start,
     default_lambda0,
     grid_floor_index,
@@ -277,22 +279,29 @@ class TestSolvePath:
         path = solve_path(prob, cfg)
         assert path.terminated_at is None
         repeats = sum(np.array_equal(a, b) for a, b in zip(sets, sets[1:]))
-        assert sum(rec.reused for rec in path.records) == repeats > 0
+        assert sum(rec.work.reused for rec in path.records) == repeats > 0
         assert sum(rec.iterations for rec in path.records) == len(sets) > repeats
-
-    def test_sparsity_cap_truncates(self):
-        prob, _ = random_instance(20, 60, seed=12, T=10, sigma=0.1)
-        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.7, num_knots=40, sparsity_cap=4)
-        path = solve_path(prob, cfg)
-        assert path.terminated_at is not None
-        assert len(path) == path.terminated_at
-        assert all(rec.active_size <= 4 for rec in path.records)
 
     def test_records_strictly_decreasing_lambda(self):
         prob, _ = random_instance(20, 30, seed=13)
         cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.9, num_knots=15)
         lams = solve_path(prob, cfg).lambdas()
         assert np.all(np.diff(lams) < 0)
+
+
+class TestWalk:
+    # solve_path and cd_path share one walk over the grid; only their knot step differs
+    @pytest.mark.parametrize("fit", [solve_path, partial(cd_path, tol=1e-10)],
+                             ids=["solve_path", "cd_path"])
+    def test_cap_ends_the_path_and_keeps_the_knots_before_it(self, fit):
+        prob, _ = random_instance(20, 60, seed=12, T=10, sigma=0.1)
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.9, num_knots=40, sparsity_cap=4)
+        path = fit(prob, cfg)
+        assert 1 < len(path) == path.terminated_at < cfg.num_knots
+        assert [rec.t for rec in path.records] == list(range(len(path)))
+        np.testing.assert_array_equal(path.lambdas(), [cfg.lam(t) for t in range(len(path))])
+        assert all(rec.active_size <= 4 for rec in path.records)
+        assert path.wall_time_s > 0
 
 
 class TestRecordDual:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,25 @@ class TestSelectorProperties:
             trunc = PathResult(path.records[:cut], path.p, 0.0)
             part = mbic_select(prob, trunc)
             assert full.values[full.chosen_knot] <= part.values[part.chosen_knot] + 1e-15
+
+    def test_residuals_never_gather_a_knot_whole(self):
+        # gathering the columns of a knot with |A| = k takes 8 n k bytes by
+        # itself; its residual is summed one row block at a time instead
+        n, k = 1000, 100  # n k = 100,000 entries: past one row block of 32,768
+        rng = np.random.default_rng(5)
+        prob = ProblemData(rng.standard_normal((n, k + 20)), rng.standard_normal(n))
+        path = PathResult([_record(0, 0.5, np.arange(k), rng.standard_normal(k))], prob.p, 0.0)
+        tracemalloc.start()
+        try:
+            values = mbic_select(prob, path).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * k
+        # the blocked sum runs in another order than the whole gather's
+        r = prob.y - prob.X[:, :k] @ path.records[0].values
+        expected = r @ r / (2 * n) + k * math.log(n) * math.log(prob.p) / n
+        assert values[0] == pytest.approx(expected, rel=1e-12)
 
     def test_empty_path_rejected(self):
         prob, _ = random_instance(10, 5, seed=4)

@@ -2,6 +2,7 @@
 ``--models`` mode catches a sign flip; ``tools/loc.py`` counts the lines a code token touches
 and the names ``__all__`` lists."""
 
+import dataclasses
 import importlib.util
 import re
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 
 import ssnpath
+from ssnpath import KnotRecord
+from ssnpath.dual import Work
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_paths.py"
@@ -61,6 +64,28 @@ def test_work_counters_are_totalled_not_compared():
     assert tool.work_totals(new) == {"table2": {"refreshes": 1, "screened": 40, "corrected": 2}}
     new["table2", 0]["records"][0]["values"][0] = np.nextafter(0.5, 1.0)
     assert tool.compare(old, new)[0] == ["table2 seed 0: knot 0 field values differs"]
+
+
+def test_work_value_dumps_as_the_flat_counters_of_older_records():
+    tool = _tool()
+    counters = {"refreshes": 2, "screened": 30, "corrected": 1, "reused": 4}
+    common = dict(t=0, lam=0.5, indices=np.array([3]), values=np.array([0.25]), iterations=2,
+                  active_size=1, stop_reason="max_iter",
+                  dual_source=lambda: np.array([1.0, -0.5]))
+    # a record as older checkouts held it: the four counters are its own fields
+    fields = [(f.name, f.type) for f in dataclasses.fields(KnotRecord) if f.name != "work"]
+    Flat = dataclasses.make_dataclass("Flat", fields + [(c, int) for c in counters],
+                                      namespace={"dual": property(lambda r: r.dual_source())})
+    old = tool._record_fields(Flat(**common, **counters))
+    new = tool._record_fields(KnotRecord(**common, work=Work(**counters)))
+    assert old.keys() == new.keys()
+    assert all(tool.same(old[name], new[name]) for name in old)
+
+    def result(record):
+        return {("table1", 0): {"records": [record], "p": 2, "terminated_at": None}}
+
+    assert tool.compare(result(old), result(new)) == ([], [], 1)
+    assert tool.work_totals(result(old)) == tool.work_totals(result(new)) == {"table1": counters}
 
 
 def test_selector_picks_are_compared_bitwise():

@@ -12,9 +12,11 @@ result field they both have (``dual`` read after the fit), ``p``,
 bytes, so a flipped sign bit on a zero is a mismatch. A selector that raises
 ``ZeroResidual`` is compared by the exception's type. Fields only one side
 has are listed, not compared. The work counters (``refreshes``,
-``screened``, ``corrected``, ``reused``) measure cost, not the result: their
-per-workload totals are printed for both sides and never fail the run. The
-exit status is 1 on any mismatch and 0 when all knots match.
+``screened``, ``corrected``, ``reused``; a record's own fields in older
+checkouts, the fields of its ``work`` value in newer ones) measure cost, not
+the result: their per-workload totals are printed for both sides and never
+fail the run. The exit status is 1 on any mismatch and 0 when all knots
+match.
 
 ``--models`` compares the fitted models instead of their bits, for a change
 that moves coefficients by rounding: each knot's ``t``, ``lam``, support
@@ -45,7 +47,7 @@ import numpy as np
 
 ALL_WORKLOADS = ("table1", "table2", "enet", "cd_small")
 
-# KnotRecord fields that count work; reported as totals, not compared.
+# Work counters of a KnotRecord; reported as totals, not compared.
 WORK_COUNTERS = ("refreshes", "screened", "corrected", "reused")
 
 # Selectors whose picks are compared, by their ssnpath.<name>_select function.
@@ -58,6 +60,25 @@ def _seeds(text):
         lo, hi = text.split("-")
         return list(range(int(lo), int(hi) + 1))
     return [int(s) for s in text.split(",")]
+
+
+def _record_fields(rec):
+    """A ``KnotRecord``'s result fields and work counters by name, with its ``dual`` read.
+
+    The counters are the record's own fields in older checkouts and the
+    fields of its one ``work`` value in newer ones; both dump as the same
+    flat ``WORK_COUNTERS`` keys, so the two compare field by field.
+    """
+    fields = {
+        f.name: getattr(rec, f.name)
+        for f in dataclasses.fields(rec)
+        if not f.name.startswith("_") and f.name != "dual_source"
+    }
+    work = fields.pop("work", None)
+    if work is not None:
+        fields.update((counter, getattr(work, counter)) for counter in WORK_COUNTERS)
+    fields["dual"] = rec.dual
+    return fields
 
 
 def _dump(checkout, out, workloads, seeds):
@@ -85,17 +106,8 @@ def _dump(checkout, out, workloads, seeds):
                     picks[selector] = dataclasses.asdict(pick)
                 except ZeroResidual as exc:
                     picks[selector] = {"raised": type(exc).__name__}
-            records = []
-            for rec in path.records:
-                fields = {
-                    f.name: getattr(rec, f.name)
-                    for f in dataclasses.fields(rec)
-                    if not f.name.startswith("_") and f.name != "dual_source"
-                }
-                fields["dual"] = rec.dual
-                records.append(fields)
             results[name, seed] = {
-                "records": records,
+                "records": [_record_fields(rec) for rec in path.records],
                 "p": path.p,
                 "terminated_at": path.terminated_at,
                 **picks,
