@@ -20,15 +20,21 @@ coefficients, and the noise, so the pieces are individually reproducible.
 Bitwise equality is guaranteed across runs with the same numpy generator;
 alternative generators need only match in distribution.
 
-Instances are built in place. The design is drawn a block of rows at a time
-into its column-major array and blended there; ``make_instance`` then
-centers, scales and norm-checks it a block of columns at a time. No n-by-p
-temporary is made, and every entry gets the same floating-point operations as
-the whole-array formulas above, so ``tests/test_datagen.py`` checks instances
-bitwise against a reference generator written with those formulas.
+Instances are built in place. The design's normals are drawn a block of rows
+at a time on one worker thread, up to two blocks ahead, while the calling
+thread blends the block before and copies it into the column-major design;
+``make_instance`` then centers, scales and norm-checks it a block of columns
+at a time. The draws keep their row-major order from the one generator, so
+the design is the same as a serial draw's; the generator passed in must not be
+used elsewhere while a design is drawn from it. No n-by-p temporary is made,
+and every entry gets the same floating-point operations as the whole-array
+formulas above, so ``tests/test_datagen.py`` checks instances bitwise against
+a reference generator written with those formulas.
 """
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +47,9 @@ from .problem import ProblemData, _center_scale_columns
 COHERENCE_GUARD_P = 5000
 
 # Designs are drawn about this many entries (2 MiB) at a time, in row blocks
-# copied into the column-major design.
+# copied into the column-major design. The worker drawing ahead of the blend
+# fills a ring of three such buffers: two more than a serial draw needs, all
+# setup memory, freed before the instance is returned.
 _DRAW_ENTRIES = 1 << 18
 
 
@@ -111,15 +119,31 @@ def _normal_row_blocks(n, p, rng):
     """Yield ``(rows, E)``, ``E`` holding fresh N(0, 1) draws for a block of rows.
 
     The generator fills arrays element by element in row-major order, so the
-    blocks stacked are bitwise ``rng.standard_normal((n, p))``. ``E`` is one
-    reused buffer, overwritten by the next block.
+    blocks stacked are bitwise ``rng.standard_normal((n, p))``. One worker
+    thread draws the blocks in order, up to two ahead of the caller, into a
+    ring of three reused buffers, so ``E`` is valid until the next block is
+    requested. Only the worker touches ``rng``, which the caller must not use
+    elsewhere until the generator is done; the worker is joined before the
+    generator returns, also when it is closed early (``rng`` is then advanced
+    by up to two blocks past the last one yielded) or either side raises.
     """
     step = max(1, min(n, _DRAW_ENTRIES // max(p, 1)))
-    buf = np.empty((step, p))
-    for start in range(0, n, step):
-        E = buf[: min(step, n - start)]
+    blocks = [slice(a, min(a + step, n)) for a in range(0, n, step)]
+    ring = [np.empty((step, p)) for _ in range(3)]
+
+    def draw(k):
+        E = ring[k % 3][: blocks[k].stop - blocks[k].start]
         rng.standard_normal(out=E)
-        yield slice(start, start + E.shape[0]), E
+        return E
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = deque(worker.submit(draw, k) for k in range(min(2, len(blocks))))
+        for k, rows in enumerate(blocks):
+            E = ahead.popleft().result()
+            if k + 2 < len(blocks):
+                # block k + 2 reuses the buffer of block k - 1, which the caller is done with
+                ahead.append(worker.submit(draw, k + 2))
+            yield rows, E
 
 
 def gen_classical(n, p, rho, rng):

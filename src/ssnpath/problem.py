@@ -129,7 +129,13 @@ def _row_blocks(X, cols):
 
 
 def _columns_times(X, cols, x):
-    """``X[:, cols] @ x``, one row block at a time, so the n x |cols| gather is never made whole."""
+    """``X[:, cols] @ x``, one row block at a time, so the n x |cols| gather is never made whole.
+
+    When one row block holds all of ``X[:, cols]``, that block is the whole
+    gather, so it is formed directly, without the blocking overhead.
+    """
+    if X.shape[0] * cols.shape[0] <= _BLOCK_ENTRIES:
+        return X[:, cols] @ x
     return np.concatenate([block @ x for block in _row_blocks(X, cols)])
 
 

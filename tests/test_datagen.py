@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -353,6 +355,93 @@ class TestCoherenceInequalities:
 
 
 _PRESET_CELLS = [(name, i, cell) for name, grid in PRESETS.items() for i, cell in enumerate(grid)]
+
+
+def _run_within(seconds, body):
+    """``body()`` run on a thread joined with a timeout, so a hang fails the test."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = body()
+        except BaseException as exc:  # handed to the test thread, which re-raises it
+            outcome["error"] = exc
+
+    guard = threading.Thread(target=run, daemon=True)
+    guard.start()
+    guard.join(seconds)
+    assert not guard.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+class _DrawError(RuntimeError):
+    pass
+
+
+class _FailingRng:
+    """Fills blocks with zeros and raises on the third draw."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def standard_normal(self, out):
+        self.draws += 1
+        if self.draws == 3:
+            raise _DrawError("third block")
+        out[...] = 0.0
+
+
+class TestDrawWorker:
+    """The draws run on one worker thread that never outlives the generator."""
+
+    @pytest.fixture(autouse=True)
+    def many_blocks(self, monkeypatch):
+        # two 5-column rows per block: 30 blocks for 60 rows
+        monkeypatch.setattr(datagen_module, "_DRAW_ENTRIES", 10)
+
+    def test_closed_after_first_block_leaves_no_thread(self):
+        def body():
+            before = threading.active_count()
+            blocks = datagen_module._normal_row_blocks(60, 5, np.random.default_rng(0))
+            next(blocks)
+            during = threading.active_count()
+            blocks.close()
+            return before, during, threading.active_count()
+
+        before, during, after = _run_within(10, body)
+        assert during == before + 1
+        assert after == before
+
+    def test_worker_error_reaches_caller_and_leaves_no_thread(self):
+        rng = _FailingRng()
+
+        def body():
+            before = threading.active_count()
+            seen = []
+            with pytest.raises(_DrawError, match="third block"):
+                for rows, _ in datagen_module._normal_row_blocks(60, 5, rng):
+                    seen.append(rows.start)
+            return before, threading.active_count(), seen
+
+        before, after, seen = _run_within(10, body)
+        assert after == before
+        assert seen == [0, 2]
+
+    def test_slow_consumer_gets_the_whole_draw(self):
+        def body():
+            parts = []
+            for rows, E in datagen_module._normal_row_blocks(60, 5, np.random.default_rng(1)):
+                time.sleep(0.002)  # the worker runs ahead while this block is held
+                parts.append((rows, E.copy()))
+            return parts
+
+        parts = _run_within(30, body)
+        assert len(parts) == 30
+        assert [rows.start for rows, _ in parts] == list(range(0, 60, 2))
+        assert np.array_equal(np.vstack([E for _, E in parts]),
+                              np.random.default_rng(1).standard_normal((60, 5)))
 
 
 class TestBitwiseAgainstReference:

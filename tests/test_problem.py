@@ -137,6 +137,18 @@ class TestProblemData:
         assert np.array_equal(_column_norms(X, X32), np.linalg.norm(X, axis=0))
         assert np.array_equal(X32, X.astype(np.float32))
 
+    # n * |cols| up to one row block of 32,768 entries, the last one exactly at it
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 0), (600, 54), (512, 64)])
+    def test_single_block_product_equals_whole_gather(self, n, k):
+        from ssnpath.problem import _BLOCK_ENTRIES, _columns_times
+
+        assert n * k <= _BLOCK_ENTRIES
+        rng = np.random.default_rng(32)
+        X = np.asfortranarray(rng.standard_normal((n, k + 9)))
+        cols = np.sort(rng.choice(k + 9, size=k, replace=False))
+        x = rng.standard_normal(k)
+        assert np.array_equal(_columns_times(X, cols, x), X[:, cols] @ x)
+
 
 class TestObjective:
     def test_zero_vector(self):
