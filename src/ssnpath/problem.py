@@ -139,6 +139,23 @@ def _columns_times(X, cols, x):
     return np.concatenate([block @ x for block in _row_blocks(X, cols)])
 
 
+def _gram(X, cols, alpha):
+    """``X[:, cols]'X[:, cols] + alpha I``, summed one row block at a time."""
+    gram = alpha * np.eye(cols.shape[0])
+    for block in _row_blocks(X, cols):
+        gram += block.T @ block
+    return gram
+
+
+def _columns_dot(X, cols, v):
+    """``X[:, cols]'v``, a block of columns of about ``_BLOCK_ENTRIES`` entries at a time."""
+    out = np.empty(cols.shape[0])
+    width = max(1, _BLOCK_ENTRIES // X.shape[0])
+    for a in range(0, cols.shape[0], width):
+        out[a : a + width] = X[:, cols[a : a + width]].T @ v
+    return out
+
+
 def _block_norms(block):
     """Column norms of one block, summed in the order ``np.linalg.norm(axis=0)`` uses."""
     return np.sqrt(np.add.reduce(block * block, axis=0))

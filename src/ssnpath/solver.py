@@ -19,10 +19,12 @@ costs O(n|A|^2), so G is kept on the state the update leaves and reused by
 the next update when that one runs on the same problem with an equal active
 set, as about 60% of the updates on the benchmark's shifted paths do (see
 :func:`ssnpath.dual.held_gram`). A fresh G and the product u = X_A beta_A
-are each summed one row block of X[:, A] at a time, so the n x |A| gather is
-never made whole and at most one block is alive along a solve. A block the
+are formed by :mod:`ssnpath.problem`'s blocked products, the only code that
+knows how X is cut into blocks, so the n x |A| gather is never made whole
+and at most one Gram block is alive along a solve. A block the
 factorization finds singular (alpha = 0 with duplicated active columns)
-raises :class:`ssnpath.CgBreakdown`.
+raises :class:`ssnpath.CgBreakdown`. ``_cg`` is a stub kept only for the
+benchmark's tracer; nothing calls it.
 
 What a solve spends besides its updates (dual builds, screened columns,
 float32 correction passes) and how many updates reused a Gram block are
@@ -39,7 +41,7 @@ import numpy as np
 from .dual import (ActivePartition, PrimalDualState, Work, active_partition, held_gram, support,
                    updated_state)
 from .errors import CgBreakdown, DimensionMismatch
-from .problem import _row_blocks
+from .problem import _gram
 
 
 class StopReason(enum.Enum):
@@ -89,48 +91,24 @@ class SsnOutcome:
 
 
 def _cg(matvec, rhs, x0, tol, max_iter, curvature_floor):
-    """Conjugate gradients with a hard iteration cap and a breakdown guard.
+    """Not a solver: every restricted system is solved exactly by :func:`_solve_restricted`.
 
-    Nothing in the package calls this: the benchmark's tracer wraps it by
-    name and its self-test deletes it, so it stays until the benchmark does
-    neither.
+    The name and signature stay only for the benchmark's tracer, which wraps
+    ``_cg`` by name after checking its parameters, and for the benchmark's
+    self-test, which deletes it. The benchmark change that drops both deletes
+    this stub.
     """
-    x = x0.copy()
-    r = rhs - matvec(x)
-    rhs_norm = float(np.linalg.norm(rhs))
-    threshold = tol * max(rhs_norm, 1e-300)
-    rs = float(r @ r)
-    if np.sqrt(rs) <= threshold:
-        return x
-    s = r.copy()
-    for _ in range(max_iter):
-        q = matvec(s)
-        curv = float(s @ q)
-        if curv <= curvature_floor * float(s @ s):
-            raise CgBreakdown(
-                "vanishing curvature in restricted solve; active Gram block is singular"
-            )
-        step = rs / curv
-        x += step * s
-        r -= step * q
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= threshold:
-            return x
-        s = r + (rs_new / rs) * s
-        rs = rs_new
-    return x
+    raise NotImplementedError("restricted systems are solved exactly by _solve_restricted")
 
 
 def _solve_restricted(prob, A, rhs, gram=None):
     """``(x, G)``: the exact solution of G x = rhs with G = X_A'X_A + alpha I, and G.
 
-    ``gram`` is G when the caller holds it; otherwise G is summed over row
-    blocks of X[:, A].
+    ``gram`` is G when the caller holds it; otherwise G is formed by
+    :func:`ssnpath.problem._gram`.
     """
     if gram is None:
-        gram = prob.alpha * np.eye(A.shape[0])
-        for block in _row_blocks(prob.X, A):
-            gram += block.T @ block
+        gram = _gram(prob.X, A, prob.alpha)
     try:
         return np.linalg.solve(gram, rhs), gram
     except np.linalg.LinAlgError as exc:

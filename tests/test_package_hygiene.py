@@ -4,8 +4,9 @@ Every package module and test module must use each name it imports (the
 package ``__init__`` may instead re-export it through ``__all__``),
 ``__all__`` must list each public name once and only names that exist,
 every function the package defines must be named somewhere outside the tests,
-no package module may read or write a private attribute that no class of
-its own declares, and none may set an attribute on an exception it caught.
+no package module but ``problem.py`` may import how the design is cut into
+blocks, no package module may read or write a private attribute that no class
+of its own declares, and none may set an attribute on an exception it caught.
 """
 
 import ast
@@ -140,6 +141,18 @@ def _foreign_private_attributes(path, ctx):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ctx)
         and _private(node.attr) and node.attr not in declared and not _on_self(node)
     ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem != "problem"], ids=lambda p: p.name
+)
+def test_only_problem_knows_how_the_design_is_blocked(path):
+    # the blocked products of problem.py are the one place that cuts X into blocks
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {name for name, _ in _imported_names(tree)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    leaked = sorted(names & {"_row_blocks", "_BLOCK_ENTRIES"})
+    assert leaked == [], f"{path.name} reads how problem.py blocks the design: {leaked}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

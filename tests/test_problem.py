@@ -149,6 +149,24 @@ class TestProblemData:
         x = rng.standard_normal(k)
         assert np.array_equal(_columns_times(X, cols, x), X[:, cols] @ x)
 
+    # at n = 600 a column block is 54 columns wide: empty, inside one block,
+    # exactly one block, and across several blocks with a short last one
+    @pytest.mark.parametrize("k", [0, 10, 54, 200])
+    def test_blocked_columns_dot_matches_whole_gather(self, k):
+        from ssnpath.problem import _BLOCK_ENTRIES, _columns_dot
+
+        n = 600
+        assert _BLOCK_ENTRIES // n == 54
+        rng = np.random.default_rng(33)
+        X = np.asfortranarray(rng.standard_normal((n, 250)))
+        cols = np.sort(rng.choice(250, size=k, replace=False))
+        v = rng.standard_normal(n)
+        got, want = _columns_dot(X, cols, v), X[:, cols].T @ v
+        assert got.shape == (k,)
+        if k <= 54:
+            assert np.array_equal(got, want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * n)
+
 
 class TestObjective:
     def test_zero_vector(self):

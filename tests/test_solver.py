@@ -68,22 +68,6 @@ class TestSsnUpdate:
         with pytest.raises(CgBreakdown):
             ssn_update(prob, state, part, 0.5)
 
-    def test_breakdown_on_duplicate_columns_cg(self):
-        # opposite pinned signs on duplicated columns make the restricted
-        # system inconsistent; the search direction falls into the null
-        # space within two iterations
-        X = np.array([[1.0, 1.0], [-1.0, -1.0]])
-        prob = ProblemData(X, np.array([1.0, -1.0]))
-        state = PrimalDualState(np.array([0.6, -0.6]), np.array([0.7, -0.7]))
-        lam = 0.5
-        part = active_partition(state, lam)
-        A = part.active
-        rhs = prob.xty[A] - prob.n * lam * np.sign(state.beta[A] + state.dual[A])
-        XA = prob.X[:, A]
-        with pytest.raises(CgBreakdown):
-            solver._cg(lambda v: XA.T @ (XA @ v), rhs, state.beta[A], tol=1e-12, max_iter=50,
-                       curvature_floor=1e-14 * prob.n)
-
     def test_uses_pre_update_signs(self):
         # the pinned dual follows the incoming state's signs even when the
         # solved coefficient flips
@@ -100,12 +84,10 @@ class TestSsnUpdate:
 
 class TestSolveRestricted:
     @pytest.mark.parametrize("size", [1, 32, 33, 60])
-    def test_exact_at_every_size(self, monkeypatch, size):
+    def test_exact_at_every_size(self, size):
         # n = 600 puts a 60-column block past one row block (546 rows)
         prob, _ = random_instance(600, 200, alpha=0.1, seed=21)
         rng = np.random.default_rng(size)
-        calls = []
-        monkeypatch.setattr(solver, "_cg", lambda *args, **kwargs: calls.append(args))
         A = np.sort(rng.choice(prob.p, size, replace=False))
         rhs = rng.standard_normal(size)
         XA = prob.X[:, A]
@@ -115,7 +97,6 @@ class TestSolveRestricted:
         np.testing.assert_array_equal(x, np.linalg.solve(gram, rhs))
         np.testing.assert_allclose(G @ x, rhs, rtol=0, atol=1e-10 * np.abs(rhs).max())
         assert solver._solve_restricted(prob, A, rhs, gram)[1] is gram
-        assert calls == []
 
     def test_repeated_active_set_reuses_the_block_bitwise(self):
         prob, _ = random_instance(600, 200, alpha=0.1, seed=22, T=40)
@@ -164,6 +145,29 @@ class TestSolveRestricted:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * k
+
+    def test_update_keeps_at_most_one_gram_block_alive(self):
+        # 8 k^2 bytes is one Gram block, against 256 KiB for a row block of
+        # X[:, A]. Forming a block holds two at a time (I and alpha I, then G
+        # and one row block's X_b'X_b), so the peak reaches 3 x 8 k^2 only
+        # when the incoming state's block is still alive
+        n, k = 600, 500
+        rng = np.random.default_rng(25)
+        prob = ProblemData(rng.standard_normal((n, 2 * k)), rng.standard_normal(n), alpha=1.0)
+        first = PrimalDualState(np.zeros(2 * k), np.where(np.arange(2 * k) < k, 2.0, 0.0))
+        second = PrimalDualState(np.zeros(2 * k), np.where(np.arange(2 * k) < k, 0.0, 2.0))
+        part = active_partition(second, 1.0)
+        tracemalloc.start()
+        try:
+            state = ssn_update(prob, first, active_partition(first, 1.0), 1.0)
+            assert held_gram(prob, state, np.arange(k)) is not None
+            tracemalloc.reset_peak()
+            ssn_update(prob, state, part, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.size == k and held_gram(prob, state, np.arange(k)) is None
+        assert peak < 3 * 8 * k * k
 
 
 class TestSsnSolve:
