@@ -22,14 +22,17 @@ alternative generators need only match in distribution.
 
 Instances are built in place. The design's normals are drawn a block of rows
 at a time on one worker thread, up to two blocks ahead, while the calling
-thread blends the block before and copies it into the column-major design;
-``make_instance`` then centers, scales and norm-checks it a block of columns
-at a time. The draws keep their row-major order from the one generator, so
-the design is the same as a serial draw's; the generator passed in must not be
-used elsewhere while a design is drawn from it. No n-by-p temporary is made,
-and every entry gets the same floating-point operations as the whole-array
-formulas above, so ``tests/test_datagen.py`` checks instances bitwise against
-a reference generator written with those formulas.
+thread blends the block before and copies it into the column-major design.
+Right after the draw, ``make_instance`` centers, scales and norm-checks the
+design, takes its final norms and rounds it to float32 in one pass over
+blocks of columns, which the calling thread and one worker share, and hands
+the norms and the float32 copy to ``ProblemData``. The draws keep their
+row-major order from the one generator, so the design is the same as a serial
+draw's; the generator passed in must not be used elsewhere while a design is
+drawn from it. No n-by-p temporary is made, and every entry gets the same
+floating-point operations as the whole-array formulas above, so
+``tests/test_datagen.py`` checks instances bitwise against a reference
+generator written with those formulas.
 """
 
 import math
@@ -41,7 +44,7 @@ import numpy as np
 
 from .errors import NoiseTooLarge
 from .path import sign_recovery_config
-from .problem import ProblemData, _center_scale_columns
+from .problem import ProblemData, _column_pass
 
 # Coherence is an O(p^2 n) dense computation; refuse silly sizes unless forced.
 COHERENCE_GUARD_P = 5000
@@ -154,8 +157,9 @@ def gen_classical(n, p, rho, rng):
         E[:, 1:] *= c
         X[rows] = E
     # X_j = c * E_j + rho * X_{j-1}, one column at a time in place.
+    lag = np.empty(n)
     for j in range(1, p):
-        X[:, j] += rho * X[:, j - 1]
+        X[:, j] += np.multiply(X[:, j - 1], rho, out=lag)
     return X
 
 
@@ -207,11 +211,11 @@ def make_instance(config, alpha=0.0):
         X = gen_classical(config.n, config.p, config.corr, rng_design)
     else:
         X = gen_autocorr(config.n, config.p, config.corr, rng_design)
-    _center_scale_columns(X)
+    design = _column_pass(X, X, center=True)
     beta_true = gen_beta(config.p, config.T, np.random.default_rng(s_coef))
     y = gen_response(X, beta_true, config.sigma, np.random.default_rng(s_noise))
     y = y - y.mean()
-    return ProblemData(X, y, alpha), TruthModel.from_beta(beta_true, config.sigma)
+    return ProblemData(design, y, alpha), TruthModel.from_beta(beta_true, config.sigma)
 
 
 def mutual_coherence(prob, force=False):

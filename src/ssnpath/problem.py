@@ -10,7 +10,11 @@ sqrt(n) (see :func:`normalize`); the ``normalized`` flag records whether that
 holds for a given instance.
 """
 
+import contextvars
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +27,11 @@ NORMALIZED_TOL = 1e-8
 # Blocked passes over X take about this many entries (256 KiB) at a time, so a
 # block stays in cache across the steps of the pass.
 _BLOCK_ENTRIES = 1 << 15
+
+# The setup pass over X (centering, scaling, norms and the float32 copy) takes
+# column blocks of about this many entries (512 KiB), fewer and larger ones,
+# because its cost is the Python calls per block.
+_PASS_ENTRIES = 1 << 16
 
 # Unit roundoff of float64.
 _UNIT_ROUNDOFF = 2.0**-53
@@ -56,7 +65,12 @@ class ProblemData:
     __slots__ = ("X", "y", "alpha", "xty", "normalized", "max_col_norm", "X32")
 
     def __init__(self, X, y, alpha=0.0):
-        X = np.asfortranarray(X, dtype=np.float64)
+        if isinstance(X, _ColumnPass):
+            # normalize() and make_instance() hand over their pass's X32 and norms
+            X, X32, norms = X
+        else:
+            X = np.asfortranarray(X, dtype=np.float64)
+            X32 = norms = None
         y = np.ascontiguousarray(y, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise DimensionMismatch(f"design must be a 2-d matrix, got shape {X.shape}")
@@ -64,8 +78,8 @@ class ProblemData:
             raise DimensionMismatch(
                 f"response length {y.shape} does not match {X.shape[0]} rows"
             )
-        X32 = np.empty(X.shape, dtype=np.float32, order="F")
-        norms = _column_norms(X, X32)
+        if norms is None:
+            _, X32, norms = _column_pass(X, X, center=False)
         # Finite norms imply a finite X; a non-finite norm can also come from
         # squares that overflow, so only then is X checked entry by entry.
         finite_X = np.isfinite(norms).all() or np.isfinite(X).all()
@@ -103,7 +117,7 @@ class ProblemData:
 
 
 def _column_blocks(X):
-    """Slices that cover the columns of ``X`` in order, about ``_BLOCK_ENTRIES`` entries each.
+    """Slices that cover the columns of ``X`` in order, about ``_PASS_ENTRIES`` entries each.
 
     A block is at least two columns wide unless ``X`` has one column, so a
     reduction over axis 0 of a block runs in the same order as over all of
@@ -112,7 +126,7 @@ def _column_blocks(X):
     whole-array ones.
     """
     n, p = X.shape
-    width = max(2, _BLOCK_ENTRIES // max(n, 1))
+    width = max(2, _PASS_ENTRIES // max(n, 1))
     count = max(1, p // width)
     edges = [p * k // count for k in range(count + 1)]
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
@@ -140,10 +154,17 @@ def _columns_times(X, cols, x):
 
 
 def _gram(X, cols, alpha):
-    """``X[:, cols]'X[:, cols] + alpha I``, summed one row block at a time."""
-    gram = alpha * np.eye(cols.shape[0])
+    """``X[:, cols]'X[:, cols] + alpha I``, summed one row block at a time.
+
+    Each block's product goes into one reused buffer, so forming the Gram
+    block holds two k-by-k arrays.
+    """
+    gram = np.eye(cols.shape[0])
+    gram *= alpha
+    product = np.empty_like(gram)
     for block in _row_blocks(X, cols):
-        gram += block.T @ block
+        gram += np.matmul(block.T, block, out=product)
+        del block  # before the next row block is gathered
     return gram
 
 
@@ -161,42 +182,95 @@ def _block_norms(block):
     return np.sqrt(np.add.reduce(block * block, axis=0))
 
 
-def _column_norms(X, X32):
-    """``np.linalg.norm(X, axis=0)`` without an n-by-p temporary.
+def _share_blocks(blocks, work):
+    """Call ``work(cols)`` for every slice in ``blocks``, on the calling thread and one worker.
 
-    The float32 array ``X32`` of the same shape receives ``X`` rounded to
-    float32 in the same pass, while each block is in cache.
+    Both threads take the next block from one shared iterator, so neither
+    waits for the other. Once ``work`` returns True or raises, neither thread
+    takes another block, but a block already taken is finished. The worker
+    runs in a copy of the caller's context (numpy's error state included) and
+    is joined before this returns, also when either thread raises; an error of
+    the calling thread wins over one of the worker.
     """
+    if len(blocks) == 1:
+        work(blocks[0])
+        return
+    todo = iter(blocks)
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def drain():
+        while not stop.is_set():
+            with lock:
+                cols = next(todo, None)
+            if cols is None:
+                return
+            try:
+                if work(cols):
+                    stop.set()
+            except BaseException:
+                stop.set()
+                raise
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        helper = worker.submit(contextvars.copy_context().run, drain)
+        drain()
+        helper.result()
+
+
+class _ColumnPass(NamedTuple):
+    """A column-major float64 design with its float32 copy and computed column norms."""
+
+    X: np.ndarray
+    X32: np.ndarray
+    norms: np.ndarray
+
+
+def _column_pass(src, X, center):
+    """One pass over the column blocks of ``src``, writing ``X``, its float32 copy and norms.
+
+    ``X`` is a float64 array of ``src``'s shape, column-major unless it is
+    ``src`` itself, which is then changed in place; ``src`` is never written
+    otherwise. With ``center`` each block is centered, checked for
+    constant columns and scaled to norm sqrt(n) into ``X``, with the same
+    arithmetic as ``(src - src.mean(0)) * (sqrt(n) / norm(src - src.mean(0),
+    axis=0))``; without it ``X`` must be ``src``. Then the block's final
+    norms and its float32 rounding are taken while it is in cache. The blocks
+    are shared by the calling thread and one worker (:func:`_share_blocks`),
+    and every entry gets the same operations as in a serial pass, so the
+    results are bitwise those of the whole-array expressions.
+
+    Returns a ``_ColumnPass``. Raises ``ZeroVarianceColumn`` for the lowest
+    constant column, leaving ``X`` partly written: every block before the one
+    holding that column has been taken, and a taken block is finished.
+    """
+    root_n = np.sqrt(src.shape[0])
+    X32 = np.empty(X.shape, dtype=np.float32, order="F")
     norms = np.empty(X.shape[1])
-    # entries past the float32 range round to inf, which the screen never uses
-    with np.errstate(over="ignore"):
-        for cols in _column_blocks(X):
-            block = X[:, cols]
+    dead = []
+
+    def work(cols):
+        block = src[:, cols]
+        if center:
+            # max(X.max, -X.min) equals abs(X).max exactly, without the abs copy.
+            raw_scale = np.maximum(1.0, np.maximum(block.max(axis=0), -block.min(axis=0)))
+            block = np.subtract(block, block.mean(axis=0), out=block if src is X else None)
+            scale = _block_norms(block)
+            flat = scale <= 1e-10 * raw_scale * root_n
+            if flat.any():
+                dead.append(cols.start + np.flatnonzero(flat)[0])
+                return True
+            block = np.multiply(block, root_n / scale, out=X[:, cols])
+        # entries past the float32 range round to inf, which the screen never uses
+        with np.errstate(over="ignore"):
             norms[cols] = _block_norms(block)
             X32[:, cols] = block
-    return norms
+        return False
 
-
-def _center_scale_columns(X):
-    """Center each column of ``X`` in place, rescale it to norm sqrt(n), and return ``X``.
-
-    Rejects constant columns. Each entry gets the same arithmetic as
-    ``(X - X.mean(0)) * (sqrt(n) / norm(X - X.mean(0), axis=0))``, one block of
-    columns at a time, so the result is bitwise equal to that expression. ``X``
-    is left partly transformed when ``ZeroVarianceColumn`` is raised.
-    """
-    root_n = np.sqrt(X.shape[0])
-    for cols in _column_blocks(X):
-        block = X[:, cols]
-        # max(X.max, -X.min) equals abs(X).max exactly, without the abs copy.
-        raw_scale = np.maximum(1.0, np.maximum(block.max(axis=0), -block.min(axis=0)))
-        block -= block.mean(axis=0)
-        norms = _block_norms(block)
-        dead = norms <= 1e-10 * raw_scale * root_n
-        if dead.any():
-            raise ZeroVarianceColumn(cols.start + np.flatnonzero(dead)[0])
-        block *= root_n / norms
-    return X
+    _share_blocks(_column_blocks(X), work)
+    if dead:
+        raise ZeroVarianceColumn(min(dead))
+    return _ColumnPass(X, X32, norms)
 
 
 def normalize(X, y, alpha=0.0):
@@ -222,9 +296,9 @@ def normalize(X, y, alpha=0.0):
     DimensionMismatch
         If ``len(y)`` differs from the number of rows.
     """
-    # A private copy in the input's memory layout: the caller's array is never
-    # written, and the centering sums run in the same order as on the input.
-    X = np.array(X, dtype=np.float64)
+    # Read in the input's memory layout, so the centering sums run in the same
+    # order as on the input; the pass writes a new column-major array.
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch(f"design must be a 2-d matrix, got shape {X.shape}")
@@ -234,7 +308,8 @@ def normalize(X, y, alpha=0.0):
         raise DimensionMismatch(
             f"response length {y.shape} does not match {X.shape[0]} rows"
         )
-    return ProblemData(_center_scale_columns(X), y - y.mean(), alpha)
+    design = _column_pass(X, np.empty(X.shape, order="F"), center=True)
+    return ProblemData(design, y - y.mean(), alpha)
 
 
 def objective(prob, beta, lam):

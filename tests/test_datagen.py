@@ -1,6 +1,8 @@
 import math
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -70,7 +72,7 @@ def _ref_gen_beta(p, T, rng):
 
 
 def _ref_make_instance(config):
-    """(X, y, xty, beta_true, normalized) as the reference composition builds them."""
+    """(X, y, xty, beta_true) as the reference composition builds them."""
     s_design, s_coef, s_noise = np.random.SeedSequence(config.seed).spawn(3)
     gen = _ref_gen_classical if config.design == "classical" else _ref_gen_autocorr
     X = gen(config.n, config.p, config.corr, np.random.default_rng(s_design))
@@ -80,9 +82,27 @@ def _ref_make_instance(config):
     if config.sigma > 0.0:
         y = y + config.sigma * np.random.default_rng(s_noise).standard_normal(config.n)
     y = y - y.mean()
+    return X, y, X.T @ y, beta_true
+
+
+def _ref_norm_fields(X):
+    """(X32, normalized, max_col_norm) as the whole-array expressions give them."""
     norms = np.linalg.norm(X, axis=0)
-    normalized = bool(np.max(np.abs(norms - np.sqrt(config.n))) <= 1e-8)
-    return X, y, X.T @ y, beta_true, normalized
+    normalized = bool(np.max(np.abs(norms - np.sqrt(X.shape[0]))) <= 1e-8)
+    bound = np.max(norms) * (1.0 + 2.0 * problem_module._gamma(X.shape[0] + 1))
+    return X.astype(np.float32), normalized, float(np.nextafter(bound, np.inf))
+
+
+def _assert_same_instance(prob, X, y, xty):
+    """``prob`` holds ``X``, ``y`` and ``xty`` and the fields derived from ``X``, bit for bit."""
+    X32, normalized, max_col_norm = _ref_norm_fields(X)
+    assert np.array_equal(prob.X, X)
+    assert np.array_equal(prob.y, y)
+    assert np.array_equal(prob.xty, xty)
+    assert np.array_equal(prob.X32, X32)
+    assert prob.normalized == normalized
+    assert prob.max_col_norm == max_col_norm
+    assert prob.X.flags.f_contiguous and prob.X32.flags.f_contiguous
 
 
 _GENERATORS = {
@@ -93,14 +113,10 @@ _GENERATORS = {
 
 def _assert_matches_reference(config, alpha=0.0):
     prob, truth = make_instance(config, alpha=alpha)
-    X, y, xty, beta_true, normalized = _ref_make_instance(config)
-    assert np.array_equal(prob.X, X)
-    assert np.array_equal(prob.y, y)
-    assert np.array_equal(prob.xty, xty)
+    X, y, xty, beta_true = _ref_make_instance(config)
+    _assert_same_instance(prob, X, y, xty)
     assert np.array_equal(truth.beta_true, beta_true)
-    assert prob.normalized == normalized
     assert prob.alpha == alpha
-    assert prob.X.flags.f_contiguous
 
 
 @pytest.fixture(params=["default-blocks", "tiny-blocks"])
@@ -110,6 +126,7 @@ def block_sizes(request, monkeypatch):
     if request.param == "tiny-blocks":
         monkeypatch.setattr(datagen_module, "_DRAW_ENTRIES", 7)
         monkeypatch.setattr(problem_module, "_BLOCK_ENTRIES", 5)
+        monkeypatch.setattr(problem_module, "_PASS_ENTRIES", 5)
 
 
 class TestClassicalDesign:
@@ -444,6 +461,98 @@ class TestDrawWorker:
                               np.random.default_rng(1).standard_normal((60, 5)))
 
 
+class _PassError(RuntimeError):
+    pass
+
+
+class TestColumnPassThreads:
+    """The setup pass shares its column blocks with one worker that never outlives it."""
+
+    @pytest.fixture(autouse=True)
+    def many_blocks(self, monkeypatch):
+        # 10-row designs take two-column blocks
+        monkeypatch.setattr(problem_module, "_PASS_ENTRIES", 20)
+
+    def _spy_block_norms(self, monkeypatch, spy):
+        block_norms = problem_module._block_norms
+        monkeypatch.setattr(problem_module, "_block_norms", lambda block: spy(block_norms(block)))
+
+    def test_lowest_dead_column_is_named_when_threads_find_several(self, monkeypatch):
+        # The thread that takes the first block (dead column 0) holds it until
+        # the other thread has found dead column 19 in the last block.
+        X = np.random.default_rng(16).standard_normal((10, 20))
+        X[:, 0], X[:, 19] = 4.25, -1.5
+        finders, late_found = [], threading.Event()
+
+        def spy(norms):
+            if norms[0] == 0.0:
+                assert late_found.wait(10)
+                finders.append(threading.get_ident())
+            elif norms[-1] == 0.0:
+                finders.append(threading.get_ident())
+                late_found.set()
+            return norms
+
+        self._spy_block_norms(monkeypatch, spy)
+
+        def body():
+            with pytest.raises(ZeroVarianceColumn) as err:
+                normalize(X, np.ones(10))
+            return err.value.column
+
+        assert _run_within(30, body) == 0
+        assert len(finders) == 2 and finders[0] != finders[1]
+
+    @pytest.mark.parametrize("side", ["worker", "caller"])
+    def test_error_on_either_thread_reaches_caller_and_leaves_no_thread(self, monkeypatch, side):
+        X = np.asfortranarray(np.random.default_rng(17).standard_normal((10, 40)))
+        both_running = threading.Barrier(2, timeout=10)
+        started = set()
+
+        def body():
+            caller = threading.get_ident()
+
+            def spy(norms):
+                me = threading.get_ident()
+                if me not in started:
+                    # each thread's first block waits for the other's, so both take blocks
+                    started.add(me)
+                    both_running.wait()
+                if (me == caller) == (side == "caller"):
+                    raise _PassError(side)
+                return norms
+
+            self._spy_block_norms(monkeypatch, spy)
+            before = threading.active_count()
+            with pytest.raises(_PassError, match=side):
+                ProblemData(X, np.ones(10))
+            return before, threading.active_count()
+
+        before, after = _run_within(30, body)
+        assert after == before and len(started) == 2
+
+    def test_concurrent_passes_under_fast_switching(self):
+        # four callers, each sharing 30 blocks with its own worker: eight threads
+        # switching every microsecond; a block lost or taken twice changes X or X32
+        designs = [np.random.default_rng(40 + k).standard_normal((10, 60)) for k in range(4)]
+        y = np.ones(10)
+
+        def body():
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as callers:
+                    return list(callers.map(lambda X: [normalize(X, y) for _ in range(10)],
+                                            designs))
+            finally:
+                sys.setswitchinterval(interval)
+
+        for X, probs in zip(designs, _run_within(60, body)):
+            X_ref, y_ref = _ref_normalize(X, y)
+            for prob in probs:
+                _assert_same_instance(prob, X_ref, y_ref, X_ref.T @ y_ref)
+
+
 class TestBitwiseAgainstReference:
     @pytest.mark.parametrize("seed", [20240611, (5, 1, 3)], ids=["int-seed", "tuple-seed"])
     @pytest.mark.parametrize(
@@ -495,12 +604,22 @@ class TestNormalizeAgainstReference:
         X_before, y_before = X.copy(order="K"), y.copy()
         prob = normalize(X, y, alpha=0.5)
         X_ref, y_ref = _ref_normalize(X, y)
-        assert np.array_equal(prob.X, X_ref)
-        assert np.array_equal(prob.y, y_ref)
-        assert np.array_equal(prob.xty, X_ref.T @ y_ref)
+        _assert_same_instance(prob, X_ref, y_ref, X_ref.T @ y_ref)
         assert prob.normalized
         assert np.array_equal(X, X_before) and np.array_equal(y, y_before)
         assert X.flags.writeable and y.flags.writeable
+
+    @pytest.mark.parametrize(
+        "cell", [c for _, _, c in _PRESET_CELLS], ids=[f"{n}-{i}" for n, i, _ in _PRESET_CELLS]
+    )
+    def test_preset_designs(self, cell):
+        # a preset's raw design, normalized, is the design make_instance builds
+        X, y, _, _ = _ref_make_instance(cell)
+        gen = _GENERATORS[cell.design][1]
+        stream = np.random.SeedSequence(cell.seed).spawn(3)[0]
+        raw = gen(cell.n, cell.p, cell.corr, np.random.default_rng(stream))
+        prob = normalize(raw, y)
+        _assert_same_instance(prob, X, y - y.mean(), X.T @ (y - y.mean()))
 
     def test_strided_view_input(self):
         rng = np.random.default_rng(77)

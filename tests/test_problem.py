@@ -128,13 +128,16 @@ class TestProblemData:
         assert prob.max_col_norm == np.inf
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("shape", [(1, 5), (7, 1), (50, 3), (2000, 41)])
+    @pytest.mark.parametrize("shape", [(1, 5), (7, 1), (50, 3), (2000, 41), (2000, 301)])
     def test_blocked_norms_match_linalg(self, order, shape):
-        from ssnpath.problem import _column_norms
+        # 2000 x 301 takes nine column blocks, shared by two threads
+        from ssnpath.problem import _column_pass
 
         X = np.array(np.random.default_rng(31).standard_normal(shape), order=order)
-        X32 = np.empty(shape, dtype=np.float32, order="F")
-        assert np.array_equal(_column_norms(X, X32), np.linalg.norm(X, axis=0))
+        before = X.copy(order="K")
+        out, X32, norms = _column_pass(X, X, center=False)
+        assert out is X and np.array_equal(X, before)
+        assert np.array_equal(norms, np.linalg.norm(X, axis=0))
         assert np.array_equal(X32, X.astype(np.float32))
 
     # n * |cols| up to one row block of 32,768 entries, the last one exactly at it

@@ -1,9 +1,11 @@
 """``tools/compare_paths.py`` passes a checkout against itself and catches one ulp, and its
 ``--models`` mode catches a sign flip; ``tools/loc.py`` counts the lines a code token touches
-and the names ``__all__`` lists."""
+and the names ``__all__`` lists; ``tools/ab.py`` pairs alternating runs and claims no win
+for a checkout against itself."""
 
 import dataclasses
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -18,6 +20,7 @@ from ssnpath.dual import Work
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_paths.py"
 LOC = ROOT / "tools" / "loc.py"
+AB = ROOT / "tools" / "ab.py"
 
 
 def _run(*args):
@@ -179,3 +182,62 @@ def test_loc_prints_the_number_of_public_names(tmp_path):
     assert lines[2:5] == ["      2      2  src/ssnpath/__init__.py", "      2      2  total",
                           "      2  names  ssnpath.__all__"]
     assert lines[-1].split() == [str(len(ssnpath.__all__)), "names", "ssnpath.__all__"]
+
+
+def _result_line(**values):
+    """A result line as ``perfbench/run.py`` prints it last."""
+    metrics = {name: {"value": value, "unit": "s"} for name, value in values.items()}
+    return json.dumps({"correct": True, "attempted": 12, "failed": 0, "metrics": metrics})
+
+
+def test_ab_summarizes_canned_result_lines():
+    ab = _tool(AB)
+    old_setup = [0.351, 0.340, 0.362, 0.355, 0.348, 0.371, 0.344, 0.350, 0.359, 0.347]
+    new_setup = [0.301, 0.305, 0.298, 0.358, 0.300, 0.310, 0.296, 0.303, 0.299, 0.304]
+    old = [json.loads(_result_line(setup_s=s, ae=0.5, knots=3.0)) for s in old_setup]
+    new = [json.loads(_result_line(setup_s=s, ae=0.5)) for s in new_setup]
+    new[0]["metrics"]["ae"]["value"] = None  # a metric a run could not measure
+    rows = ab.summarize(old, new, {"setup_s": "lower", "ae": "lower", "knots": "higher"})
+    setup, ae = rows  # no pair has "knots" on both sides
+    assert setup["pairs"] == 10 and setup["wins"] == 9 and setup["losses"] == 1
+    assert setup["old_median"] == np.median(old_setup)
+    assert setup["new_median"] == np.median(new_setup)
+    assert setup["old_iqr"] == np.percentile(old_setup, 75) - np.percentile(old_setup, 25)
+    assert setup["claim"] == "gain"
+    assert (ae["pairs"], ae["wins"], ae["losses"], ae["claim"]) == (9, 0, 0, None)
+    # swapped sides: the same numbers are a loss for NEW
+    assert ab.summarize(new, old, {"setup_s": "lower"})[0]["claim"] == "loss"
+    # "higher is better" turns the wins around
+    assert ab.summarize(old, new, {"setup_s": "higher"})[0]["claim"] == "loss"
+    # 8 wins in 10 are too few, however large the gap
+    new[1]["metrics"]["setup_s"]["value"] = 0.341
+    assert ab.summarize(old, new, {"setup_s": "lower"})[0]["claim"] is None
+    line = ab.report(rows)[1]
+    assert line.split()[0] == "setup_s" and line.endswith(" 9/10  gain")
+
+
+def test_ab_same_checkout_claims_no_win(tmp_path):
+    # The stub benchmark reads faster on every run, as a host drifting
+    # faster would; with the order alternating, NEW wins half the pairs.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(f"""
+import json, pathlib, sys
+assert sys.argv[1:] == ["--workload", "table2", "--seed", "3", "--seconds", "0.0", "--trace", "0"]
+count = pathlib.Path(__file__).with_name("count")
+k = int(count.read_text()) if count.exists() else 0
+count.write_text(str(k + 1))
+value = 1.0 - 0.01 * k
+print("workload table2")
+print(json.dumps({{"correct": True, "attempted": 12, "failed": 0, "metrics": {{
+    "setup_s": {{"value": value, "unit": "s"}}, "fit_s": {{"value": value, "unit": "s"}},
+    "ae": {{"value": 0.25, "unit": "coef"}}}}}}))
+""")
+    run = subprocess.run([sys.executable, str(AB), str(tmp_path), str(tmp_path), "--workload",
+                          "table2", "--pairs", "10", "--seconds", "0", "--seed", "3"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert (tmp_path / "perfbench" / "count").read_text() == "20"
+    rows = {line.split()[0]: line for line in run.stdout.splitlines()[-3:]}
+    assert rows.keys() == {"setup_s", "fit_s", "ae"}
+    assert rows["setup_s"].endswith(" 5/10  -") and rows["fit_s"].endswith(" 5/10  -")
+    assert rows["ae"].endswith(" 0/10  -")
