@@ -34,9 +34,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CLAIM_WINS = 0.9
 
 
-def gated_metrics(root=ROOT):
-    """``{name: better}`` for the end-to-end metrics of ``root/BENCHMARK.json``."""
-    spec = json.loads((Path(root) / "BENCHMARK.json").read_text())
+def gated_metrics():
+    """``{name: better}`` for the end-to-end metrics of this checkout's ``BENCHMARK.json``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
