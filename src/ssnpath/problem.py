@@ -10,7 +10,6 @@ sqrt(n) (see :func:`normalize`); the ``normalized`` flag records whether that
 holds for a given instance.
 """
 
-import contextvars
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -187,9 +186,8 @@ def _share_blocks(blocks, work):
 
     Both threads take the next block from one shared iterator, so neither
     waits for the other. Once ``work`` returns True or raises, neither thread
-    takes another block, but a block already taken is finished. The worker
-    runs in a copy of the caller's context (numpy's error state included) and
-    is joined before this returns, also when either thread raises; an error of
+    takes another block, but a block already taken is finished. The worker is
+    joined before this returns, also when either thread raises; an error of
     the calling thread wins over one of the worker.
     """
     if len(blocks) == 1:
@@ -213,7 +211,7 @@ def _share_blocks(blocks, work):
                 raise
 
     with ThreadPoolExecutor(max_workers=1) as worker:
-        helper = worker.submit(contextvars.copy_context().run, drain)
+        helper = worker.submit(drain)
         drain()
         helper.result()
 
@@ -238,7 +236,8 @@ def _column_pass(src, X, center):
     norms and its float32 rounding are taken while it is in cache. The blocks
     are shared by the calling thread and one worker (:func:`_share_blocks`),
     and every entry gets the same operations as in a serial pass, so the
-    results are bitwise those of the whole-array expressions.
+    results are bitwise those of the whole-array expressions. Both threads
+    run under the caller's numpy error state.
 
     Returns a ``_ColumnPass``. Raises ``ZeroVarianceColumn`` for the lowest
     constant column, leaving ``X`` partly written: every block before the one
@@ -248,24 +247,27 @@ def _column_pass(src, X, center):
     X32 = np.empty(X.shape, dtype=np.float32, order="F")
     norms = np.empty(X.shape[1])
     dead = []
+    errors = np.geterr()
 
     def work(cols):
-        block = src[:, cols]
-        if center:
-            # max(X.max, -X.min) equals abs(X).max exactly, without the abs copy.
-            raw_scale = np.maximum(1.0, np.maximum(block.max(axis=0), -block.min(axis=0)))
-            block = np.subtract(block, block.mean(axis=0), out=block if src is X else None)
-            scale = _block_norms(block)
-            flat = scale <= 1e-10 * raw_scale * root_n
-            if flat.any():
-                dead.append(cols.start + np.flatnonzero(flat)[0])
-                return True
-            block = np.multiply(block, root_n / scale, out=X[:, cols])
-        # entries past the float32 range round to inf, which the screen never uses
-        with np.errstate(over="ignore"):
-            norms[cols] = _block_norms(block)
-            X32[:, cols] = block
-        return False
+        # a worker thread starts with numpy's default error state, not the caller's
+        with np.errstate(**errors):
+            block = src[:, cols]
+            if center:
+                # max(X.max, -X.min) equals abs(X).max exactly, without the abs copy.
+                raw_scale = np.maximum(1.0, np.maximum(block.max(axis=0), -block.min(axis=0)))
+                block = np.subtract(block, block.mean(axis=0), out=block if src is X else None)
+                scale = _block_norms(block)
+                flat = scale <= 1e-10 * raw_scale * root_n
+                if flat.any():
+                    dead.append(cols.start + np.flatnonzero(flat)[0])
+                    return True
+                block = np.multiply(block, root_n / scale, out=X[:, cols])
+            # entries past the float32 range round to inf, which the screen never uses
+            with np.errstate(over="ignore"):
+                norms[cols] = _block_norms(block)
+                X32[:, cols] = block
+            return False
 
     _share_blocks(_column_blocks(X), work)
     if dead:

@@ -531,6 +531,27 @@ class TestColumnPassThreads:
         before, after = _run_within(30, body)
         assert after == before and len(started) == 2
 
+    def test_both_threads_run_under_the_callers_error_state(self, monkeypatch):
+        X = np.random.default_rng(18).standard_normal((10, 40))
+        both_running = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def spy(norms):
+            me = threading.get_ident()
+            if me not in seen:
+                both_running.wait()  # each thread's first block waits for the other's
+            seen.setdefault(me, set()).add(np.geterr()["invalid"])
+            return norms
+
+        self._spy_block_norms(monkeypatch, spy)
+
+        def body():
+            with np.errstate(invalid="raise"):
+                normalize(X, np.ones(10))
+
+        _run_within(30, body)
+        assert list(seen.values()) == [{"raise"}, {"raise"}]
+
     def test_concurrent_passes_under_fast_switching(self):
         # four callers, each sharing 30 blocks with its own worker: eight threads
         # switching every microsecond; a block lost or taken twice changes X or X32

@@ -222,7 +222,7 @@ def test_ab_same_checkout_claims_no_win(tmp_path):
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "run.py").write_text(f"""
 import json, pathlib, sys
-assert sys.argv[1:] == ["--workload", "table2", "--seed", "3", "--seconds", "0.0", "--trace", "0"]
+assert sys.argv[1:] == ["--workload", "table2", "--seed", "0", "--seconds", "0.0", "--trace", "0"]
 count = pathlib.Path(__file__).with_name("count")
 k = int(count.read_text()) if count.exists() else 0
 count.write_text(str(k + 1))
@@ -233,7 +233,7 @@ print(json.dumps({{"correct": True, "attempted": 12, "failed": 0, "metrics": {{
     "ae": {{"value": 0.25, "unit": "coef"}}}}}}))
 """)
     run = subprocess.run([sys.executable, str(AB), str(tmp_path), str(tmp_path), "--workload",
-                          "table2", "--pairs", "10", "--seconds", "0", "--seed", "3"],
+                          "table2", "--pairs", "10", "--seconds", "0"],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stdout + run.stderr
     assert (tmp_path / "perfbench" / "count").read_text() == "20"

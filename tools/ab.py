@@ -1,13 +1,14 @@
 """Time two checkouts against each other in alternating benchmark runs.
 
-    python3 tools/ab.py OLD NEW --workload W [--pairs 10] [--seconds 30] [--seed 0]
+    python3 tools/ab.py OLD NEW --workload W [--pairs 10] [--seconds 30]
 
 OLD and NEW are checkout roots, each with its own ``perfbench/run.py``, which
 imports the package from its own ``src/``. For each of the K pairs, both
-checkouts run ``perfbench/run.py --workload W --seed N --seconds S --trace 0``
-in a subprocess, one after the other; OLD goes first in even pairs and NEW in
-odd ones, so a drift in machine speed favours neither side. The JSON object on
-the last line of each run's output holds its metrics.
+checkouts run ``perfbench/run.py --workload W --seed 0 --seconds S --trace 0``
+in a subprocess, one after the other, so both time the same instances. OLD
+goes first in even pairs and NEW in odd ones, so a drift in machine speed
+favours neither side. The JSON object on the last line of each run's output
+holds its metrics.
 
 For every gated metric (the ``end_to_end`` list of this checkout's
 ``BENCHMARK.json``, with its ``better`` direction) it prints each side's
@@ -40,10 +41,10 @@ def gated_metrics():
     return {m["name"]: m["better"] for m in spec["end_to_end"]}
 
 
-def run_once(root, workload, seed, seconds):
+def run_once(root, workload, seconds):
     """The result object one ``perfbench/run.py`` run of checkout ``root`` prints last."""
     cmd = [sys.executable, str(Path(root) / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", "0", "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     lines = run.stdout.strip().splitlines()
@@ -119,7 +120,6 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10, help="number of run pairs (default 10)")
     parser.add_argument("--seconds", type=float, default=30.0,
                         help="timed seconds per run (default 30)")
-    parser.add_argument("--seed", type=int, default=0, help="benchmark seed (default 0)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -128,7 +128,7 @@ def main(argv=None):
     for k in range(args.pairs):
         sides = [(args.old, old), (args.new, new)]
         for root, results in sides if k % 2 == 0 else sides[::-1]:
-            results.append(run_once(root, args.workload, args.seed, args.seconds))
+            results.append(run_once(root, args.workload, args.seconds))
         print(f"pair {k + 1}/{args.pairs}: " + "; ".join(
             f"{name} {_show(_value(old[-1], name))} -> {_show(_value(new[-1], name))}"
             for name in metrics),
