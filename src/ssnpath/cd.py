@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .kkt import refresh_dual, soft_threshold
-from .path import KnotRecord, _walk
+from .path import KnotRecord, _rss, _walk
+from .problem import _columns_times
 
 # Support threshold for coordinate-descent estimates: unlike the Newton
 # solver, CD leaves tiny nonzeros behind at loose tolerances.
@@ -81,11 +82,13 @@ def cd_path(prob, config, tol=1e-8, max_sweeps=500):
 
     Per-knot records store sweeps in the ``iterations`` field and
     ``converged`` / ``max_sweeps`` as the stop reason. Supports use the
-    |beta_j| > 1e-10 threshold. A record's dual is :func:`refresh_dual` of
-    the unthresholded iterate, built from that iterate's nonzeros when it is
-    first read. The sparsity cap ends the path as it ends the Newton path.
-    CD solves the stated problem, so only the ``"zero"`` shift schedule is
-    accepted.
+    |beta_j| > 1e-10 threshold, and ``rss`` is the residual of the
+    thresholded coefficients, summed by the blocked
+    :func:`ssnpath.problem._columns_times`. A record's dual is
+    :func:`refresh_dual` of the unthresholded iterate, built from that
+    iterate's nonzeros when it is first read. The sparsity cap ends the
+    path as it ends the Newton path. CD solves the stated problem, so only
+    the ``"zero"`` shift schedule is accepted.
     """
     if config.shift_schedule != "zero":
         raise ValueError(f"cd_path solves unshifted knots only, got {config.shift_schedule!r}")
@@ -96,14 +99,16 @@ def cd_path(prob, config, tol=1e-8, max_sweeps=500):
         if idx.shape[0] > cap:
             return None, None
         nz = np.flatnonzero(res.beta)
+        values = res.beta[idx]
         return res.beta, KnotRecord(
             t=t,
             lam=lam,
             indices=idx,
-            values=res.beta[idx].copy(),
+            values=values,
             iterations=res.sweeps,
             active_size=idx.shape[0],
             stop_reason="converged" if res.converged else "max_sweeps",
+            rss=_rss(prob, _columns_times(prob.X, idx, values)),
             dual_source=partial(_sparse_refresh_dual, prob, nz, res.beta[nz]),
         )
 

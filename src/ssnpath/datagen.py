@@ -156,10 +156,12 @@ def gen_classical(n, p, rho, rng):
     for rows, E in _normal_row_blocks(n, p, rng):
         E[:, 1:] *= c
         X[rows] = E
-    # X_j = c * E_j + rho * X_{j-1}, one column at a time in place.
+    # X_j = c * E_j + rho * X_{j-1}, one column view at a time in place.
     lag = np.empty(n)
-    for j in range(1, p):
-        X[:, j] += np.multiply(X[:, j - 1], rho, out=lag)
+    cols = list(X.T)
+    for prev, col in zip(cols, cols[1:]):
+        np.multiply(prev, rho, out=lag)
+        np.add(col, lag, out=col)
     return X
 
 

@@ -18,8 +18,10 @@ order:
    where err bounds the rounding of the state's own built dual (see
    :class:`_Pinning`). The candidates are the coordinates off A that are
    in A_ref or have |dual_ref_j| + r > ``lam``; no other coordinate can be
-   active. With no candidate the partition is read from the pinned values
-   on A.
+   active. Each reference keeps its largest |dual_ref_j| off A_ref, so
+   when even that one stays within ``lam`` - r the candidates are A_ref
+   less A, found in O(|A|). With no candidate the partition is read from
+   the pinned values on A.
 2. With at most ``SCREEN_MAX_SHARE`` of p candidates, only their duals are
    computed, from the gathered columns.
 3. Otherwise (r >= ``lam`` or too many candidates), a float32 correction
@@ -75,11 +77,13 @@ class PrimalDualState:
     :func:`ssnpath.kkt.refresh_dual`. A state built by the constructor holds
     both vectors as given. A state made by :func:`ssnpath.ssn_update` holds
     only the O(n + |A|) numbers its update left (``_Pinning``), plus its
-    |A| x |A| Gram block until the next update takes it, and builds the
-    length-p dual, one ``X'u`` product, on the first read of ``dual``; its
-    ``beta`` and its built ``dual`` are read-only, so the partition it reads
-    from those numbers is the one its ``beta`` gives. Neither property can be
-    assigned.
+    |A| x |A| Gram block until the next update takes it. It builds each
+    length-p vector on its first read: ``beta`` by scattering the pinned
+    coefficients, ``dual`` with one ``X'u`` product. The solver itself reads
+    neither ``beta`` (:func:`beta_on` reads it on an active set) nor, where a
+    screen settles the partition, ``dual``. Both built vectors are
+    read-only, so the partition read from the pinned numbers is the one the
+    built ``beta`` gives. Neither property can be assigned.
 
     A solver-made state also holds the ``_Certificate`` of a reference: its own
     once its dual is built or tier 3 screened it, else the last reference's of
@@ -103,6 +107,12 @@ class PrimalDualState:
 
     @property
     def beta(self):
+        if self._beta is None:
+            pin = self._pinning
+            beta = np.zeros(pin.prob.p)
+            beta[pin.active] = pin.beta
+            beta.flags.writeable = False
+            self._beta = beta
         return self._beta
 
     @property
@@ -153,13 +163,24 @@ class _Pinning:
         self.err = 2.0 * _gamma(n + active.shape[0] + 4) * c * size / n
 
 
-@dataclass(frozen=True, slots=True)
 class _Certificate:
-    """A reference's ``dual``: pinned on ``pin.active``, within ``err`` of the exact dual off it."""
+    """A reference's ``dual``: pinned on ``pin.active``, within ``err`` of the exact dual off it.
 
-    pin: _Pinning
-    dual: np.ndarray
-    err: float
+    ``top`` is the largest |dual_j| off ``pin.active`` (0 when no coordinate
+    is off it), taken once here, so the sphere of every state screened
+    against this reference can rule out all coordinates off ``pin.active``
+    at once when top + r <= lam (:func:`_sphere`).
+    """
+
+    __slots__ = ("pin", "dual", "err", "top")
+
+    def __init__(self, pin, dual, err):
+        self.pin = pin
+        self.dual = dual
+        self.err = err
+        mag = np.abs(dual)
+        mag[pin.active] = 0.0
+        self.top = float(mag.max())
 
 
 def _pinned_dual(prob, A, beta_A, dual_A, u=None):
@@ -189,18 +210,20 @@ def updated_state(prob, state, A, beta_A, dual_A, gram):
     """The state an update from ``state`` left: ``beta_A`` and ``dual_A`` on ``A``, and the
     Gram block ``gram`` it solved with. u = X_A beta_A is computed as :func:`_pinned_dual` does.
 
-    It carries ``state``'s certificate when that was built on ``prob``
-    itself: a certificate's dual screens the duals of its own data only.
+    ``A`` and ``beta_A`` are kept as read-only views, so neither the knot
+    records that share ``A`` (:func:`knot_fit`) nor the solver, which reads
+    ``beta_A`` in place (:func:`beta_on`), can change the state. The state
+    carries ``state``'s certificate when that was built on ``prob`` itself: a
+    certificate's dual screens the duals of its own data only.
     """
     if not np.isfinite(beta_A).all():
         raise ValueError("state vectors must be finite")
     cert = state._certificate
     cert = cert if cert is not None and cert.pin.prob is prob else None
-    beta = np.zeros(prob.p)
-    beta[A] = beta_A
-    beta.flags.writeable = False
+    A, beta_A = A.view(), beta_A.view()
+    A.flags.writeable = beta_A.flags.writeable = False
     new = object.__new__(PrimalDualState)
-    new._beta, new._dual, new._certificate = beta, None, cert
+    new._beta, new._dual, new._certificate = None, None, cert
     new._pinning = _Pinning(prob, A, beta_A, dual_A, _columns_times(prob.X, A, beta_A), gram)
     return new
 
@@ -225,12 +248,67 @@ def held_gram(prob, state, A, release=False):
     return gram
 
 
+def check_length(prob, state):
+    """Raise ``DimensionMismatch`` unless ``state`` has length p, without building its ``beta``."""
+    pin = state._pinning
+    length = state.beta.shape[0] if pin is None else pin.prob.p
+    if length != prob.p:
+        raise DimensionMismatch(f"state of length {length}, not p = {prob.p}")
+
+
+def beta_on(state, A):
+    """``state.beta[A]`` for sorted indices ``A``, without building a solver-made state's ``beta``.
+
+    When ``A`` is the pinned active set (the solver's stop test always reads
+    it there, and about 60% of the updates on the benchmark's shifted paths
+    do) this is the pinned coefficient array itself, read-only, with no search.
+    """
+    pin = state._pinning
+    if pin is None:
+        return state.beta[A]
+    if np.array_equal(A, pin.active):
+        return pin.beta
+    at, hit = _find(pin.active, A)
+    out = np.zeros(A.shape[0])
+    out[hit] = pin.beta[at[hit]]
+    return out
+
+
+def _find(ids, query):
+    """``(at, hit)``: where each of ``query`` sorts into sorted ``ids``, and whether it is there."""
+    at = np.searchsorted(ids, query)
+    hit = at < ids.shape[0]
+    hit[hit] = ids[at[hit]] == query[hit]
+    return at, hit
+
+
 def support(state):
     """Sorted indices of the nonzero ``beta`` entries, in O(|A|) for a solver-made state."""
     pin = state._pinning
     if pin is None:
         return np.flatnonzero(state.beta)
     return pin.active[pin.beta != 0]
+
+
+def knot_fit(prob, state):
+    """``(indices, values, u)``: the support of ``state``'s beta, the coefficients on it, and
+    the fitted values u = X beta.
+
+    ``values`` is a new array, so editing it in place changes neither the
+    state nor a dual rebuilt from it. ``state`` is solver-made on ``prob`` or
+    else ``prob``'s cold start, as a path's knots return them. When its
+    pinned coefficients are all nonzero, as on every knot of the benchmark's
+    paths, ``indices`` is the update's own read-only active set and u its
+    fitted values, in O(|A|); otherwise the support is gathered and u is
+    summed by the blocked :func:`ssnpath.problem._columns_times`, as the
+    update sums it.
+    """
+    pin = state._pinning
+    if pin is not None and pin.beta.all():
+        return pin.active, pin.beta.copy(), pin.u
+    indices = support(state)
+    values = beta_on(state, indices)
+    return indices, values, _columns_times(prob.X, indices, values)
 
 
 def dual_source(prob, state):
@@ -299,7 +377,7 @@ def active_partition(state, lam):
     sphere = _sphere(state, lam)
     if sphere is not None:
         S, du, _ = sphere
-        if S is None or S.shape[0] > SCREEN_MAX_SHARE * state.beta.shape[0]:
+        if S is None or S.shape[0] > SCREEN_MAX_SHARE * state._pinning.prob.p:
             reference = _corrected(state, du, lam)
             S = None if reference is None else reference[0]
     work = Work(screened=0 if S is None else S.shape[0], corrected=int(reference is not None))
@@ -309,8 +387,14 @@ def active_partition(state, lam):
             return ActivePartition(*read, work)
     # an unbuilt dual costs one X'u unless its active set is empty (X'y/n)
     work += Work(refreshes=int(state._dual is None and state._pinning.active.shape[0] > 0))
-    dual = state.dual
-    active = np.flatnonzero(np.abs(state.beta + dual) > lam)
+    dual, pin = state.dual, state._pinning
+    if pin is None:
+        active = np.flatnonzero(np.abs(state.beta + dual) > lam)
+    else:
+        # beta is zero off the pinned active set, and the dual is pinned on it
+        mask = np.abs(dual) > lam
+        mask[pin.active] = np.abs(pin.beta + pin.dual) > lam
+        active = np.flatnonzero(mask)
     return ActivePartition(active, dual[active], work)
 
 
@@ -318,8 +402,11 @@ def _sphere(state, lam):
     """Tier 1: ``(S, du, r)`` with du = u - u_ref and the radius r of the module docstring.
 
     ``S`` holds the sorted candidates off the pinned active set, or is None
-    (every coordinate) when r is not below ``lam``, as NaN is not. None for
-    a state whose dual is built, given or free (A empty), or uncertified.
+    (every coordinate) when r is not below ``lam``, as NaN is not. When even
+    the reference's largest dual off its active set (``top``) stays within
+    ``lam`` - r, the candidates are the reference's active set less the
+    pinned one, found in O(|A|) with no length-p pass. None for a state
+    whose dual is built, given or free (A empty), or uncertified.
     """
     pin, cert = state._pinning, state._certificate
     if state._dual is not None or pin.active.shape[0] == 0 or cert is None:
@@ -329,7 +416,14 @@ def _sphere(state, lam):
     with np.errstate(over="ignore"):
         du = pin.u - ref.u
     r = prob.max_col_norm * math.sqrt(du @ du) / prob.n + cert.err + pin.err
-    S = _off_pinned(np.abs(cert.dual) + r > lam, ref, pin) if r < lam else None
+    if not r < lam:
+        S = None
+    elif not cert.top + r > lam:
+        # |dual_ref_j| + r <= top + r <= lam for every j off A_ref, as rounding is
+        # monotone: the candidates are A_ref less A
+        S = ref.active[~_find(pin.active, ref.active)[1]]
+    else:
+        S = _off_pinned(np.abs(cert.dual) + r > lam, ref, pin)
     return S, du, r
 
 
@@ -349,11 +443,12 @@ def _corrected(state, du, lam):
     no float32 pass, when ``err`` is not below ``CORRECTION_MAX_SHARE`` of ``lam``.
     """
     pin, cert = state._pinning, state._certificate
+    prescaled = _prescaled(du)
     # 2 u lam: the rounding of dual_ref - correction, at most lam in size
-    err = cert.err + _correction_bound(pin.prob, du) + 2.0 * _UNIT_ROUNDOFF * lam
+    err = cert.err + _correction_bound(pin.prob, *prescaled) + 2.0 * _UNIT_ROUNDOFF * lam
     if not err < CORRECTION_MAX_SHARE * lam:
         return None
-    dual = _correction(pin.prob, du)
+    dual = _correction(pin.prob, *prescaled)
     np.subtract(cert.dual, dual, out=dual)
     # the built dual is within pin.err of the exact one; u lam covers the
     # rounding of this threshold
@@ -362,26 +457,31 @@ def _corrected(state, du, lam):
 
 
 def _prescaled(du):
-    """``(du * 2^-exp, exp)``, the power of two that brings max |du| into [1/2, 1)."""
+    """``(du * 2^-exp, exp)``, the power of two that brings max |du| into [1/2, 1).
+
+    The scaling is exact for the largest entry, so max |du| is
+    ``ldexp(max |du * 2^-exp|, exp)``; ``exp`` is 0 for a zero or non-finite ``du``.
+    """
     exp = math.frexp(float(np.max(np.abs(du))))[1]
     return np.ldexp(du, -exp), exp
 
 
-def _correction(prob, du):
+def _correction(prob, scaled, exp):
     """X'du/n from the float32 copy ``X32``, as a new float64 vector.
 
-    ``du`` is prescaled (:func:`_prescaled`) before it is rounded to float32,
-    so it neither overflows nor, except for entries far below the largest,
-    underflows; the result is scaled back exactly.
+    ``du`` comes prescaled, as ``(scaled, exp)`` of :func:`_prescaled`, before
+    it is rounded to float32, so it neither overflows nor, except for entries
+    far below the largest, underflows; the result is scaled back exactly.
     """
-    scaled, exp = _prescaled(du)
     out = np.ldexp(prob.X32.T @ scaled.astype(np.float32), exp, dtype=np.float64)
     out /= prob.n
     return out
 
 
-def _correction_bound(prob, du):
+def _correction_bound(prob, scaled, exp):
     """A bound on |correction_j - X_j'du_exact/n| for every j, where du = fl(u - u_ref).
+
+    ``du`` comes prescaled, as ``(scaled, exp)`` of :func:`_prescaled`.
 
     With c = ``max_col_norm`` and computed norm ||du||, the correction of
     :func:`_correction` is off by at most
@@ -407,12 +507,11 @@ def _correction_bound(prob, du):
     float32 entry or partial sum could overflow.
     """
     n, c = prob.n, prob.max_col_norm
-    top = float(np.max(np.abs(du)))
+    top = math.ldexp(float(np.max(np.abs(scaled))), exp)
     root_n = math.sqrt(n)
     if not (math.isfinite(top) and n * _U32 < 0.5 and c * root_n < _F32_MAX / 4):
         return math.inf
     # the norm of the prescaled difference neither overflows nor underflows
-    scaled, exp = _prescaled(du)
     norm = math.ldexp(math.sqrt(scaled @ scaled), exp)
     x_cast = _U32
     d_cast = _U32 + 2.0 * _UNIT_ROUNDOFF
@@ -437,6 +536,9 @@ def _screened_partition(state, S, lam, reference=None):
     the states after it.
     """
     pin = state._pinning
+    keep = np.abs(pin.beta + pin.dual) > lam
+    if S.shape[0] == 0 and reference is None:
+        return pin.active[keep], pin.dual[keep]
     prob = pin.prob
     dual_S = (prob.xty[S] - _columns_dot(prob.X, S, pin.u)) / prob.n
     mag = np.abs(dual_S)
@@ -447,7 +549,6 @@ def _screened_partition(state, S, lam, reference=None):
         corrected[S] = dual_S
         corrected[pin.active] = pin.dual
         state._certify(corrected, max(err, pin.err))
-    keep = np.abs(pin.beta + pin.dual) > lam
     enter = mag > lam
     active = np.concatenate([pin.active[keep], S[enter]])
     order = np.argsort(active)

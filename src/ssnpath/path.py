@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual import PrimalDualState, Work, cold_start, dual_source, support
+from .dual import PrimalDualState, Work, cold_start, dual_source, knot_fit
 from .errors import DegenerateResponse, NoiseTooLarge
 from .solver import SsnConfig, StopReason, ssn_solve
 
@@ -99,11 +99,17 @@ class PathConfig:
 class KnotRecord:
     """Per-knot solution in sparse (index, value) form; the dense dual is built on demand.
 
-    ``dual_source`` is a zero-argument callable that returns the knot's
-    length-p dual from the O(|A|) numbers it holds. The first read of
-    ``dual`` calls it and keeps the result on the record, so later reads
-    return that same array, and an in-place edit or an assignment persists.
-    ``work`` (:class:`ssnpath.dual.Work`) is what the knot's solve spent.
+    ``rss`` is the knot's residual sum of squares ||y - X beta||^2, which
+    the selectors read. On a :func:`solve_path` record, ``indices`` is the
+    active set of the update that made the knot's state, shared with its
+    ``dual_source`` and read-only, so an in-place edit raises ``ValueError``;
+    ``values`` is the record's own copy of the coefficients, so editing it
+    leaves the rebuilt dual alone. ``dual_source`` is a zero-argument
+    callable that returns the knot's length-p dual from the O(|A|) numbers
+    it holds. The first read of ``dual`` calls it and keeps the result on
+    the record, so later reads return that same array, and an in-place edit
+    or an assignment persists. ``work`` (:class:`ssnpath.dual.Work`) is what
+    the knot's solve spent.
     """
 
     t: int
@@ -113,6 +119,7 @@ class KnotRecord:
     iterations: int
     active_size: int
     stop_reason: str
+    rss: float
     dual_source: Callable[[], np.ndarray] = field(repr=False, compare=False)
     work: Work = field(default_factory=Work, kw_only=True)
 
@@ -227,6 +234,12 @@ def sign_recovery_config(prob, sigma, max_inner=None):
     )
 
 
+def _rss(prob, u):
+    """||y - u||^2: the residual sum of squares of a knot with fitted values ``u``."""
+    r = prob.y - u
+    return float(r @ r)
+
+
 def _walk(prob, config, solve_knot, carry):
     """The path over the grid of ``config``: one ``solve_knot`` call per knot, timed.
 
@@ -254,7 +267,8 @@ def solve_path(prob, config):
     state is kept; each record holds the active set, coefficients and pinned
     dual of the update that made its state, from which its dual is rebuilt
     (a knot solved with no update shares the previous knot's; knot 0's cold
-    start is rebuilt from an empty active set). A solver failure at any knot
+    start is rebuilt from an empty active set), and its ``rss`` from the
+    update's fitted values u = X_A beta_A. A solver failure at any knot
     propagates as raised, and the knots before it are not returned.
     """
 
@@ -268,15 +282,16 @@ def solve_path(prob, config):
         out = ssn_solve(prob, state, knot_cfg)
         if out.stop_reason is StopReason.SPARSITY_CAP:
             return None, None
-        idx = support(out.state)
+        indices, values, u = knot_fit(prob, out.state)
         return out.state, KnotRecord(
             t=t,
             lam=lam,
-            indices=idx,
-            values=out.state.beta[idx],
+            indices=indices,
+            values=values,
             iterations=out.iterations,
             active_size=out.active.size,
             stop_reason=out.stop_reason.value,
+            rss=_rss(prob, u),
             dual_source=dual_source(prob, out.state),
             work=out.work,
         )

@@ -144,12 +144,21 @@ def _row_blocks(X, cols):
 def _columns_times(X, cols, x):
     """``X[:, cols] @ x``, one row block at a time, so the n x |cols| gather is never made whole.
 
-    When one row block holds all of ``X[:, cols]``, that block is the whole
-    gather, so it is formed directly, without the blocking overhead.
+    Each block's product is written into its rows of the output, and the
+    block is dropped before the next one is gathered, so one block is alive
+    at a time. When one row block holds all of ``X[:, cols]``, that block is
+    the whole gather, so it is formed directly, without the blocking overhead.
     """
     if X.shape[0] * cols.shape[0] <= _BLOCK_ENTRIES:
         return X[:, cols] @ x
-    return np.concatenate([block @ x for block in _row_blocks(X, cols)])
+    out = np.empty(X.shape[0])
+    start = 0
+    for block in _row_blocks(X, cols):
+        stop = start + block.shape[0]
+        np.matmul(block, x, out=out[start:stop])
+        start = stop
+        del block  # before the next row block is gathered
+    return out
 
 
 def _gram(X, cols, alpha):

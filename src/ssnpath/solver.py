@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (ActivePartition, PrimalDualState, Work, active_partition, held_gram, support,
-                   updated_state)
-from .errors import CgBreakdown, DimensionMismatch
+from .dual import (ActivePartition, PrimalDualState, Work, active_partition, beta_on, check_length,
+                   held_gram, support, updated_state)
+from .errors import CgBreakdown
 from .problem import _gram
 
 
@@ -115,11 +115,6 @@ def _solve_restricted(prob, A, rhs, gram=None):
         raise CgBreakdown(f"restricted Gram block is singular: {exc}") from exc
 
 
-def _check_length(prob, state):
-    if state.beta.shape[0] != prob.p:
-        raise DimensionMismatch(f"state of length {state.beta.shape[0]}, not p = {prob.p}")
-
-
 def ssn_update(prob, state, part, lam, shift=0.0):
     """One active-set Newton update from ``state`` under the given partition.
 
@@ -141,9 +136,9 @@ def ssn_update(prob, state, part, lam, shift=0.0):
         If the factorization finds the restricted Gram block singular
         (alpha = 0 with duplicated active columns).
     """
-    _check_length(prob, state)
+    check_length(prob, state)
     A = part.active
-    dual_active = (lam - shift) * np.sign(state.beta[A] + part.dual)
+    dual_active = (lam - shift) * np.sign(beta_on(state, A) + part.dual)
     rhs = prob.xty[A] - prob.n * dual_active
     beta_active, gram = _solve_restricted(prob, A, rhs, held_gram(prob, state, A, release=True))
     return updated_state(prob, state, A, beta_active, dual_active, gram)
@@ -168,7 +163,7 @@ def ssn_solve(prob, init, config):
         reported as a normal outcome with ``StopReason.SPARSITY_CAP`` and
         the last state below the cap.
     """
-    _check_length(prob, init)
+    check_length(prob, init)
     state = init
     prev_active = support(init)
     work = Work()
@@ -187,7 +182,7 @@ def ssn_solve(prob, init, config):
             # bit, which equals (lam - shift) * signs exactly when the signs
             # repeat. A warm start passes only if its dual is pinned at
             # this (lam, shift) already.
-            signs = np.sign(state.beta[part.active] + part.dual)
+            signs = np.sign(beta_on(state, part.active) + part.dual)
             if np.array_equal(part.dual, (config.lam - config.shift) * signs):
                 return SsnOutcome(state, k, StopReason.ACTIVE_SET_REPEATED, part, work)
         if k >= config.max_iter:

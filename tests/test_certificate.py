@@ -523,9 +523,10 @@ def _exact_correction(prob, u, u_ref):
 def _correction_error(prob, u, u_ref):
     """(largest exact error of the float32 correction over the columns, its bound)."""
     du = u - u_ref
-    got = lazy_dual._correction(prob, du)
+    prescaled = lazy_dual._prescaled(du)
+    got = lazy_dual._correction(prob, *prescaled)
     err = max(abs(Fraction(g) - e) for g, e in zip(got, _exact_correction(prob, u, u_ref)))
-    return err, Fraction(lazy_dual._correction_bound(prob, du))
+    return err, Fraction(lazy_dual._correction_bound(prob, *prescaled))
 
 
 class TestCorrectionBound:
@@ -590,7 +591,8 @@ class TestCorrectionBound:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_difference_falls_back(self, bad):
         prob = ProblemData(0.5 * np.eye(2), np.array([8.0, 6.0]))
-        assert lazy_dual._correction_bound(prob, np.array([1.0, bad])) == math.inf
+        du = np.array([1.0, bad])
+        assert lazy_dual._correction_bound(prob, *lazy_dual._prescaled(du)) == math.inf
         # finite u and u_ref whose difference overflows: neither screen
         # applies, so the partition builds the dual in float64
         state = self._state(prob, u=np.array([1.5e308, 0.0]), u_ref=np.array([-1.5e308, 0.0]),
@@ -671,6 +673,142 @@ class TestCorrectionBound:
         lazy_dual._screened_partition(state, S, 0.5, reference)
         assert state._certificate.pin is pin
         assert state._certificate.err == pin.err
+
+
+def _top(cert):
+    """The largest |dual_j| off the reference's own active set; 0 when no coordinate is off it."""
+    off = np.ones(cert.dual.shape[0], dtype=bool)
+    off[cert.pin.active] = False
+    return float(np.max(np.abs(cert.dual[off]), initial=0.0))
+
+
+def _scanned(state, lam, r):
+    """Tier 1's candidates by the length-p mask scan; None when r is not below ``lam``."""
+    if not r < lam:
+        return None
+    mask = np.abs(state._certificate.dual) + r > lam
+    mask[state._certificate.pin.active] = True
+    mask[state._pinning.active] = False
+    return np.flatnonzero(mask)
+
+
+def _assert_exit_matches_scan(state, lam):
+    """Tier 1 at ``lam`` returns the scan's candidates, and skips the scan exactly when r < lam
+    and top + r <= lam. Returns None where tier 1 does not apply, else whether it skipped."""
+    real = lazy_dual._off_pinned
+    with mock.patch.object(lazy_dual, "_off_pinned", side_effect=real) as scan:
+        sphere = lazy_dual._sphere(state, lam)
+    if sphere is None:
+        return None
+    S, _, r = sphere
+    cert = state._certificate
+    top = _top(cert)
+    assert cert.top == top
+    want = _scanned(state, lam, r)
+    assert (S is None) == (want is None)
+    if want is not None:
+        assert _same_bits(S, want)
+    skipped = bool(r < lam and not top + r > lam)
+    assert scan.called == (r < lam and not skipped)
+    return skipped
+
+
+@st.composite
+def sphere_cases(draw):
+    """An unbuilt state and its reference, made by hand, and a penalty level.
+
+    The reference's active set lies inside, overlaps or is disjoint from the
+    state's; the reference's duals come from a grid of few magnitudes, and
+    ``lam`` is often tied to top + r or to one coordinate's |dual_j| + r; u
+    may hold inf or NaN, so r is infinite or NaN.
+    """
+    n, p = 5, draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prob = ProblemData(rng.standard_normal((n, p)), rng.standard_normal(n))
+    first = draw(st.integers(0, p - 1))
+    in_A = np.array([draw(st.booleans()) for _ in range(p)])
+    in_A[first] = True
+    A = np.flatnonzero(in_A)
+    pick = np.array([draw(st.booleans()) for _ in range(p)])
+    relation = draw(st.sampled_from(["inside", "overlapping", "disjoint"]))
+    if relation == "inside":
+        pick &= in_A
+    elif relation == "disjoint":
+        pick &= ~in_A
+    A_ref = np.flatnonzero(pick)
+    grid = st.sampled_from([-0.75, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 0.75])
+    ref_dual = np.array([draw(grid) for _ in range(p)])
+    err_ref = draw(st.sampled_from([0.0, 2.0**-30, 0.01]))
+    ref = lazy_dual._Pinning(prob, A_ref, np.ones(A_ref.shape[0]), ref_dual[A_ref], np.zeros(n),
+                             None)
+    state = lazy_dual.updated_state(prob, cold_start(prob), A, np.ones(A.shape[0]),
+                                    np.full(A.shape[0], 0.5), None)
+    u = 10.0 ** -draw(st.integers(1, 6)) * rng.standard_normal(n)
+    u[0] = draw(st.sampled_from([u[0], 0.0, math.inf, -math.inf, math.nan]))
+    state._pinning.u = u
+    state._certificate = lazy_dual._Certificate(ref, ref_dual, err_ref)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        r = lazy_dual._sphere(state, math.inf)[2]
+    tie = draw(st.sampled_from(["top", "coordinate", "free"]))
+    if tie == "top":
+        lam = _top(state._certificate) + r
+    elif tie == "coordinate":
+        lam = abs(ref_dual[draw(st.integers(0, p - 1))]) + r
+    else:
+        lam = draw(st.floats(0.01, 2.0))
+    return state, lam if 0.0 < lam < math.inf else 0.5
+
+
+class TestSphereExit:
+    """Tier 1 skips its length-p scan when the reference's top dual rules every coordinate off
+    its active set out, and returns the scan's candidates bit for bit either way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sphere_cases())
+    def test_exit_returns_the_candidates_of_the_scan(self, case):
+        state, lam = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert _assert_exit_matches_scan(state, lam) is not None
+
+    def test_a_tie_at_lam_takes_the_exit(self):
+        # top + r == lam exactly: no coordinate off A_ref has |dual_j| + r > lam
+        prob = ProblemData(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        A, A_ref = np.array([0]), np.array([1])
+        ref_dual = np.array([0.5, -0.75, 0.25])
+        ref = lazy_dual._Pinning(prob, A_ref, np.ones(1), ref_dual[A_ref], np.zeros(3), None)
+        state = lazy_dual.updated_state(prob, cold_start(prob), A, np.ones(1), np.full(1, 0.5),
+                                        None)
+        state._pinning.u = np.zeros(3)
+        state._certificate = lazy_dual._Certificate(ref, ref_dual, 0.0)
+        r = _radius(state)
+        assert state._certificate.top == 0.5
+        assert _assert_exit_matches_scan(state, 0.5 + r) is True
+        assert _candidates(state, 0.5 + r).tolist() == [1]
+        assert _assert_exit_matches_scan(state, np.nextafter(0.5 + r, 0.0)) is False
+
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_every_reference_of_a_fit_holds_its_top(self, tier):
+        # references built in float64 and made by tier 3 alike: each screened
+        # state's tier 1 agrees with the scan, and some skip it
+        prob, _ = random_instance(60, 300, seed=21, T=6)
+        config = PathConfig(lambda0=default_lambda0(prob), gamma=0.9, num_knots=40,
+                            shift_schedule="shifted")
+        real = solver.active_partition
+        skips = []
+
+        def partition(state, lam):
+            skipped = _assert_exit_matches_scan(state, lam)
+            if skipped is not None:
+                skips.append(skipped)
+            return real(state, lam)
+
+        with mock.patch.object(solver, "active_partition", partition), TIERS[tier]():
+            path = solve_path(prob, config)
+        assert any(skips) and not all(skips)
+        if tier == "correct":
+            assert sum(rec.work.corrected for rec in path.records) > 0
 
 
 class TestLazyStateContract:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ssnpath
+from ssnpath import solver
 from ssnpath import (
     PRESETS,
     DegenerateResponse,
@@ -31,6 +32,7 @@ from ssnpath import (
     ssn_solve,
     write_path_csv,
 )
+from ssnpath.problem import _BLOCK_ENTRIES
 from conftest import random_instance
 
 
@@ -365,6 +367,76 @@ class TestRecordDual:
             tracemalloc.stop()
         assert len(path) == 50
         assert held < 10 * prob.p * 8
+
+
+class TestRecordArrays:
+    @staticmethod
+    def _fit(walk):
+        # n |A| <= 40 * 20 stays within one row block, so each blocked
+        # product X_A beta_A is the whole gather's, bit for bit
+        prob, _ = random_instance(40, 80, seed=17, T=6)
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.85, num_knots=30, max_inner=3)
+        return prob, (solve_path if walk == "newton" else cd_path)(prob, cfg)
+
+    def test_indices_are_the_arrays_the_dual_source_holds(self):
+        prob, path = self._fit("newton")
+        shared = [rec for rec in path.records if rec.nnz > 0]
+        assert len(shared) >= 20
+        for rec in shared:
+            _, active, beta, _ = rec.dual_source.args
+            assert rec.indices is active
+            # values are the record's own copy: editing them leaves the dual alone
+            assert np.array_equal(rec.values, beta) and rec.values is not beta
+            dual = rec.dual
+            with pytest.raises(ValueError):
+                rec.indices[0] = 0
+            with pytest.raises(ValueError):
+                beta[0] = 0.0
+            rec.values[0] += 1.0
+            rebuilt = rec.dual_source()
+            assert rebuilt is not dual and rebuilt.tobytes() == dual.tobytes()
+
+    @pytest.mark.parametrize("walk", ["newton", "cd"])
+    def test_rss_is_the_records_own_residual(self, walk):
+        prob, path = self._fit(walk)
+        assert len(path) >= 25
+        for rec in path.records:
+            r = prob.y - prob.X[:, rec.indices] @ rec.values
+            assert type(rec.rss) is float
+            assert rec.rss == r @ r, rec.t
+
+    def test_fit_and_selection_peak_within_the_structural_budget(self, monkeypatch):
+        # the benchmark's walk (100 knots down to 1e-3 lambda0, shifted) on 400 x 4000
+        prob, _ = random_instance(400, 4000, seed=5, T=25, sigma=0.2, corr=0.3)
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=1e-3 ** (1 / 99),
+                         num_knots=100, shift_schedule="shifted")
+        mbic_select(prob, solve_path(prob, replace(cfg, num_knots=3)))  # first-call caches
+        real, k_max = solver._gram, 0
+
+        def gram(X, cols, alpha):
+            nonlocal k_max
+            k_max = max(k_max, cols.shape[0])
+            return real(X, cols, alpha)
+
+        monkeypatch.setattr(solver, "_gram", gram)
+        tracemalloc.start()
+        try:
+            path = solve_path(prob, cfg)
+            mbic_select(prob, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(path) == 100
+        held = sum(rec.nnz for rec in path.records)
+        budget = (
+            2 * 8 * k_max**2  # the largest Gram block and its k x k product buffer
+            + 8 * _BLOCK_ENTRIES  # one row block of X_A
+            + 2 * 8 * prob.p  # the reference's dual and one more length-p vector
+            + 32 * held  # per knot: indices, values, and its dual source's beta and dual
+            + 1024 * len(path)  # per knot: the record's Python objects and array headers
+            + 16384  # the update's small temporaries
+        )
+        assert peak < budget
 
 
 class TestPathCsv:

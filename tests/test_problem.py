@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,29 @@ class TestProblemData:
         cols = np.sort(rng.choice(k + 9, size=k, replace=False))
         x = rng.standard_normal(k)
         assert np.array_equal(_columns_times(X, cols, x), X[:, cols] @ x)
+
+    def test_blocked_product_holds_one_row_block(self):
+        # each row block's product goes straight into the output, and the
+        # block is dropped before the next is gathered: 8 n bytes of output
+        # and one block of at most 8 _BLOCK_ENTRIES bytes alive at a time,
+        # plus 8 KiB for the index arrays and headers of the gather
+        from ssnpath.problem import _BLOCK_ENTRIES, _columns_times
+
+        n, k = 2000, 100
+        rng = np.random.default_rng(34)
+        X = np.asfortranarray(rng.standard_normal((n, 150)))
+        cols = np.sort(rng.choice(150, size=k, replace=False))
+        x = rng.standard_normal(k)
+        tracemalloc.start()
+        try:
+            got = _columns_times(X, cols, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n + 8 * _BLOCK_ENTRIES + 8192
+        height = _BLOCK_ENTRIES // k
+        want = np.concatenate([X[a : a + height][:, cols] @ x for a in range(0, n, height)])
+        assert np.array_equal(got, want)
 
     # at n = 600 a column block is 54 columns wide: empty, inside one block,
     # exactly one block, and across several blocks with a short last one

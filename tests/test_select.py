@@ -22,17 +22,20 @@ def _unread_dual():
     raise AssertionError("a selector read a knot's dual")
 
 
-def _record(t, lam, indices, values):
-    # Selectors read the support and coefficients only; a dual read fails the test.
+def _record(prob, t, lam, indices, values):
+    # Selectors read the support size and rss only; a dual read fails the test.
     indices = np.asarray(indices, dtype=np.intp)
+    values = np.asarray(values, dtype=float)
+    r = prob.y - prob.X[:, indices] @ values
     return KnotRecord(
         t=t,
         lam=lam,
         indices=indices,
-        values=np.asarray(values, dtype=float),
+        values=values,
         iterations=1,
         active_size=indices.shape[0],
         stop_reason="active_set_repeated",
+        rss=float(r @ r),
         dual_source=_unread_dual,
     )
 
@@ -61,7 +64,7 @@ class TestMbic:
         # 0.10 + 2 * ln(100) * ln(1000) / 100 = 0.7361678...
         n, p = 100, 1000
         prob = _toy_problem(n, p, y_norm_sq=2 * n * 0.10)
-        path = PathResult([_record(0, 0.5, [3, 7], [0.0, 0.0])], p, 0.0)
+        path = PathResult([_record(prob, 0, 0.5, [3, 7], [0.0, 0.0])], p, 0.0)
         res = mbic_select(prob, path)
         expected = 0.10 + 2 * math.log(100) * math.log(1000) / 100
         assert res.values[0] == pytest.approx(expected, rel=1e-12)
@@ -95,11 +98,11 @@ class TestHbic:
         value_b = math.log(0.4) + 20 * unit
         assert value_a < value_b  # the sparser knot wins here
         prob = _toy_problem(n, p, y_norm_sq=n * 0.5)
-        rec_a = _record(0, 0.6, [1, 2], [0.0, 0.0])
+        rec_a = _record(prob, 0, 0.6, [1, 2], [0.0, 0.0])
         # knot B fits y partially through column 0 (X[0, 0] = 1), leaving
         # rss = 0.4 n exactly
         fit = math.sqrt(0.5 * n) - math.sqrt(0.4 * n)
-        rec_b = _record(1, 0.3, list(range(20)), [fit] + [0.0] * 19)
+        rec_b = _record(prob, 1, 0.3, list(range(20)), [fit] + [0.0] * 19)
         path = PathResult([rec_a, rec_b], p, 0.0)
         res = hbic_select(prob, path)
         assert res.values[0] == pytest.approx(value_a, rel=1e-12)
@@ -110,7 +113,7 @@ class TestHbic:
         n = 6
         prob = ProblemData(np.sqrt(n) * np.eye(n), np.arange(1.0, n + 1))
         beta = prob.y / np.sqrt(n)
-        rec = _record(0, 0.1, list(range(n)), beta)
+        rec = _record(prob, 0, 0.1, list(range(n)), beta)
         with pytest.raises(ZeroResidual) as err:
             hbic_select(prob, PathResult([rec], n, 0.0))
         assert err.value.knot == 0
@@ -121,8 +124,8 @@ class TestSelectorProperties:
         n, p = 50, 10
         prob = _toy_problem(n, p, y_norm_sq=n)
         recs = [
-            _record(0, 0.8, [0], [0.0]),
-            _record(1, 0.4, [1], [0.0]),  # identical criterion value
+            _record(prob, 0, 0.8, [0], [0.0]),
+            _record(prob, 1, 0.4, [1], [0.0]),  # identical criterion value
         ]
         res = mbic_select(prob, PathResult(recs, p, 0.0))
         assert res.chosen_knot == 0
@@ -138,24 +141,28 @@ class TestSelectorProperties:
             part = mbic_select(prob, trunc)
             assert full.values[full.chosen_knot] <= part.values[part.chosen_knot] + 1e-15
 
-    def test_residuals_never_gather_a_knot_whole(self):
-        # gathering the columns of a knot with |A| = k takes 8 n k bytes by
-        # itself; its residual is summed one row block at a time instead
-        n, k = 1000, 100  # n k = 100,000 entries: past one row block of 32,768
+    @pytest.mark.parametrize("select", [mbic_select, hbic_select])
+    def test_selectors_read_the_records_rss_with_no_product(self, select):
+        # a product with X would make at least a length-n residual (8 n bytes);
+        # the selectors read each record's rss instead
+        n, k = 1000, 100
         rng = np.random.default_rng(5)
         prob = ProblemData(rng.standard_normal((n, k + 20)), rng.standard_normal(n))
-        path = PathResult([_record(0, 0.5, np.arange(k), rng.standard_normal(k))], prob.p, 0.0)
+        recs = [_record(prob, t, 0.5 / (t + 1), np.arange(k), rng.standard_normal(k))
+                for t in range(3)]
         tracemalloc.start()
         try:
-            values = mbic_select(prob, path).values
+            values = select(prob, PathResult(recs, prob.p, 0.0)).values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * k
-        # the blocked sum runs in another order than the whole gather's
-        r = prob.y - prob.X[:, :k] @ path.records[0].values
-        expected = r @ r / (2 * n) + k * math.log(n) * math.log(prob.p) / n
-        assert values[0] == pytest.approx(expected, rel=1e-12)
+        assert peak < 8 * n
+        rss = np.array([rec.rss for rec in recs])
+        if select is mbic_select:
+            expected = rss / (2 * n) + k * (math.log(n) * math.log(prob.p) / n)
+        else:
+            expected = np.log(rss / n) + k * (math.log(math.log(n)) * math.log(prob.p) / n)
+        assert np.array_equal(values, expected)
 
     def test_empty_path_rejected(self):
         prob, _ = random_instance(10, 5, seed=4)

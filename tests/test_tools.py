@@ -73,7 +73,7 @@ def test_work_value_dumps_as_the_flat_counters_of_older_records():
     tool = _tool()
     counters = {"refreshes": 2, "screened": 30, "corrected": 1, "reused": 4}
     common = dict(t=0, lam=0.5, indices=np.array([3]), values=np.array([0.25]), iterations=2,
-                  active_size=1, stop_reason="max_iter",
+                  active_size=1, stop_reason="max_iter", rss=0.5,
                   dual_source=lambda: np.array([1.0, -0.5]))
     # a record as older checkouts held it: the four counters are its own fields
     fields = [(f.name, f.type) for f in dataclasses.fields(KnotRecord) if f.name != "work"]
