@@ -182,8 +182,6 @@ def gen_beta(p, T, rng):
     exceeds 10.
     """
     beta = np.zeros(p)
-    if T == 0:
-        return beta
     support = rng.choice(p, size=T, replace=False)
     signs = np.where(rng.random(T) < 0.5, -1.0, 1.0)
     beta[support] = signs * 10.0 ** rng.random(T)

@@ -38,6 +38,9 @@ order:
 Otherwise, or when a gathered dual lies within 2 err of ``lam``, the
 complement dual is built and masked as usual. Every way gives the same
 partition bit for bit.
+
+Every state is pinned; a constructor state on every coordinate, so its
+given vectors are the pinned ones and nothing is left to build or screen.
 """
 
 import math
@@ -74,9 +77,11 @@ class PrimalDualState:
     """Primal coefficients ``beta`` and dual correlations ``dual``, both length p.
 
     The dual tracks (X'y - G beta)/n with G = X'X + alpha I; see
-    :func:`ssnpath.kkt.refresh_dual`. A state built by the constructor holds
-    both vectors as given. A state made by :func:`ssnpath.ssn_update` holds
-    only the O(n + |A|) numbers its update left (``_Pinning``), plus its
+    :func:`ssnpath.kkt.refresh_dual`. Every state is pinned (``_Pinning``); a
+    constructor state on every coordinate, with the caller's own float64
+    arrays (not copies) as its pinned values, so an in-place edit is seen by
+    every read. A state made by :func:`ssnpath.ssn_update` holds
+    only the O(n + |A|) numbers its update left, plus its
     |A| x |A| Gram block until the next update takes it. It builds each
     length-p vector on its first read: ``beta`` by scattering the pinned
     coefficients, ``dual`` with one ``X'u`` product. The solver itself reads
@@ -102,14 +107,14 @@ class PrimalDualState:
             raise ValueError("state vectors must be finite")
         self._beta = beta
         self._dual = dual
-        self._pinning = None
+        self._pinning = _Pinning(None, np.arange(beta.shape[0]), beta, dual, None, None)
         self._certificate = None
 
     @property
     def beta(self):
         if self._beta is None:
             pin = self._pinning
-            beta = np.zeros(pin.prob.p)
+            beta = np.zeros(pin.p)
             beta[pin.active] = pin.beta
             beta.flags.writeable = False
             self._beta = beta
@@ -147,9 +152,13 @@ class _Pinning:
     twice the error of the two n-term dot products and the two roundings
     after them, with ||u|| <= c ||beta||_1 (1 + gamma_|A|) <= 2 c ||beta||_1.
     The outer factor 2 also covers the rounding of evaluating the bound.
+
+    Every state is pinned; a constructor state on every coordinate, with
+    ``prob``, ``u`` and ``gram`` None: its dual is given whole, so nothing
+    is left to build, bound or screen. ``p`` is the length of the state.
     """
 
-    __slots__ = ("prob", "active", "beta", "dual", "u", "err", "gram")
+    __slots__ = ("prob", "p", "active", "beta", "dual", "u", "err", "gram")
 
     def __init__(self, prob, active, beta, dual, u, gram):
         self.prob = prob
@@ -158,6 +167,10 @@ class _Pinning:
         self.dual = dual
         self.u = u
         self.gram = gram
+        if prob is None:
+            self.p, self.err = active.shape[0], 0.0
+            return
+        self.p = prob.p
         n, c = prob.n, prob.max_col_norm
         size = math.sqrt(prob.y @ prob.y) + 2.0 * c * float(np.abs(beta).sum())
         self.err = 2.0 * _gamma(n + active.shape[0] + 4) * c * size / n
@@ -202,8 +215,19 @@ def _pinned_dual(prob, A, beta_A, dual_A, u=None):
 
 
 def cold_start(prob):
-    """The canonical all-zeros start: beta = 0, dual = X'y/n."""
-    return PrimalDualState(np.zeros(prob.p), prob.xty / prob.n)
+    """The canonical all-zeros start: beta = 0, dual = X'y/n.
+
+    Every state is pinned; this one as an update on the empty active set
+    leaves it, with its zero ``beta`` and its dual X'y/n given, both
+    writable. Reading them costs no product, and the state carries no
+    certificate, so the first update from it builds its dual in float64.
+    The solver reads its beta from the empty pinning, so an in-place edit
+    of ``beta`` is not seen; a start of one's own is a constructor state.
+    """
+    state = PrimalDualState(np.zeros(prob.p), prob.xty / prob.n)
+    empty = np.zeros(0)
+    state._pinning = _Pinning(prob, empty.astype(np.intp), empty, empty, np.zeros(prob.n), None)
+    return state
 
 
 def updated_state(prob, state, A, beta_A, dual_A, gram):
@@ -240,8 +264,6 @@ def held_gram(prob, state, A, release=False):
     to 1.13 MB.
     """
     pin = state._pinning
-    if pin is None:
-        return None
     gram = pin.gram if pin.prob is prob and np.array_equal(pin.active, A) else None
     if release:
         pin.gram = None
@@ -250,8 +272,7 @@ def held_gram(prob, state, A, release=False):
 
 def check_length(prob, state):
     """Raise ``DimensionMismatch`` unless ``state`` has length p, without building its ``beta``."""
-    pin = state._pinning
-    length = state.beta.shape[0] if pin is None else pin.prob.p
+    length = state._pinning.p
     if length != prob.p:
         raise DimensionMismatch(f"state of length {length}, not p = {prob.p}")
 
@@ -261,11 +282,10 @@ def beta_on(state, A):
 
     When ``A`` is the pinned active set (the solver's stop test always reads
     it there, and about 60% of the updates on the benchmark's shifted paths
-    do) this is the pinned coefficient array itself, read-only, with no search.
+    do) this is the pinned coefficient array itself, with no search: read-only
+    for a solver-made state, the caller's own ``beta`` for a constructor state.
     """
     pin = state._pinning
-    if pin is None:
-        return state.beta[A]
     if np.array_equal(A, pin.active):
         return pin.beta
     at, hit = _find(pin.active, A)
@@ -285,41 +305,30 @@ def _find(ids, query):
 def support(state):
     """Sorted indices of the nonzero ``beta`` entries, in O(|A|) for a solver-made state."""
     pin = state._pinning
-    if pin is None:
-        return np.flatnonzero(state.beta)
     return pin.active[pin.beta != 0]
 
 
 def knot_fit(prob, state):
-    """``(indices, values, u)``: the support of ``state``'s beta, the coefficients on it, and
-    the fitted values u = X beta.
+    """``(indices, values, u, dual_source)``: the support of ``state``'s beta, the coefficients
+    on it, the fitted values u = X beta, and a zero-argument callable that rebuilds the
+    state's dual bitwise, holding O(|A|) numbers.
 
     ``values`` is a new array, so editing it in place changes neither the
-    state nor a dual rebuilt from it. ``state`` is solver-made on ``prob`` or
-    else ``prob``'s cold start, as a path's knots return them. When its
-    pinned coefficients are all nonzero, as on every knot of the benchmark's
-    paths, ``indices`` is the update's own read-only active set and u its
-    fitted values, in O(|A|); otherwise the support is gathered and u is
-    summed by the blocked :func:`ssnpath.problem._columns_times`, as the
-    update sums it.
+    state nor a dual rebuilt from it. Every state is pinned; ``state`` is
+    solver-made on ``prob`` or else ``prob``'s cold start (pinned on the
+    empty set), as a path's knots return them. When its pinned coefficients
+    are all nonzero, as on every knot of the benchmark's paths, ``indices``
+    is the update's own read-only active set and u its fitted values, in
+    O(|A|); otherwise the support is gathered and u is summed by the blocked
+    :func:`ssnpath.problem._columns_times`, as the update sums it.
     """
     pin = state._pinning
-    if pin is not None and pin.beta.all():
-        return pin.active, pin.beta.copy(), pin.u
+    source = partial(_pinned_dual, pin.prob, pin.active, pin.beta, pin.dual)
+    if pin.beta.all():
+        return pin.active, pin.beta.copy(), pin.u, source
     indices = support(state)
     values = beta_on(state, indices)
-    return indices, values, _columns_times(prob.X, indices, values)
-
-
-def dual_source(prob, state):
-    """A zero-argument callable that rebuilds ``state``'s dual bitwise, holding O(|A|) numbers.
-
-    ``state`` is solver-made or else ``prob``'s cold start, as a path's knots return them.
-    """
-    pin = state._pinning
-    if pin is None:
-        return partial(_pinned_dual, prob, np.zeros(0, dtype=np.intp), None, None)
-    return partial(_pinned_dual, pin.prob, pin.active, pin.beta, pin.dual)
+    return indices, values, _columns_times(prob.X, indices, values), source
 
 
 @dataclass(slots=True)
@@ -388,13 +397,10 @@ def active_partition(state, lam):
     # an unbuilt dual costs one X'u unless its active set is empty (X'y/n)
     work += Work(refreshes=int(state._dual is None and state._pinning.active.shape[0] > 0))
     dual, pin = state.dual, state._pinning
-    if pin is None:
-        active = np.flatnonzero(np.abs(state.beta + dual) > lam)
-    else:
-        # beta is zero off the pinned active set, and the dual is pinned on it
-        mask = np.abs(dual) > lam
-        mask[pin.active] = np.abs(pin.beta + pin.dual) > lam
-        active = np.flatnonzero(mask)
+    # beta is zero off the pinned active set, and the dual is pinned on it
+    mask = np.abs(dual) > lam
+    mask[pin.active] = np.abs(pin.beta + pin.dual) > lam
+    active = np.flatnonzero(mask)
     return ActivePartition(active, dual[active], work)
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual import PrimalDualState, Work, cold_start, dual_source, knot_fit
+from .dual import PrimalDualState, Work, cold_start, knot_fit
 from .errors import DegenerateResponse, NoiseTooLarge
 from .solver import SsnConfig, StopReason, ssn_solve
 
@@ -216,9 +216,14 @@ def sign_recovery_config(prob, sigma, max_inner=None):
     ------
     NoiseTooLarge
         If 10 * delta is not below lambda0 * gamma, so no valid grid exists.
+    ValueError
+        If ``sigma`` is not positive, or p = 1, where lam_u is 0.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
+    if prob.p < 2:
+        raise ValueError(f"sign recovery needs p >= 2 columns, got p = {prob.p}: the universal "
+                         "threshold sigma * sqrt(2 log(p) / n) is 0 at p = 1")
     lam_u = sigma * math.sqrt(2.0 * math.log(prob.p) / prob.n)
     delta = 3.0 * lam_u
     gamma = 8.0 / 13.0
@@ -282,7 +287,7 @@ def solve_path(prob, config):
         out = ssn_solve(prob, state, knot_cfg)
         if out.stop_reason is StopReason.SPARSITY_CAP:
             return None, None
-        indices, values, u = knot_fit(prob, out.state)
+        indices, values, u, source = knot_fit(prob, out.state)
         return out.state, KnotRecord(
             t=t,
             lam=lam,
@@ -292,7 +297,7 @@ def solve_path(prob, config):
             active_size=out.active.size,
             stop_reason=out.stop_reason.value,
             rss=_rss(prob, u),
-            dual_source=dual_source(prob, out.state),
+            dual_source=source,
             work=out.work,
         )
 

@@ -56,9 +56,12 @@ def hbic_select(prob, path):
     """Minimize log(RSS/n) + |support| * log(log n) log(p) / n over the path.
 
     RSS is each record's ``rss``; no product with X is taken. Raises
-    ZeroResidual for a knot that interpolates exactly.
+    ZeroResidual for a knot that interpolates exactly, and ValueError at
+    n = 1, where log(log n) is undefined.
     """
     n, p = prob.n, prob.p
+    if n < 2:
+        raise ValueError(f"hbic needs n >= 2 observations, got n = {n}: log(log n) is undefined")
 
     def hbic(rss, sizes):
         zero = np.flatnonzero(rss == 0.0)

@@ -838,6 +838,46 @@ class TestLazyStateContract:
         assert state._pinning is not None and state._certificate is not None
         assert _candidates(state, 0.5).shape == (0,)
 
+    def test_constructor_keeps_the_callers_float64_arrays(self):
+        beta, dual = np.zeros(5), np.ones(5)
+        state = PrimalDualState(beta, dual)
+        assert state.beta is beta and state.dual is dual
+
+    def test_in_place_edits_are_seen_as_by_a_fresh_state(self):
+        prob, _ = random_instance(30, 60, seed=41, T=4)
+        lam = 0.5 * default_lambda0(prob)
+        warm = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=30))
+        assert warm.stop_reason.value == "active_set_repeated" and warm.active.size > 0
+        beta, dual = np.zeros(prob.p), prob.xty / prob.n
+        edited = PrimalDualState(beta, dual)
+        lazy_dual.active_partition(edited, lam)  # a read before the edit keeps nothing stale
+        beta[:], dual[:] = warm.state.beta, warm.state.dual
+        fresh = PrimalDualState(warm.state.beta.copy(), warm.state.dual.copy())
+        for lam_k in (lam, 0.8 * lam):
+            a, b = (lazy_dual.active_partition(s, lam_k) for s in (edited, fresh))
+            assert _same_bits(a.active, b.active) and _same_bits(a.dual, b.dual)
+            assert a.work == b.work
+            # support(init) is the reference set of the first repeat test
+            x, y = (ssn_solve(prob, s, SsnConfig(lam=lam_k, max_iter=5)) for s in (edited, fresh))
+            assert (x.iterations, x.stop_reason) == (y.iterations, y.stop_reason)
+            assert _same_bits(x.state.beta, y.state.beta) and _same_bits(x.state.dual, y.state.dual)
+            u, v = (ssn_update(prob, s, a, lam_k, 0.0) for s in (edited, fresh))
+            assert _same_bits(u.beta, v.beta) and _same_bits(u.dual, v.dual)
+        assert ssn_solve(prob, edited, SsnConfig(lam=lam, max_iter=5)).iterations == 0
+
+    def test_cold_start_vectors_are_writable_and_read_free(self):
+        state = cold_start(self.prob)
+        assert state.beta.flags.writeable and state.dual.flags.writeable
+        assert lazy_dual.active_partition(state, 0.5).work == lazy_dual.Work()
+
+    def test_first_update_from_the_cold_start_builds_its_dual(self):
+        # the cold start is no reference, so nothing screens the update after it
+        state = cold_start(self.prob)
+        part = lazy_dual.active_partition(state, 0.5)
+        assert part.size > 0
+        first = ssn_update(self.prob, state, part, 0.5, 0.0)
+        assert lazy_dual.active_partition(first, 0.5).work.refreshes == 1
+
 
 @st.composite
 def degenerate_instances(draw):

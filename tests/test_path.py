@@ -26,6 +26,7 @@ from ssnpath import (
     kkt_residual,
     make_instance,
     mbic_select,
+    normalize,
     sign_recovery_config,
     soft_threshold_vec,
     solve_path,
@@ -194,6 +195,14 @@ class TestSignRecoveryConfig:
         prob, _ = random_instance(20, 10, seed=6)
         with pytest.raises(ValueError):
             sign_recovery_config(prob, 0.0)
+
+    def test_one_column_rejected_by_name(self):
+        # lam_u = sigma sqrt(2 log(p) / n) is 0 at p = 1, so no noise floor exists
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((30, 1))
+        prob = normalize(X, X[:, 0] + 0.1 * rng.standard_normal(30))
+        with pytest.raises(ValueError, match="p = 1"):
+            sign_recovery_config(prob, 0.1)
 
 
 class TestSolvePath:

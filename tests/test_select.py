@@ -118,6 +118,14 @@ class TestHbic:
             hbic_select(prob, PathResult([rec], n, 0.0))
         assert err.value.knot == 0
 
+    def test_one_observation_rejected_by_name(self):
+        # log(log 1) is undefined; the error names n instead of a math domain error
+        prob = ProblemData(np.ones((1, 3)), np.ones(1))
+        recs = [_record(prob, t, 0.5**t, [], []) for t in range(3)]
+        with pytest.raises(ValueError, match="n = 1"):
+            hbic_select(prob, PathResult(recs, prob.p, 0.0))
+        assert mbic_select(prob, PathResult(recs, prob.p, 0.0)).chosen_knot == 0
+
 
 class TestSelectorProperties:
     def test_tie_breaks_toward_larger_lambda(self):
