@@ -17,7 +17,7 @@ print(f"instance: n={prob.n}, p={prob.p}, true support {truth.support.tolist()}"
 lam = 0.25 * sp.default_lambda0(prob)
 print(f"penalty level lam = {lam:.4f} (lambda_max = {sp.default_lambda0(prob):.4f})")
 
-out = sp.ssn_solve(prob, sp.cold_start(prob), sp.SsnConfig(lam=lam, max_iter=10))
+out = sp.ssn_solve(prob, None, sp.SsnConfig(lam=lam, max_iter=10))
 beta = out.state.beta
 print(f"newton solve: {out.iterations} iterations, stop = {out.stop_reason.value}")
 print(f"support found: {np.flatnonzero(beta).tolist()}")

@@ -24,7 +24,6 @@ from .datagen import (
     mutual_coherence,
     theory_check,
 )
-from .dual import ActivePartition, PrimalDualState, active_partition, cold_start
 from .errors import (
     CgBreakdown,
     DegenerateResponse,
@@ -55,12 +54,11 @@ from .path import (
 )
 from .problem import ProblemData, normalize, objective
 from .select import SelectorResult, hbic_select, mbic_select
-from .solver import SsnConfig, SsnOutcome, StopReason, ssn_solve, ssn_update
+from .solver import SsnConfig, SsnOutcome, StopReason, ssn_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivePartition",
     "CdResult",
     "CgBreakdown",
     "DegenerateResponse",
@@ -72,7 +70,6 @@ __all__ = [
     "PRESETS",
     "PathConfig",
     "PathResult",
-    "PrimalDualState",
     "ProblemData",
     "RepMetrics",
     "SelectorResult",
@@ -86,10 +83,8 @@ __all__ = [
     "ZeroResidual",
     "ZeroTruth",
     "ZeroVarianceColumn",
-    "active_partition",
     "cd_path",
     "cd_solve",
-    "cold_start",
     "default_lambda0",
     "gen_autocorr",
     "gen_beta",
@@ -111,7 +106,6 @@ __all__ = [
     "solution_metrics",
     "solve_path",
     "ssn_solve",
-    "ssn_update",
     "theory_check",
     "write_metrics_csv",
     "write_path_csv",

@@ -112,4 +112,4 @@ def cd_path(prob, config, tol=1e-8, max_sweeps=500):
             dual_source=partial(_sparse_refresh_dual, prob, nz, res.beta[nz]),
         )
 
-    return _walk(prob, config, solve_knot, None)  # knot 0 starts from zero
+    return _walk(prob, config, solve_knot)

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import io as pio
 from .datagen import SimConfig, make_instance, theory_check
-from .dual import cold_start
 from .errors import DimensionMismatch, SsnPathError
 from .io import _write_csv, _write_json
 from .metrics import PRESETS, run_benchmark
@@ -79,7 +78,7 @@ def _cmd_solve(args):
         max_iter=args.k,
         sparsity_cap=_sparsity_cap(prob.n, args.cap),
     )
-    out = ssn_solve(prob, cold_start(prob), config)
+    out = ssn_solve(prob, None, config)
     beta = out.state.beta
     print(
         f"lambda={args.lam:g} nnz={int(np.count_nonzero(beta))} "

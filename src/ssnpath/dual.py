@@ -80,7 +80,7 @@ class PrimalDualState:
     :func:`ssnpath.kkt.refresh_dual`. Every state is pinned (``_Pinning``); a
     constructor state on every coordinate, with the caller's own float64
     arrays (not copies) as its pinned values, so an in-place edit is seen by
-    every read. A state made by :func:`ssnpath.ssn_update` holds
+    every read. A state made by :func:`ssnpath.solver.ssn_update` holds
     only the O(n + |A|) numbers its update left, plus its
     |A| x |A| Gram block until the next update takes it. It builds each
     length-p vector on its first read: ``beta`` by scattering the pinned
@@ -217,14 +217,18 @@ def _pinned_dual(prob, A, beta_A, dual_A, u=None):
 def cold_start(prob):
     """The canonical all-zeros start: beta = 0, dual = X'y/n.
 
-    Every state is pinned; this one as an update on the empty active set
-    leaves it, with its zero ``beta`` and its dual X'y/n given, both
-    writable. Reading them costs no product, and the state carries no
-    certificate, so the first update from it builds its dual in float64.
-    The solver reads its beta from the empty pinning, so an in-place edit
-    of ``beta`` is not seen; a start of one's own is a constructor state.
+    :func:`ssnpath.solver.ssn_solve` starts from it when given no initial
+    state. Every state is pinned; this one as an update on the empty active
+    set leaves it, with its zero ``beta`` and its dual X'y/n given, both
+    read-only, as a solver-made state's built vectors are: the solver reads
+    its beta from the empty pinning, so an edit could not be seen. Reading
+    them costs no product, and the state carries no certificate, so the
+    first update from it builds its dual in float64. A start of one's own
+    is a constructor state.
     """
-    state = PrimalDualState(np.zeros(prob.p), prob.xty / prob.n)
+    beta, dual = np.zeros(prob.p), prob.xty / prob.n
+    beta.flags.writeable = dual.flags.writeable = False
+    state = PrimalDualState(beta, dual)
     empty = np.zeros(0)
     state._pinning = _Pinning(prob, empty.astype(np.intp), empty, empty, np.zeros(prob.n), None)
     return state

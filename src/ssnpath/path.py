@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual import PrimalDualState, Work, cold_start, knot_fit
+from .dual import PrimalDualState, Work, knot_fit
 from .errors import DegenerateResponse, NoiseTooLarge
 from .solver import SsnConfig, StopReason, ssn_solve
 
@@ -245,17 +245,18 @@ def _rss(prob, u):
     return float(r @ r)
 
 
-def _walk(prob, config, solve_knot, carry):
+def _walk(prob, config, solve_knot):
     """The path over the grid of ``config``: one ``solve_knot`` call per knot, timed.
 
     ``solve_knot(t, lam, cap, carry)`` solves knot t at penalty ``lam`` from
-    ``carry``, what the knot before it left, under the sparsity cap ``cap``.
+    ``carry``, what the knot before it left, under the sparsity cap ``cap``;
+    knot 0's carry is None, which each solver reads as its own cold start.
     It returns the carry for the next knot and knot t's record, or no record
     (None) when the knot's active set outgrows the cap; the path then ends
     with ``terminated_at = t`` and keeps the knots before it.
     """
     cap = _sparsity_cap(prob.n, config.sparsity_cap)
-    records = []
+    records, carry = [], None
     start = time.perf_counter()
     for t in range(config.num_knots):
         carry, record = solve_knot(t, config.lam(t), cap, carry)
@@ -301,4 +302,4 @@ def solve_path(prob, config):
             work=out.work,
         )
 
-    return _walk(prob, config, solve_knot, cold_start(prob))
+    return _walk(prob, config, solve_knot)

@@ -56,12 +56,14 @@ def hbic_select(prob, path):
     """Minimize log(RSS/n) + |support| * log(log n) log(p) / n over the path.
 
     RSS is each record's ``rss``; no product with X is taken. Raises
-    ZeroResidual for a knot that interpolates exactly, and ValueError at
-    n = 1, where log(log n) is undefined.
+    ZeroResidual for a knot that interpolates exactly, and ValueError for
+    n < 3: log(log n) is undefined at n = 1 and negative at n = 2, where the
+    support term would reward a larger support.
     """
     n, p = prob.n, prob.p
-    if n < 2:
-        raise ValueError(f"hbic needs n >= 2 observations, got n = {n}: log(log n) is undefined")
+    if n < 3:
+        raise ValueError(f"hbic needs n >= 3 observations, got n = {n}: log(log n) is undefined "
+                         "or negative there, so the support term would not penalize support size")
 
     def hbic(rss, sizes):
         zero = np.flatnonzero(rss == 0.0)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import (ActivePartition, PrimalDualState, Work, active_partition, beta_on, check_length,
-                   held_gram, support, updated_state)
+                   cold_start, held_gram, support, updated_state)
 from .errors import CgBreakdown
 from .problem import _gram
 
@@ -126,7 +126,7 @@ def ssn_update(prob, state, part, lam, shift=0.0):
     holds when its update ran on ``prob`` with the same active set (the
     incoming state gives its block up either way). The inactive dual is built
     when first read; the new state carries the incoming state's certificate
-    when that was built on ``prob`` itself (see :class:`ssnpath.PrimalDualState`).
+    when that was built on ``prob`` itself (see :class:`ssnpath.dual.PrimalDualState`).
 
     Raises
     ------
@@ -147,7 +147,10 @@ def ssn_update(prob, state, part, lam, shift=0.0):
 def ssn_solve(prob, init, config):
     """Iterate :func:`ssn_update` from ``init`` until a stop rule fires.
 
-    The reference active set for the first repeat test is the support of the
+    ``init`` is a :class:`ssnpath.dual.PrimalDualState`, such as the state of
+    an earlier outcome, or None for the cold start beta = 0, dual = X'y/n
+    (:func:`ssnpath.dual.cold_start`, whose vectors are read-only). The
+    reference active set for the first repeat test is the support of the
     initial beta, so a warm start that is already a fixed point of this
     subproblem returns immediately with zero iterations. With shift 0,
     alpha > 0 and an ``ACTIVE_SET_REPEATED`` stop, the returned state
@@ -163,9 +166,9 @@ def ssn_solve(prob, init, config):
         reported as a normal outcome with ``StopReason.SPARSITY_CAP`` and
         the last state below the cap.
     """
-    check_length(prob, init)
-    state = init
-    prev_active = support(init)
+    state = cold_start(prob) if init is None else init
+    check_length(prob, state)
+    prev_active = support(state)
     work = Work()
     # each pass of the loop returns or makes one update, so k counts them
     for k in range(config.max_iter + 1):

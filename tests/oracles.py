@@ -3,7 +3,7 @@
 :func:`assemble_newton_matrix` builds the full 2p x 2p generalized Jacobian
 of the stationarity system F(z) = 0 (see :mod:`ssnpath.kkt`), and
 :func:`newton_step_dense` takes one exact Newton step with it, which checks
-the active-set update of :func:`ssnpath.ssn_update`. :func:`min_norm_probe`
+the active-set update of :func:`ssnpath.solver.ssn_update`. :func:`min_norm_probe`
 follows elastic-net solutions to the minimum-norm lasso solution. All of them
 densify or sweep to tight tolerances, so they run at verification scale only.
 :func:`eager_solve_path` is the path walk with every dual built at its
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ssnpath import PrimalDualState, ProblemData, SsnPathError, cd_solve, soft_threshold_vec
+from ssnpath import ProblemData, SsnPathError, cd_solve, soft_threshold_vec
+from ssnpath.dual import PrimalDualState
 from ssnpath.problem import _columns_times
 from ssnpath.solver import _solve_restricted
 
@@ -83,7 +84,7 @@ def assemble_newton_matrix(prob, part):
 def newton_step_dense(prob, state, part, lam):
     """One exact Newton step z + D with H D = -F(z), solved densely.
 
-    Verifies the active-set update: :func:`ssnpath.ssn_update` with shift 0
+    Verifies the active-set update: :func:`ssnpath.solver.ssn_update` with shift 0
     produces the same point.
 
     Raises
@@ -140,7 +141,7 @@ def min_norm_probe(prob, lam, alphas, tol=1e-12, max_sweeps=20000):
 
 
 def eager_ssn_update(prob, state, active, lam, shift):
-    """:func:`ssnpath.ssn_update` with the full dual built at once."""
+    """:func:`ssnpath.solver.ssn_update` with the full dual built at once."""
     beta = np.zeros(prob.p)
     if active.shape[0] == 0:
         return PrimalDualState(beta, prob.xty / prob.n)

@@ -10,13 +10,10 @@ import numpy as np
 
 from ssnpath import (
     PathConfig,
-    PrimalDualState,
     ProblemData,
     SimConfig,
     SsnConfig,
-    active_partition,
     cd_solve,
-    cold_start,
     default_lambda0,
     kkt_residual,
     make_instance,
@@ -30,9 +27,10 @@ from ssnpath import (
     soft_threshold_vec,
     solve_path,
     ssn_solve,
-    ssn_update,
     theory_check,
 )
+from ssnpath.dual import PrimalDualState, active_partition, cold_start
+from ssnpath.solver import ssn_update
 from oracles import min_norm_probe, newton_step_dense
 
 

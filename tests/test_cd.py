@@ -6,12 +6,10 @@ import pytest
 from ssnpath import (
     DimensionMismatch,
     PathConfig,
-    PrimalDualState,
     ProblemData,
     SsnConfig,
     cd_path,
     cd_solve,
-    cold_start,
     default_lambda0,
     kkt_residual,
     normalize,
@@ -21,6 +19,7 @@ from ssnpath import (
     solve_path,
     ssn_solve,
 )
+from ssnpath.dual import PrimalDualState, cold_start
 from conftest import random_instance
 from oracles import min_norm_probe
 

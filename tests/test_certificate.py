@@ -24,22 +24,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ssnpath import (
-    ActivePartition,
     CgBreakdown,
     PathConfig,
-    PrimalDualState,
     ProblemData,
     SsnConfig,
-    cold_start,
     default_lambda0,
     normalize,
     solve_path,
     ssn_solve,
-    ssn_update,
 )
 from ssnpath import dual as lazy_dual
 from ssnpath import solver
-from ssnpath.dual import _pinned_dual
+from ssnpath.dual import ActivePartition, PrimalDualState, _pinned_dual, cold_start
+from ssnpath.solver import ssn_update
 from conftest import random_instance
 from oracles import eager_solve_path, eager_ssn_solve
 
@@ -865,9 +862,15 @@ class TestLazyStateContract:
             assert _same_bits(u.beta, v.beta) and _same_bits(u.dual, v.dual)
         assert ssn_solve(prob, edited, SsnConfig(lam=lam, max_iter=5)).iterations == 0
 
-    def test_cold_start_vectors_are_writable_and_read_free(self):
+    def test_cold_start_vectors_are_read_only_and_read_free(self):
+        # the solver reads the cold start's beta from its empty pinning, so an
+        # edit would go unseen; it raises instead, as on a solver-made state
         state = cold_start(self.prob)
-        assert state.beta.flags.writeable and state.dual.flags.writeable
+        assert not (state.beta.flags.writeable or state.dual.flags.writeable)
+        with pytest.raises(ValueError):
+            state.beta[2] = 5.0
+        with pytest.raises(ValueError):
+            state.dual[2] = 5.0
         assert lazy_dual.active_partition(state, 0.5).work == lazy_dual.Work()
 
     def test_first_update_from_the_cold_start_builds_its_dual(self):

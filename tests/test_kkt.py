@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from ssnpath import (
-    PrimalDualState,
     ProblemData,
-    active_partition,
     cd_solve,
-    cold_start,
     kkt_residual,
     objective,
     refresh_dual,
     soft_threshold,
     soft_threshold_vec,
-    ssn_update,
 )
+from ssnpath.dual import PrimalDualState, active_partition, cold_start
+from ssnpath.solver import ssn_update
 from conftest import random_instance
 from oracles import SingularSystem, assemble_newton_matrix, newton_step_dense
 

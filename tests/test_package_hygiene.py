@@ -75,6 +75,15 @@ def test_package_declares_all():
     assert _declared_all(ast.parse((PACKAGE_DIR / "__init__.py").read_text()))
 
 
+@pytest.mark.parametrize(
+    "name", ["ActivePartition", "PrimalDualState", "active_partition", "cold_start", "ssn_update"]
+)
+def test_solver_state_internals_are_not_exported(name):
+    # ssn_solve(prob, None, cfg) starts from the cold start; the state's
+    # machinery stays in ssnpath.dual and ssnpath.solver
+    assert name not in ssnpath.__all__ and not hasattr(ssnpath, name)
+
+
 def _non_test_sources():
     """The files that may call into the package: everything but ``tests/``."""
     yield from (REPO / "src").rglob("*.py")

@@ -20,7 +20,6 @@ from ssnpath import (
     ProblemData,
     SsnConfig,
     cd_path,
-    cold_start,
     default_lambda0,
     grid_floor_index,
     kkt_residual,
@@ -33,6 +32,7 @@ from ssnpath import (
     ssn_solve,
     write_path_csv,
 )
+from ssnpath.dual import cold_start
 from ssnpath.problem import _BLOCK_ENTRIES
 from conftest import random_instance
 

@@ -7,13 +7,12 @@ import pytest
 
 from ssnpath import (
     DimensionMismatch,
-    PrimalDualState,
     ProblemData,
     ZeroVarianceColumn,
-    cold_start,
     normalize,
     objective,
 )
+from ssnpath.dual import PrimalDualState, cold_start
 from conftest import random_instance
 
 

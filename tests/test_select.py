@@ -126,6 +126,17 @@ class TestHbic:
             hbic_select(prob, PathResult(recs, prob.p, 0.0))
         assert mbic_select(prob, PathResult(recs, prob.p, 0.0)).chosen_knot == 0
 
+    def test_two_observations_rejected_by_name(self):
+        # log(log 2) < 0 would reward support size: of three knots with equal
+        # rss and supports of size 0, 1 and 3, the largest would be picked
+        prob = ProblemData(np.ones((2, 3)), np.array([1.0, 0.5]))
+        supports = [[], [0], [0, 1, 2]]
+        recs = [_record(prob, t, 0.5**t, S, [0.0] * len(S)) for t, S in enumerate(supports)]
+        assert [rec.rss for rec in recs] == [1.25] * 3
+        with pytest.raises(ValueError, match="n = 2"):
+            hbic_select(prob, PathResult(recs, prob.p, 0.0))
+        assert mbic_select(prob, PathResult(recs, prob.p, 0.0)).chosen_knot == 0
+
 
 class TestSelectorProperties:
     def test_tie_breaks_toward_larger_lambda(self):

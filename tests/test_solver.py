@@ -6,22 +6,19 @@ import pytest
 from ssnpath import (
     CgBreakdown,
     DimensionMismatch,
-    PrimalDualState,
     ProblemData,
     SsnConfig,
     StopReason,
-    active_partition,
     cd_solve,
-    cold_start,
     objective,
     refresh_dual,
     soft_threshold_vec,
     ssn_solve,
-    ssn_update,
 )
 from ssnpath import solver
-from ssnpath.dual import held_gram
+from ssnpath.dual import PrimalDualState, active_partition, cold_start, held_gram
 from ssnpath.problem import _BLOCK_ENTRIES
+from ssnpath.solver import ssn_update
 from conftest import random_instance
 from oracles import eager_ssn_solve, newton_step_dense
 
@@ -173,6 +170,16 @@ class TestSolveRestricted:
 
 
 class TestSsnSolve:
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_no_init_is_the_cold_start_bit_for_bit(self, alpha):
+        prob, _ = random_instance(30, 60, alpha=alpha, seed=14, T=4)
+        for scale in (0.7, 0.3):
+            cfg = SsnConfig(lam=scale * float(np.max(np.abs(prob.xty))) / prob.n, max_iter=10)
+            a, b = ssn_solve(prob, None, cfg), ssn_solve(prob, cold_start(prob), cfg)
+            assert (a.iterations, a.stop_reason, a.work) == (b.iterations, b.stop_reason, b.work)
+            for x, y in ((a.state.beta, b.state.beta), (a.state.dual, b.state.dual)):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
     def test_orthogonal_cold_start(self):
         n = 12
         rng = np.random.default_rng(6)
