@@ -8,7 +8,8 @@ simulate  generate a synthetic instance and write X.csv / y.csv / instance.json
 bench     simulation grid runner, metrics table to stdout or CSV
 check     coherence / signal-strength report for a simulated instance, as JSON
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 numerical failure (for ``solve``, also
+an active set that outgrew the sparsity cap, which leaves no solution).
 
 Input CSVs are header-less comma-separated decimals; the response is a single
 column. Unless ``--raw`` is passed, data is centered and column-scaled before
@@ -29,7 +30,7 @@ from .metrics import PRESETS, run_benchmark
 from .path import PathConfig, _default_gamma, _sparsity_cap, default_lambda0, solve_path
 from .problem import ProblemData, normalize, objective
 from .select import SELECTORS
-from .solver import SsnConfig, ssn_solve
+from .solver import SsnConfig, StopReason, ssn_solve
 
 _SIM_KEYS = {"n": int, "p": int, "rho": float, "nu": float, "sigma": float, "T": int}
 
@@ -79,6 +80,10 @@ def _cmd_solve(args):
         sparsity_cap=_sparsity_cap(prob.n, args.cap),
     )
     out = ssn_solve(prob, None, config)
+    if out.stop_reason is StopReason.SPARSITY_CAP:
+        raise SsnPathError(f"at lambda={args.lam:g} the active set outgrew the sparsity cap of "
+                           f"{config.sparsity_cap} before a solution was reached; `ssnpath "
+                           "path` reaches small penalties by continuation")
     beta = out.state.beta
     print(
         f"lambda={args.lam:g} nnz={int(np.count_nonzero(beta))} "

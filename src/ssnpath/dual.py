@@ -45,7 +45,6 @@ given vectors are the pinned ones and nothing is left to build or screen.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -153,20 +152,26 @@ class _Pinning:
     after them, with ||u|| <= c ||beta||_1 (1 + gamma_|A|) <= 2 c ||beta||_1.
     The outer factor 2 also covers the rounding of evaluating the bound.
 
+    ``level`` is lam - shift when ``dual`` is level * sign(beta + dual_in) of
+    the update, so knot records rebuild it from int8 signs (:func:`knot_fit`);
+    0.0 when no update pinned the dual: the cold start pins nothing, and a
+    constructor state's dual is given.
+
     Every state is pinned; a constructor state on every coordinate, with
     ``prob``, ``u`` and ``gram`` None: its dual is given whole, so nothing
     is left to build, bound or screen. ``p`` is the length of the state.
     """
 
-    __slots__ = ("prob", "p", "active", "beta", "dual", "u", "err", "gram")
+    __slots__ = ("prob", "p", "active", "beta", "dual", "u", "err", "gram", "level")
 
-    def __init__(self, prob, active, beta, dual, u, gram):
+    def __init__(self, prob, active, beta, dual, u, gram, level=0.0):
         self.prob = prob
         self.active = active
         self.beta = beta
         self.dual = dual
         self.u = u
         self.gram = gram
+        self.level = level
         if prob is None:
             self.p, self.err = active.shape[0], 0.0
             return
@@ -234,25 +239,30 @@ def cold_start(prob):
     return state
 
 
-def updated_state(prob, state, A, beta_A, dual_A, gram):
+def updated_state(prob, state, A, beta_A, dual_A, gram, level=0.0):
     """The state an update from ``state`` left: ``beta_A`` and ``dual_A`` on ``A``, and the
     Gram block ``gram`` it solved with. u = X_A beta_A is computed as :func:`_pinned_dual` does.
 
-    ``A`` and ``beta_A`` are kept as read-only views, so neither the knot
-    records that share ``A`` (:func:`knot_fit`) nor the solver, which reads
-    ``beta_A`` in place (:func:`beta_on`), can change the state. The state
-    carries ``state``'s certificate when that was built on ``prob`` itself: a
+    ``level`` is lam - shift when ``dual_A`` is level * sign(beta + dual) of
+    the update, as :func:`ssnpath.solver.ssn_update` passes it (see
+    :class:`_Pinning`). ``A`` and ``beta_A`` are shared as they are when
+    read-only, as a partition's active set and the update's own coefficients
+    are, and kept as read-only views otherwise, so neither the knot records
+    that share them (:func:`knot_fit`) nor the solver, which reads ``beta_A``
+    in place (:func:`beta_on`), can change the state. The state carries
+    ``state``'s certificate when that was built on ``prob`` itself: a
     certificate's dual screens the duals of its own data only.
     """
     if not np.isfinite(beta_A).all():
         raise ValueError("state vectors must be finite")
     cert = state._certificate
     cert = cert if cert is not None and cert.pin.prob is prob else None
-    A, beta_A = A.view(), beta_A.view()
+    A, beta_A = (a.view() if a.flags.writeable else a for a in (A, beta_A))
     A.flags.writeable = beta_A.flags.writeable = False
     new = object.__new__(PrimalDualState)
     new._beta, new._dual, new._certificate = None, None, cert
-    new._pinning = _Pinning(prob, A, beta_A, dual_A, _columns_times(prob.X, A, beta_A), gram)
+    new._pinning = _Pinning(prob, A, beta_A, dual_A, _columns_times(prob.X, A, beta_A), gram,
+                            level)
     return new
 
 
@@ -314,25 +324,49 @@ def support(state):
 
 def knot_fit(prob, state):
     """``(indices, values, u, dual_source)``: the support of ``state``'s beta, the coefficients
-    on it, the fitted values u = X beta, and a zero-argument callable that rebuilds the
-    state's dual bitwise, holding O(|A|) numbers.
+    on it, the fitted values u = X beta, and a :class:`_DualSource` that rebuilds the
+    state's dual bitwise, holding 17 bytes per active coefficient.
 
-    ``values`` is a new array, so editing it in place changes neither the
-    state nor a dual rebuilt from it. Every state is pinned; ``state`` is
-    solver-made on ``prob`` or else ``prob``'s cold start (pinned on the
-    empty set), as a path's knots return them. When its pinned coefficients
-    are all nonzero, as on every knot of the benchmark's paths, ``indices``
-    is the update's own read-only active set and u its fitted values, in
-    O(|A|); otherwise the support is gathered and u is summed by the blocked
-    :func:`ssnpath.problem._columns_times`, as the update sums it.
+    Every state is pinned; ``state`` is solver-made on ``prob`` or else
+    ``prob``'s cold start (pinned on the empty set), as a path's knots return
+    them. When its pinned coefficients are all nonzero, as on every knot of
+    the benchmark's paths, ``indices`` and ``values`` are the update's own
+    read-only active set and coefficients, shared with the dual source, and u
+    its fitted values, in O(|A|); a record copies ``values`` on its first
+    read (:class:`ssnpath.KnotRecord`), so no edit reaches the state or the
+    rebuilt dual. Otherwise the support is gathered into new arrays and u is
+    summed by the blocked :func:`ssnpath.problem._columns_times`, as the
+    update sums it.
     """
     pin = state._pinning
-    source = partial(_pinned_dual, pin.prob, pin.active, pin.beta, pin.dual)
+    source = _DualSource(pin.prob, pin.active, pin.beta, np.sign(pin.dual).astype(np.int8),
+                         pin.level)
     if pin.beta.all():
-        return pin.active, pin.beta.copy(), pin.u, source
+        return pin.active, pin.beta, pin.u, source
     indices = support(state)
     values = beta_on(state, indices)
     return indices, values, _columns_times(prob.X, indices, values), source
+
+
+@dataclass(slots=True, eq=False)
+class _DualSource:
+    """A zero-argument callable that rebuilds a solver-made state's dual bitwise.
+
+    It holds the update's read-only active set ``active`` and coefficients
+    ``beta`` and, for its pinned dual ``level * signs``, the signs as int8 and
+    the float ``level`` (:class:`_Pinning`). The signs are never 0 on an
+    active set, where |beta_j + dual_j| > lam, and ``level`` is positive, so
+    ``level * signs`` repeats every bit of the pinned dual.
+    """
+
+    prob: object
+    active: np.ndarray
+    beta: np.ndarray
+    signs: np.ndarray
+    level: float
+
+    def __call__(self):
+        return _pinned_dual(self.prob, self.active, self.beta, self.level * self.signs)
 
 
 @dataclass(slots=True)
@@ -367,7 +401,9 @@ class ActivePartition:
     """Sorted indices ``active`` where |beta_j + dual_j| > lam; the rest are inactive.
 
     ``dual`` is the state's dual on ``active``, as the partition read it, and
-    ``work`` (:class:`Work`) what reading it cost.
+    ``work`` (:class:`Work`) what reading it cost. :func:`active_partition`
+    returns ``active`` read-only, so the state an update on it leaves shares
+    it (:func:`updated_state`).
     """
 
     active: np.ndarray
@@ -397,6 +433,7 @@ def active_partition(state, lam):
     if S is not None:
         read = _screened_partition(state, S, lam, reference)
         if read is not None:
+            read[0].flags.writeable = False
             return ActivePartition(*read, work)
     # an unbuilt dual costs one X'u unless its active set is empty (X'y/n)
     work += Work(refreshes=int(state._dual is None and state._pinning.active.shape[0] > 0))
@@ -405,6 +442,7 @@ def active_partition(state, lam):
     mask = np.abs(dual) > lam
     mask[pin.active] = np.abs(pin.beta + pin.dual) > lam
     active = np.flatnonzero(mask)
+    active.flags.writeable = False
     return ActivePartition(active, dual[active], work)
 
 

@@ -95,6 +95,24 @@ class PathConfig:
         return (1.0 - SHIFT_KEEP_FRACTION) * self.lam(t) + self.shift_delta
 
 
+class _CopiedOnFirstRead:
+    """A record field kept as given; a read-only array is copied, writable, on its first read."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.held = name, "_" + name
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            raise AttributeError(self.name)  # no class-level default
+        array = getattr(record, self.held)
+        if not array.flags.writeable:
+            setattr(record, self.held, array := array.copy())
+        return array
+
+    def __set__(self, record, array):
+        setattr(record, self.held, array)
+
+
 @dataclass
 class KnotRecord:
     """Per-knot solution in sparse (index, value) form; the dense dual is built on demand.
@@ -102,20 +120,24 @@ class KnotRecord:
     ``rss`` is the knot's residual sum of squares ||y - X beta||^2, which
     the selectors read. On a :func:`solve_path` record, ``indices`` is the
     active set of the update that made the knot's state, shared with its
-    ``dual_source`` and read-only, so an in-place edit raises ``ValueError``;
-    ``values`` is the record's own copy of the coefficients, so editing it
-    leaves the rebuilt dual alone. ``dual_source`` is a zero-argument
-    callable that returns the knot's length-p dual from the O(|A|) numbers
-    it holds. The first read of ``dual`` calls it and keeps the result on
-    the record, so later reads return that same array, and an in-place edit
-    or an assignment persists. ``work`` (:class:`ssnpath.dual.Work`) is what
-    the knot's solve spent.
+    ``dual_source`` and read-only, so an in-place edit raises ``ValueError``.
+    ``values`` is kept as given; a read-only array, such as the update's
+    coefficients a :func:`solve_path` record shares with its dual source, is
+    copied on the first read, so every read returns one writable array and
+    editing it leaves the rebuilt dual alone. ``dual_source`` is a
+    zero-argument callable that returns the knot's length-p dual from the
+    O(|A|) numbers it holds: on a :func:`solve_path` record, the active set,
+    the coefficients and the pinned dual's int8 signs and level. The first
+    read of ``dual`` calls it and keeps the result on the record, so later
+    reads return that same array, and an in-place edit or an assignment
+    persists. ``work`` (:class:`ssnpath.dual.Work`) is what the knot's solve
+    spent.
     """
 
     t: int
     lam: float
     indices: np.ndarray
-    values: np.ndarray
+    values: np.ndarray = _CopiedOnFirstRead()
     iterations: int
     active_size: int
     stop_reason: str
@@ -270,9 +292,10 @@ def solve_path(prob, config):
     """Run the fixed-penalty solve over the grid with warm starts.
 
     Knot t's initial state is exactly knot t-1's output state. Only that one
-    state is kept; each record holds the active set, coefficients and pinned
-    dual of the update that made its state, from which its dual is rebuilt
-    (a knot solved with no update shares the previous knot's; knot 0's cold
+    state is kept; each record shares the read-only active set and
+    coefficients of the update that made its state and holds its pinned dual
+    as int8 signs and one level, from which its dual is rebuilt (a knot
+    solved with no update shares the previous knot's arrays; knot 0's cold
     start is rebuilt from an empty active set), and its ``rss`` from the
     update's fitted values u = X_A beta_A. A solver failure at any knot
     propagates as raised, and the knots before it are not returned.

@@ -137,11 +137,13 @@ def ssn_update(prob, state, part, lam, shift=0.0):
         (alpha = 0 with duplicated active columns).
     """
     check_length(prob, state)
-    A = part.active
-    dual_active = (lam - shift) * np.sign(beta_on(state, A) + part.dual)
+    A, level = part.active, lam - shift
+    dual_active = level * np.sign(beta_on(state, A) + part.dual)
     rhs = prob.xty[A] - prob.n * dual_active
     beta_active, gram = _solve_restricted(prob, A, rhs, held_gram(prob, state, A, release=True))
-    return updated_state(prob, state, A, beta_active, dual_active, gram)
+    # the new state and the knot records share the solve's own coefficients
+    beta_active.flags.writeable = False
+    return updated_state(prob, state, A, beta_active, dual_active, gram, level)
 
 
 def ssn_solve(prob, init, config):

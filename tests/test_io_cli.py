@@ -138,10 +138,10 @@ class TestCli:
         out = tmp_path / "beta.csv"
         code = cli_main([
             "solve", "--x", str(x_path), "--y", str(y_path),
-            "--lambda", "0.5", "--out", str(out),
+            "--lambda", "1.0", "--out", str(out),
         ])
         assert code == 0
-        assert "nnz=" in capsys.readouterr().out
+        assert "stop=active_set_repeated" in capsys.readouterr().out
         assert out.read_text().startswith("#schema=1\nindex,value\n")
 
     def test_simulate_and_check_commands(self, tmp_path, capsys):
@@ -336,6 +336,25 @@ class TestCli:
         save_matrix(y_path, np.array([1.0, 2.0, 3.0]))
         code = cli_main(["solve", "--x", str(x_path), "--y", str(y_path), "--lambda", "0.1"])
         assert code == 2
+
+    def test_solve_past_the_sparsity_cap_exits_two_without_coefficients(self, tmp_path, capsys):
+        # from the cold start, partitions at lambda well below lambda0 = 4.69
+        # outgrow the cap of n/2 = 30 before any solution is reached
+        sim = ["simulate", "--sim", "n=60,p=120,rho=0.3,sigma=0.1,T=3", "--out-dir", str(tmp_path)]
+        assert cli_main(sim) == 0
+        data = ["--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "y.csv")]
+        capsys.readouterr()
+        for lam in ("0.1", "1.0"):
+            out = tmp_path / f"beta{lam}.csv"
+            assert cli_main(["solve", *data, "--lambda", lam, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "sparsity cap of 30" in captured.err and "ssnpath path" in captured.err
+            assert not out.exists()
+        out = tmp_path / "beta2.csv"
+        assert cli_main(["solve", *data, "--lambda", "2", "--out", str(out)]) == 0
+        assert "stop=active_set_repeated" in capsys.readouterr().out
+        assert out.exists()
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0

@@ -15,6 +15,7 @@ from ssnpath import solver
 from ssnpath import (
     PRESETS,
     DegenerateResponse,
+    KnotRecord,
     NoiseTooLarge,
     PathConfig,
     ProblemData,
@@ -32,6 +33,7 @@ from ssnpath import (
     ssn_solve,
     write_path_csv,
 )
+from ssnpath import dual as lazy_dual
 from ssnpath.dual import cold_start
 from ssnpath.problem import _BLOCK_ENTRIES
 from conftest import random_instance
@@ -392,7 +394,7 @@ class TestRecordArrays:
         shared = [rec for rec in path.records if rec.nnz > 0]
         assert len(shared) >= 20
         for rec in shared:
-            _, active, beta, _ = rec.dual_source.args
+            active, beta = rec.dual_source.active, rec.dual_source.beta
             assert rec.indices is active
             # values are the record's own copy: editing them leaves the dual alone
             assert np.array_equal(rec.values, beta) and rec.values is not beta
@@ -404,6 +406,61 @@ class TestRecordArrays:
             rec.values[0] += 1.0
             rebuilt = rec.dual_source()
             assert rebuilt is not dual and rebuilt.tobytes() == dual.tobytes()
+
+    @pytest.mark.parametrize("walk", ["shifted", "unshifted_inner", "enet"])
+    def test_rebuilt_dual_is_the_pinned_dual_bit_for_bit(self, walk, monkeypatch):
+        prob, _ = random_instance(40, 80, alpha=0.5 if walk == "enet" else 0.0, seed=17, T=6)
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.85, num_knots=30,
+                         max_inner=3 if walk == "unshifted_inner" else 1,
+                         shift_schedule="shifted" if walk == "shifted" else "zero")
+        real, pinned = ssnpath.path.knot_fit, []
+
+        def knot_fit(prob, state):
+            # the update's pinned dual on A, and the whole dual the state builds
+            pin = state._pinning
+            whole = lazy_dual._pinned_dual(pin.prob, pin.active, pin.beta, pin.dual, pin.u)
+            pinned.append((pin.dual.copy(), whole))
+            return real(prob, state)
+
+        monkeypatch.setattr(ssnpath.path, "knot_fit", knot_fit)
+        path = solve_path(prob, cfg)
+        assert len(path) == len(pinned) >= 20
+        for rec, (dual_A, whole) in zip(path.records, pinned):
+            source = rec.dual_source
+            assert source.signs.dtype == np.int8
+            assert (source.level * source.signs).tobytes() == dual_A.tobytes(), rec.t
+            assert rec.dual.tobytes() == whole.tobytes(), rec.t
+
+    def test_values_are_copied_on_first_read(self):
+        _, path = self._fit("newton")
+        shared = [rec for rec in path.records if rec.nnz > 0]
+        assert len(shared) >= 20
+        for rec in shared:
+            beta = rec.dual_source.beta
+            # the fit hands the record the pinned coefficients themselves
+            assert rec._values is beta and not beta.flags.writeable
+            dual = rec.dual_source()
+            values = rec.values
+            assert values is not beta and values.flags.writeable
+            assert values.tobytes() == beta.tobytes()
+            assert rec.values is values
+            values[0] += 1.0
+            assert rec.values[0] == beta[0] + 1.0
+            assert rec.dual_source().tobytes() == dual.tobytes()
+
+    def test_cd_records_keep_the_array_they_were_given(self, monkeypatch):
+        given = []
+
+        def record(**fields):
+            given.append(fields["values"])
+            return KnotRecord(**fields)
+
+        monkeypatch.setattr(ssnpath.cd, "KnotRecord", record)
+        _, path = self._fit("cd")
+        assert len(path) == len(given) >= 25
+        for rec, values in zip(path.records, given):
+            assert values.flags.writeable
+            assert rec.values is values and rec.values is values
 
     @pytest.mark.parametrize("walk", ["newton", "cd"])
     def test_rss_is_the_records_own_residual(self, walk):
@@ -441,8 +498,10 @@ class TestRecordArrays:
             2 * 8 * k_max**2  # the largest Gram block and its k x k product buffer
             + 8 * _BLOCK_ENTRIES  # one row block of X_A
             + 2 * 8 * prob.p  # the reference's dual and one more length-p vector
-            + 32 * held  # per knot: indices, values, and its dual source's beta and dual
-            + 1024 * len(path)  # per knot: the record's Python objects and array headers
+            + 17 * held  # per knot: indices (8), coefficients shared with values (8), signs (1)
+            # per knot: the record, its Work and dual source, and three array headers
+            # (about 720 bytes on CPython 3.11)
+            + 896 * len(path)
             + 16384  # the update's small temporaries
         )
         assert peak < budget
