@@ -1,6 +1,7 @@
 """Compare the paths two checkouts fit on the benchmark workloads, bit for bit or model by model.
 
     python3 tools/compare_paths.py OLD NEW [--seeds 0-4] [--workloads table1,enet] [--models]
+    python3 tools/compare_paths.py --write-record OUT [CHECKOUT]
 
 OLD and NEW are checkout roots, each with its own ``src/ssnpath`` and
 ``perfbench/``. For every workload and seed, each side fits instance
@@ -26,6 +27,12 @@ raised) must be equal. The largest relative coefficient gap,
 max |b - a| / max |a| over a knot's coefficients where the supports agree,
 is printed per workload and never fails the run.
 
+``--write-record OUT`` fits every workload and seed with CHECKOUT's code
+(default: this tool's own checkout) under ``OPENBLAS_NUM_THREADS=1`` and
+``=2`` side by side, and writes OUT, the model-level record
+``tests/test_model_record.py`` checks (see :func:`model_record`), when the
+two fits agree on it; otherwise it prints where they differ and exits 1.
+
 ``--self-check`` plants a one-ulp change in NEW's last dual before
 comparing (with ``--models``, a sign flip of NEW's last nonzero
 coefficient), so a working comparison must exit 1 and name it.
@@ -36,11 +43,14 @@ bytecode caching off.
 
 import argparse
 import dataclasses
+import hashlib
+import json
 import os
 import pickle
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +63,13 @@ WORK_COUNTERS = ("refreshes", "screened", "corrected", "reused")
 # Selectors whose picks are compared, by their ssnpath.<name>_select function.
 SELECTORS = ("mbic", "hbic")
 
+# Relative tolerance of a recorded knot's ||beta||_1 and rss. The record keeps
+# 12 significant digits, so its own rounding is 1e-3 of this.
+RECORD_RTOL = 1e-9
+
+# OpenBLAS thread counts a model record must agree under.
+RECORD_THREADS = (1, 2)
+
 
 def _seeds(text):
     """``"0-4"`` or ``"0,3,7"`` as a list of ints."""
@@ -62,12 +79,13 @@ def _seeds(text):
     return [int(s) for s in text.split(",")]
 
 
-def _record_fields(rec):
+def _record_fields(rec, dual=True):
     """A ``KnotRecord``'s result fields and work counters by name, with its ``dual`` read.
 
     The counters are the record's own fields in older checkouts and the
     fields of its one ``work`` value in newer ones; both dump as the same
-    flat ``WORK_COUNTERS`` keys, so the two compare field by field.
+    flat ``WORK_COUNTERS`` keys, so the two compare field by field. Without
+    ``dual`` the dual is left out: models are compared without it.
     """
     fields = {
         f.name: getattr(rec, f.name)
@@ -77,11 +95,12 @@ def _record_fields(rec):
     work = fields.pop("work", None)
     if work is not None:
         fields.update((counter, getattr(work, counter)) for counter in WORK_COUNTERS)
-    fields["dual"] = rec.dual
+    if dual:
+        fields["dual"] = rec.dual
     return fields
 
 
-def _dump(checkout, out, workloads, seeds):
+def _dump(checkout, out, workloads, seeds, dual=True):
     """Child side: fit every (workload, seed) with ``checkout``'s code and pickle the results."""
     sys.dont_write_bytecode = True
     root = Path(checkout).resolve()
@@ -107,7 +126,7 @@ def _dump(checkout, out, workloads, seeds):
                 except ZeroResidual as exc:
                     picks[selector] = {"raised": type(exc).__name__}
             results[name, seed] = {
-                "records": [_record_fields(rec) for rec in path.records],
+                "records": [_record_fields(rec, dual) for rec in path.records],
                 "p": path.p,
                 "terminated_at": path.terminated_at,
                 **picks,
@@ -116,15 +135,29 @@ def _dump(checkout, out, workloads, seeds):
         pickle.dump(results, f)
 
 
-def _fit(checkout, workloads, seeds, tmp):
-    out = Path(tmp) / f"{len(os.listdir(tmp))}.pkl"
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--dump", str(checkout), str(out),
+def _fit(checkout, workloads, seeds, tmp, models=False, threads=None):
+    """The child's results for ``checkout``; ``threads`` sets its ``OPENBLAS_NUM_THREADS``."""
+    fd, out = tempfile.mkstemp(suffix=".pkl", dir=tmp)
+    os.close(fd)
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--dump", str(checkout), out,
            "--workloads", ",".join(workloads), "--seeds", ",".join(map(str, seeds))]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
+    if models:
+        cmd.append("--models")
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
     subprocess.run(cmd, check=True, env=env)
     with open(out, "rb") as f:
         return pickle.load(f)
+
+
+def fit_under_threads(checkout, tmp, threads=RECORD_THREADS):
+    """Models-only results of every workload and seed 0-4, one side-by-side child per thread count."""
+    with ThreadPoolExecutor(len(threads)) as pool:
+        return list(pool.map(
+            lambda t: _fit(checkout, ALL_WORKLOADS, range(5), tmp, models=True, threads=t),
+            threads))
 
 
 def same(a, b):
@@ -217,6 +250,82 @@ def compare_models(old, new):
     return bad, gaps, knots
 
 
+def _knot_digest(rec):
+    """Eight hex digits over a knot's support, coefficient signs and stop reason."""
+    digest = hashlib.blake2b(digest_size=4)
+    digest.update(np.asarray(rec["indices"], dtype="<i8").tobytes())
+    digest.update(_signs(rec["values"]).tobytes())
+    digest.update(str(rec["stop_reason"]).encode())
+    return digest.hexdigest()
+
+
+def _rounded(x):
+    return float(f"{x:.12g}")
+
+
+def model_record(results):
+    """The model-level record of dumped results, a JSON-ready dict keyed ``"<workload> <seed>"``.
+
+    Per path: ``p``, ``terminated_at``, the knot each selector picked (or the
+    exception it raised), the work totals, and per knot a digest of its
+    support, signs and stop reason (:func:`_knot_digest`) and its
+    ||beta||_1 and ``rss``, which :func:`check_record` compares within
+    ``RECORD_RTOL``.
+    """
+    record = {}
+    for (name, seed), result in results.items():
+        recs = result["records"]
+        record[f"{name} {seed}"] = {
+            "p": result["p"],
+            "terminated_at": result["terminated_at"],
+            **{selector: _picked(result[selector]) for selector in SELECTORS},
+            "work": work_totals({(name, seed): result}).get(name, {}),
+            "knots": [_knot_digest(rec) for rec in recs],
+            "l1": [_rounded(np.abs(rec["values"]).sum()) for rec in recs],
+            "rss": [_rounded(rec["rss"]) for rec in recs],
+        }
+    return record
+
+
+def check_record(got, expected, rtol=RECORD_RTOL):
+    """Mismatch lines of record ``got`` against ``expected``; empty when they agree."""
+    bad = [f"{key}: not recorded" for key in got.keys() - expected.keys()]
+    bad += [f"{key}: not fitted" for key in expected.keys() - got.keys()]
+    for key in sorted(got.keys() & expected.keys()):
+        a, b = expected[key], got[key]
+        for name in ("p", "terminated_at", *SELECTORS, "work"):
+            if a[name] != b[name]:
+                bad.append(f"{key}: {name} {a[name]!r} != {b[name]!r}")
+        if len(a["knots"]) != len(b["knots"]):
+            bad.append(f"{key}: {len(a['knots'])} knots != {len(b['knots'])}")
+        for t, (da, db) in enumerate(zip(a["knots"], b["knots"])):
+            if da != db:
+                bad.append(f"{key}: knot {t} support, signs or stop reason differ")
+            for name in ("l1", "rss"):
+                x, y = a[name][t], b[name][t]
+                if abs(x - y) > rtol * max(abs(x), abs(y)):
+                    bad.append(f"{key}: knot {t} {name} {x!r} != {y!r}")
+    return bad
+
+
+def _write_record(checkout, out):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, *others = (model_record(r) for r in fit_under_threads(checkout, tmp))
+    bad = [f"threads {t}: {line}" for t, other in zip(RECORD_THREADS[1:], others)
+           for line in check_record(other, first)]
+    for line in bad:
+        print("MISMATCH " + line)
+    if bad:
+        return 1
+    # one path per line, so a diff of the record names the paths that moved
+    text = "{\n" + ",\n".join(f"{json.dumps(key)}:{json.dumps(path, separators=(',', ':'))}"
+                               for key, path in first.items()) + "\n}\n"
+    Path(out).write_text(text)
+    knots = sum(len(path["knots"]) for path in first.values())
+    print(f"wrote {out}: {len(first)} paths, {knots} knots, {len(text)} bytes")
+    return 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", nargs=2, metavar=("CHECKOUT", "OUT"), help=argparse.SUPPRESS)
@@ -227,19 +336,23 @@ def main(argv=None):
                         help="comma-separated workload names (default: all four)")
     parser.add_argument("--models", action="store_true",
                         help="compare supports, signs, stop reasons and picks, not bits")
+    parser.add_argument("--write-record", metavar="OUT",
+                        help="write the model record of OLD (default: this checkout) to OUT")
     parser.add_argument("--self-check", action="store_true",
                         help="plant a one-ulp change in NEW's last dual (with --models, a "
                              "sign flip of its last coefficient); the run must fail")
     args = parser.parse_args(argv)
     workloads, seeds = args.workloads.split(","), _seeds(args.seeds)
     if args.dump:
-        _dump(*args.dump, workloads, seeds)
+        _dump(*args.dump, workloads, seeds, dual=not args.models)
         return 0
+    if args.write_record:
+        return _write_record(args.old or Path(__file__).resolve().parent.parent, args.write_record)
     if args.old is None or args.new is None:
         parser.error("OLD and NEW checkouts are required")
     with tempfile.TemporaryDirectory() as tmp:
-        old = _fit(args.old, workloads, seeds, tmp)
-        new = _fit(args.new, workloads, seeds, tmp)
+        old = _fit(args.old, workloads, seeds, tmp, args.models)
+        new = _fit(args.new, workloads, seeds, tmp, args.models)
     if args.self_check:
         key = next(iter(new))
         record = new[key]["records"][-1]
