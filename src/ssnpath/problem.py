@@ -27,6 +27,11 @@ NORMALIZED_TOL = 1e-8
 # block stays in cache across the steps of the pass.
 _BLOCK_ENTRIES = 1 << 15
 
+# Forming a Gram block G holds, besides G, about this many entries (320 KiB):
+# the first row block, or a later row block and the buffer its product goes
+# through, half each.
+_GRAM_ENTRIES = _BLOCK_ENTRIES + (1 << 13)
+
 # The setup pass over X (centering, scaling, norms and the float32 copy) takes
 # column blocks of about this many entries (512 KiB), fewer and larger ones,
 # because its cost is the Python calls per block.
@@ -162,17 +167,55 @@ def _columns_times(X, cols, x):
 
 
 def _gram(X, cols, alpha):
-    """``X[:, cols]'X[:, cols] + alpha I``, summed one row block at a time.
+    """``X[:, cols]'X[:, cols] + alpha I``, summed over row blocks into one k-by-k array.
 
-    Each block's product goes into one reused buffer, so forming the Gram
-    block holds two k-by-k arrays.
+    Besides G, forming it holds at most ``_GRAM_ENTRIES`` entries at a time.
+    The first row block B takes them all: its product, by numpy's symmetric
+    ``B'B`` (SYRK), is G itself, and alpha is added on the diagonal. So
+    whenever ``n k <= _GRAM_ENTRIES``, G is bitwise ``alpha I + B'B``.
+
+    Each later row block takes half the entries, and a reused buffer the
+    other half. Its product is added to G one panel of whole rows at a time
+    through the buffer; a panel of part-rows would be strided, and numpy
+    buffers a strided ``+=``. Only each panel's upper trapezoid is computed:
+    its diagonal square by the symmetric product, the part right of the
+    square by a general one, so the flops match SYRK's. The buffer's entries
+    left of the square hold zeros or earlier panels' products. They land in
+    G below the diagonal squares, which is copied from above them at the
+    end, so G is exactly symmetric. The even split keeps panels and blocks
+    large: a 64 KiB buffer beside 256 KiB blocks made forming G take 9-14%
+    longer in the benchmark's ``table1`` and ``table2`` fits.
+
+    Solving with G (``np.linalg.solve``) copies it into LAPACK workspace, so
+    the process holds two k-by-k arrays there: more than forming G holds once
+    8 k^2 bytes pass ``8 _GRAM_ENTRIES`` (k > 202). That workspace is not
+    numpy's, so tracemalloc, and the benchmark's ``fit_peak_mb`` with it,
+    does not count it.
     """
-    gram = np.eye(cols.shape[0])
-    gram *= alpha
-    product = np.empty_like(gram)
-    for block in _row_blocks(X, cols):
-        gram += np.matmul(block.T, block, out=product)
+    n, k = X.shape[0], cols.shape[0]
+    height = max(1, _GRAM_ENTRIES // k) if k else n
+    first = X[:height, cols]
+    gram = np.matmul(first.T, first)
+    del first  # before a later row block is gathered
+    gram.reshape(-1)[:: k + 1] += alpha
+    if height >= n:
+        return gram
+    half = max(k, _GRAM_ENTRIES // 2)
+    rows = half // k  # of a later row block, and at most of a panel
+    count = -(-k // rows)
+    edges = [k * i // count for i in range(count + 1)]
+    buffer = np.zeros(half)
+    panels = [(a, b, buffer[: (b - a) * k].reshape(b - a, k))
+              for a, b in zip(edges[:-1], edges[1:])]
+    for start in range(height, n, rows):
+        block = X[start : start + rows, cols]
+        for a, b, out in panels:
+            np.matmul(block[:, a:b].T, block[:, a:b], out=out[:, a:b])
+            np.matmul(block[:, a:b].T, block[:, b:], out=out[:, b:])
+            gram[a:b] += out
         del block  # before the next row block is gathered
+    for a, b, _ in panels:
+        gram[b:, a:b] = gram[a:b, b:].T
     return gram
 
 

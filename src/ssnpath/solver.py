@@ -20,8 +20,9 @@ the next update when that one runs on the same problem with an equal active
 set, as about 60% of the updates on the benchmark's shifted paths do (see
 :func:`ssnpath.dual.held_gram`). A fresh G and the product u = X_A beta_A
 are formed by :mod:`ssnpath.problem`'s blocked products, the only code that
-knows how X is cut into blocks, so the n x |A| gather is never made whole
-and at most one Gram block is alive along a solve. A block the
+knows how X is cut into blocks, so the n x |A| gather is never made whole.
+Forming G holds one |A| x |A| array, and at most one Gram block is alive
+along a solve; only the factorization's LAPACK workspace copies G. A block the
 factorization finds singular (alpha = 0 with duplicated active columns)
 raises :class:`ssnpath.CgBreakdown`. ``_cg`` is a stub kept only for the
 benchmark's tracer; nothing calls it.

@@ -35,7 +35,7 @@ from ssnpath import (
 )
 from ssnpath import dual as lazy_dual
 from ssnpath.dual import cold_start
-from ssnpath.problem import _BLOCK_ENTRIES
+from ssnpath.problem import _GRAM_ENTRIES
 from conftest import random_instance
 
 
@@ -495,8 +495,8 @@ class TestRecordArrays:
         assert len(path) == 100
         held = sum(rec.nnz for rec in path.records)
         budget = (
-            2 * 8 * k_max**2  # the largest Gram block and its k x k product buffer
-            + 8 * _BLOCK_ENTRIES  # one row block of X_A
+            8 * k_max**2  # the largest Gram block (the solve's copy is untraced LAPACK workspace)
+            + 8 * _GRAM_ENTRIES  # what forming it holds besides: a row block and the panel buffer
             + 2 * 8 * prob.p  # the reference's dual and one more length-p vector
             + 17 * held  # per knot: indices (8), coefficients shared with values (8), signs (1)
             # per knot: the record, its Work and dual source, and three array headers
@@ -504,7 +504,7 @@ class TestRecordArrays:
             + 896 * len(path)
             + 16384  # the update's small temporaries
         )
-        assert peak < budget
+        assert peak < budget, (peak, budget)
 
 
 class TestPathCsv:

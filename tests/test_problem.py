@@ -194,6 +194,70 @@ class TestProblemData:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * n)
 
 
+class TestGram:
+    """``problem._gram``: G = X_A'X_A + alpha I, formed over row blocks into one k-by-k array."""
+
+    @staticmethod
+    def _instance(n, k, seed=35):
+        rng = np.random.default_rng(seed)
+        X = np.asfortranarray(rng.standard_normal((n, k + 7)))
+        return X, np.sort(rng.choice(k + 7, size=k, replace=False))
+
+    # n * k up to one first row block of _GRAM_ENTRIES = 40,960 entries, the last
+    # at _BLOCK_ENTRIES exactly
+    @pytest.mark.parametrize("alpha", [0.0, 0.75])
+    @pytest.mark.parametrize("n, k", [(1, 1), (7, 0), (30, 1), (600, 54), (1000, 40), (512, 64)])
+    def test_one_row_block_is_bitwise_alpha_eye_plus_the_symmetric_product(self, n, k, alpha):
+        from ssnpath.problem import _GRAM_ENTRIES, _gram
+
+        assert n * k <= _GRAM_ENTRIES
+        X, cols = self._instance(n, k)
+        B = X[:, cols]  # one gather, so numpy takes the symmetric product, as _gram does
+        want = alpha * np.eye(k) + B.T @ B
+        got = _gram(X, cols, alpha)
+        assert got.shape == (k, k) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    # later row blocks of _GRAM_ENTRIES // 2 = 20,480 entries go through panels of at
+    # most that many: at k = 233, 3 panels of 77 or 78 rows, at k = 250, 4 of 62 or 63;
+    # at k = 41 a single panel; at k = 0 and 1, many row blocks of one column or none
+    @pytest.mark.parametrize("alpha", [0.0, 2.5])
+    @pytest.mark.parametrize("n, k", [(45000, 0), (45000, 1), (2000, 41), (1000, 188),
+                                      (700, 233), (400, 250)])
+    def test_many_row_blocks_are_exactly_symmetric_and_within_the_rounding_bound(
+            self, n, k, alpha):
+        from ssnpath.problem import _GRAM_ENTRIES, _gamma, _gram
+
+        assert n * k > _GRAM_ENTRIES or k == 0
+        X, cols = self._instance(n, k)
+        got = _gram(X, cols, alpha)
+        assert got.shape == (k, k)
+        assert np.array_equal(got, got.T)
+        B = X[:, cols]
+        want = B.T @ B + alpha * np.eye(k)
+        # each entry, here and in the dense reference, sums n products and alpha
+        # in some order: within gamma_{n+1} (|B|'|B| + alpha I) of the exact sum
+        bound = 2.0 * _gamma(n + 1) * (np.abs(B).T @ np.abs(B) + alpha * np.eye(k))
+        assert np.all(np.abs(got - want) <= bound)
+
+    # one row block (60 x 500), and many with panels (1000 x 188, 400 x 250)
+    @pytest.mark.parametrize("n, k", [(60, 500), (1000, 188), (400, 250)])
+    def test_forming_holds_one_k_by_k_array(self, n, k):
+        # G, and at most one row block and the panel buffer of _GRAM_ENTRIES
+        # entries together, plus 8 KiB for the gathers' index arrays and headers
+        from ssnpath.problem import _GRAM_ENTRIES, _gram
+
+        X, cols = self._instance(n, k)
+        _gram(X, cols, 1.0)
+        tracemalloc.start()
+        try:
+            _gram(X, cols, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * k * k + 8 * _GRAM_ENTRIES + 8192
+
+
 class TestObjective:
     def test_zero_vector(self):
         prob, _ = random_instance(12, 5, seed=4)

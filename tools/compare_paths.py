@@ -27,11 +27,12 @@ raised) must be equal. The largest relative coefficient gap,
 max |b - a| / max |a| over a knot's coefficients where the supports agree,
 is printed per workload and never fails the run.
 
-``--write-record OUT`` fits every workload and seed with CHECKOUT's code
-(default: this tool's own checkout) under ``OPENBLAS_NUM_THREADS=1`` and
-``=2`` side by side, and writes OUT, the model-level record
-``tests/test_model_record.py`` checks (see :func:`model_record`), when the
-two fits agree on it; otherwise it prints where they differ and exits 1.
+``--write-record OUT`` fits seeds 0-4 of all four workloads with
+CHECKOUT's code (default: this tool's own checkout) under
+``OPENBLAS_NUM_THREADS=1`` and ``=2`` side by side, and writes OUT, the
+model-level record ``tests/test_model_record.py`` checks (see
+:func:`model_record`), when the two fits agree on it; otherwise it prints
+where they differ and exits 1.
 
 ``--self-check`` plants a one-ulp change in NEW's last dual before
 comparing (with ``--models``, a sign flip of NEW's last nonzero
@@ -152,12 +153,12 @@ def _fit(checkout, workloads, seeds, tmp, models=False, threads=None):
         return pickle.load(f)
 
 
-def fit_under_threads(checkout, tmp, threads=RECORD_THREADS):
-    """Models-only results of every workload and seed 0-4, one side-by-side child per thread count."""
-    with ThreadPoolExecutor(len(threads)) as pool:
+def fit_under_threads(checkout, tmp):
+    """Models-only results of seeds 0-4 of every workload, one child per ``RECORD_THREADS``."""
+    with ThreadPoolExecutor(len(RECORD_THREADS)) as pool:
         return list(pool.map(
             lambda t: _fit(checkout, ALL_WORKLOADS, range(5), tmp, models=True, threads=t),
-            threads))
+            RECORD_THREADS))
 
 
 def same(a, b):
