@@ -46,6 +46,8 @@ def cd_solve(prob, lam, init=None, tol=1e-8, max_sweeps=1000):
         raise ValueError("coordinate descent requires normalized columns")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be at least 1")
     n, p = prob.n, prob.p
     X = prob.X
     beta = np.zeros(p) if init is None else np.asarray(init, dtype=np.float64).copy()
@@ -92,6 +94,8 @@ def cd_path(prob, config, tol=1e-8, max_sweeps=500):
     """
     if config.shift_schedule != "zero":
         raise ValueError(f"cd_path solves unshifted knots only, got {config.shift_schedule!r}")
+    if max_sweeps < 1:
+        raise ValueError("max_sweeps must be at least 1")
 
     def solve_knot(t, lam, cap, beta):
         res = cd_solve(prob, lam, init=beta, tol=tol, max_sweeps=max_sweeps)

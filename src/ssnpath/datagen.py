@@ -25,14 +25,15 @@ at a time on one worker thread, up to two blocks ahead, while the calling
 thread blends the block before and copies it into the column-major design.
 Right after the draw, ``make_instance`` centers, scales and norm-checks the
 design, takes its final norms and rounds it to float32 in one pass over
-blocks of columns, which the calling thread and one worker share, and hands
-the norms and the float32 copy to ``ProblemData``. The draws keep their
-row-major order from the one generator, so the design is the same as a serial
-draw's; the generator passed in must not be used elsewhere while a design is
-drawn from it. No n-by-p temporary is made, and every entry gets the same
-floating-point operations as the whole-array formulas above, so
-``tests/test_datagen.py`` checks instances bitwise against a reference
-generator written with those formulas.
+blocks of columns, each block a task of a two-thread executor that the
+calling thread waits for, and hands the norms and the float32 copy to
+``ProblemData``. The draws keep their row-major order from the one
+generator, so the design is the same as a serial draw's; the generator
+passed in must not be used elsewhere while a design is drawn from it. No
+n-by-p temporary is made, and every entry gets the same floating-point
+operations as the whole-array formulas above, so ``tests/test_datagen.py``
+checks instances bitwise against a reference generator written with those
+formulas.
 """
 
 import math

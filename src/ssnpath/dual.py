@@ -115,7 +115,7 @@ class PrimalDualState:
             pin = self._pinning
             beta = np.zeros(pin.p)
             beta[pin.active] = pin.beta
-            beta.flags.writeable = False
+            beta.setflags(write=False)
             self._beta = beta
         return self._beta
 
@@ -132,7 +132,7 @@ class PrimalDualState:
         """Make this state the reference: ``dual``, within ``err`` of its dual, turns read-only."""
         if not np.isfinite(dual).all():
             raise ValueError("state vectors must be finite")
-        dual.flags.writeable = False
+        dual.setflags(write=False)
         self._certificate = _Certificate(self._pinning, dual, err)
 
 
@@ -233,7 +233,8 @@ def cold_start(prob):
     is a constructor state.
     """
     beta, dual = np.zeros(prob.p), prob.xty / prob.n
-    beta.flags.writeable = dual.flags.writeable = False
+    beta.setflags(write=False)
+    dual.setflags(write=False)
     state = PrimalDualState(beta, dual)
     empty = np.zeros(0)
     state._pinning = _Pinning(prob, empty.astype(np.intp), empty, empty, np.zeros(prob.n), None)
@@ -259,7 +260,8 @@ def updated_state(prob, state, A, beta_A, dual_A, gram, level=0.0):
     cert = state._certificate
     cert = cert if cert is not None and cert.pin.prob is prob else None
     A, beta_A = (a.view() if a.flags.writeable else a for a in (A, beta_A))
-    A.flags.writeable = beta_A.flags.writeable = False
+    A.setflags(write=False)
+    beta_A.setflags(write=False)
     new = object.__new__(PrimalDualState)
     new._beta, new._dual, new._certificate = None, None, cert
     new._pinning = _Pinning(prob, A, beta_A, dual_A, _columns_times(prob.X, A, beta_A), gram,
@@ -434,7 +436,7 @@ def active_partition(state, lam):
     if S is not None:
         read = _screened_partition(state, S, lam, reference)
         if read is not None:
-            read[0].flags.writeable = False
+            read[0].setflags(write=False)
             return ActivePartition(*read, work)
     # an unbuilt dual costs one X'u unless its active set is empty (X'y/n)
     work += Work(refreshes=int(state._dual is None and state._pinning.active.shape[0] > 0))
@@ -443,7 +445,7 @@ def active_partition(state, lam):
     mask = np.abs(dual) > lam
     mask[pin.active] = np.abs(pin.beta + pin.dual) > lam
     active = np.flatnonzero(mask)
-    active.flags.writeable = False
+    active.setflags(write=False)
     return ActivePartition(active, dual[active], work)
 
 

@@ -11,7 +11,6 @@ holds for a given instance.
 """
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -103,7 +102,7 @@ class ProblemData:
         )
         self.X32 = X32
         for arr in (self.X, self.y, self.xty, self.X32):
-            arr.flags.writeable = False
+            arr.setflags(write=False)
 
     @property
     def n(self):
@@ -233,41 +232,6 @@ def _block_norms(block):
     return np.sqrt(np.add.reduce(block * block, axis=0))
 
 
-def _share_blocks(blocks, work):
-    """Call ``work(cols)`` for every slice in ``blocks``, on the calling thread and one worker.
-
-    Both threads take the next block from one shared iterator, so neither
-    waits for the other. Once ``work`` returns True or raises, neither thread
-    takes another block, but a block already taken is finished. The worker is
-    joined before this returns, also when either thread raises; an error of
-    the calling thread wins over one of the worker.
-    """
-    if len(blocks) == 1:
-        work(blocks[0])
-        return
-    todo = iter(blocks)
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def drain():
-        while not stop.is_set():
-            with lock:
-                cols = next(todo, None)
-            if cols is None:
-                return
-            try:
-                if work(cols):
-                    stop.set()
-            except BaseException:
-                stop.set()
-                raise
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        helper = worker.submit(drain)
-        drain()
-        helper.result()
-
-
 class _ColumnPass(NamedTuple):
     """A column-major float64 design with its float32 copy and computed column norms."""
 
@@ -285,20 +249,20 @@ def _column_pass(src, X, center):
     constant columns and scaled to norm sqrt(n) into ``X``, with the same
     arithmetic as ``(src - src.mean(0)) * (sqrt(n) / norm(src - src.mean(0),
     axis=0))``; without it ``X`` must be ``src``. Then the block's final
-    norms and its float32 rounding are taken while it is in cache. The blocks
-    are shared by the calling thread and one worker (:func:`_share_blocks`),
-    and every entry gets the same operations as in a serial pass, so the
-    results are bitwise those of the whole-array expressions. Both threads
-    run under the caller's numpy error state.
+    norms and its float32 rounding are taken while it is in cache. Each block
+    is one task of a two-thread executor, and the calling thread waits for
+    both threads to finish every block. Every entry gets the same operations
+    as in a serial pass, so the results are bitwise those of the whole-array
+    expressions. Both threads run under the caller's numpy error state.
 
-    Returns a ``_ColumnPass``. Raises ``ZeroVarianceColumn`` for the lowest
-    constant column, leaving ``X`` partly written: every block before the one
-    holding that column has been taken, and a taken block is finished.
+    Returns a ``_ColumnPass``, or raises the error of the lowest failed
+    block, whichever thread met it first; so ``ZeroVarianceColumn`` names
+    the lowest constant column. The blocks after a failure still run, so
+    ``X`` is left partly written: every block that did not fail is finished.
     """
     root_n = np.sqrt(src.shape[0])
     X32 = np.empty(X.shape, dtype=np.float32, order="F")
     norms = np.empty(X.shape[1])
-    dead = []
     errors = np.geterr()
 
     def work(cols):
@@ -312,18 +276,17 @@ def _column_pass(src, X, center):
                 scale = _block_norms(block)
                 flat = scale <= 1e-10 * raw_scale * root_n
                 if flat.any():
-                    dead.append(cols.start + np.flatnonzero(flat)[0])
-                    return True
+                    raise ZeroVarianceColumn(cols.start + np.flatnonzero(flat)[0])
                 block = np.multiply(block, root_n / scale, out=X[:, cols])
             # entries past the float32 range round to inf, which the screen never uses
             with np.errstate(over="ignore"):
                 norms[cols] = _block_norms(block)
                 X32[:, cols] = block
-            return False
 
-    _share_blocks(_column_blocks(X), work)
-    if dead:
-        raise ZeroVarianceColumn(min(dead))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        tasks = [pool.submit(work, cols) for cols in _column_blocks(X)]
+    for task in tasks:
+        task.result()
     return _ColumnPass(X, X32, norms)
 
 

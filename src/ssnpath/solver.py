@@ -56,7 +56,9 @@ class SsnConfig:
     """Fixed-penalty solve parameters.
 
     ``shift`` (in [0, lam)) reduces the shrinkage applied on the active set;
-    0 solves the stated problem.
+    0 solves the stated problem. ``sparsity_cap = None`` means no cap: the
+    active set may grow to all p columns, past n. This differs from
+    :class:`ssnpath.PathConfig`, whose ``None`` means ceil(n/2).
     """
 
     lam: float
@@ -143,7 +145,7 @@ def ssn_update(prob, state, part, lam, shift=0.0):
     rhs = prob.xty[A] - prob.n * dual_active
     beta_active, gram = _solve_restricted(prob, A, rhs, held_gram(prob, state, A, release=True))
     # the new state and the knot records share the solve's own coefficients
-    beta_active.flags.writeable = False
+    beta_active.setflags(write=False)
     return updated_state(prob, state, A, beta_active, dual_active, gram, level)
 
 

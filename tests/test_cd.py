@@ -19,6 +19,7 @@ from ssnpath import (
     solve_path,
     ssn_solve,
 )
+from ssnpath import cd as cd_module
 from ssnpath.dual import PrimalDualState, cold_start
 from conftest import random_instance
 from oracles import min_norm_probe
@@ -57,6 +58,12 @@ class TestCdSolve:
         res = cd_solve(prob, 0.01 * default_lambda0(prob), tol=1e-14, max_sweeps=2)
         assert not res.converged
         assert res.sweeps == 2
+
+    @pytest.mark.parametrize("max_sweeps", [0, -3])
+    def test_rejects_max_sweeps_below_one(self, max_sweeps):
+        prob, _ = random_instance(20, 40, seed=3)
+        with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+            cd_solve(prob, 0.1, max_sweeps=max_sweeps)
 
     def test_objective_nonincreasing_per_sweep(self):
         prob, _ = random_instance(25, 50, alpha=0.05, seed=4)
@@ -113,6 +120,14 @@ class TestCdPath:
                          shift_schedule="shifted")
         with pytest.raises(ValueError, match="shifted"):
             cd_path(prob, cfg)
+
+    @pytest.mark.parametrize("max_sweeps", [0, -3])
+    def test_rejects_max_sweeps_below_one_before_the_first_knot(self, monkeypatch, max_sweeps):
+        prob, _ = random_instance(20, 40, seed=3)
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=0.8, num_knots=5)
+        monkeypatch.setattr(cd_module, "_walk", lambda *args: pytest.fail("a knot was solved"))
+        with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+            cd_path(prob, cfg, max_sweeps=max_sweeps)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_rebuilt_dual_is_refresh_of_the_unthresholded_iterate(self, alpha):

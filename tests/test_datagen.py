@@ -466,7 +466,7 @@ class _PassError(RuntimeError):
 
 
 class TestColumnPassThreads:
-    """The setup pass shares its column blocks with one worker that never outlives it."""
+    """The setup pass runs its column blocks on two worker threads that never outlive it."""
 
     @pytest.fixture(autouse=True)
     def many_blocks(self, monkeypatch):
@@ -496,35 +496,39 @@ class TestColumnPassThreads:
         self._spy_block_norms(monkeypatch, spy)
 
         def body():
+            before = threading.active_count()
             with pytest.raises(ZeroVarianceColumn) as err:
                 normalize(X, np.ones(10))
-            return err.value.column
+            return err.value.column, before, threading.active_count()
 
-        assert _run_within(30, body) == 0
+        column, before, after = _run_within(30, body)
+        assert column == 0 and after == before
         assert len(finders) == 2 and finders[0] != finders[1]
 
-    @pytest.mark.parametrize("side", ["worker", "caller"])
-    def test_error_on_either_thread_reaches_caller_and_leaves_no_thread(self, monkeypatch, side):
+    @pytest.mark.parametrize("block", ["first", "last"])
+    def test_error_in_any_block_reaches_caller_and_leaves_no_thread(self, monkeypatch, block):
         X = np.asfortranarray(np.random.default_rng(17).standard_normal((10, 40)))
+        col_norms = np.linalg.norm(X, axis=0)
+        failing = col_norms[:2] if block == "first" else col_norms[-2:]
         both_running = threading.Barrier(2, timeout=10)
         started = set()
 
+        def spy(norms):
+            me = threading.get_ident()
+            if me not in started:
+                # each thread's first block waits for the other's, so both take blocks
+                started.add(me)
+                both_running.wait()
+            if np.array_equal(norms, failing):
+                raise _PassError(block)
+            time.sleep(0.002)  # so other blocks are still running when one fails
+            return norms
+
+        self._spy_block_norms(monkeypatch, spy)
+
         def body():
-            caller = threading.get_ident()
-
-            def spy(norms):
-                me = threading.get_ident()
-                if me not in started:
-                    # each thread's first block waits for the other's, so both take blocks
-                    started.add(me)
-                    both_running.wait()
-                if (me == caller) == (side == "caller"):
-                    raise _PassError(side)
-                return norms
-
-            self._spy_block_norms(monkeypatch, spy)
             before = threading.active_count()
-            with pytest.raises(_PassError, match=side):
+            with pytest.raises(_PassError, match=block):
                 ProblemData(X, np.ones(10))
             return before, threading.active_count()
 
@@ -553,8 +557,8 @@ class TestColumnPassThreads:
         assert list(seen.values()) == [{"raise"}, {"raise"}]
 
     def test_concurrent_passes_under_fast_switching(self):
-        # four callers, each sharing 30 blocks with its own worker: eight threads
-        # switching every microsecond; a block lost or taken twice changes X or X32
+        # four callers, each running 30 blocks on its own two workers: twelve threads
+        # switching every microsecond; a block lost or mixed up changes X or X32
         designs = [np.random.default_rng(40 + k).standard_normal((10, 60)) for k in range(4)]
         y = np.ones(10)
 

@@ -6,7 +6,8 @@ package ``__init__`` may instead re-export it through ``__all__``),
 every function the package defines must be named somewhere outside the tests,
 no package module but ``problem.py`` may import how the design is cut into
 blocks, no package module may read or write a private attribute that no class
-of its own declares, and none may set an attribute on an exception it caught.
+of its own declares, none may set an attribute on an exception it caught, and
+none may set ``flags.writeable``.
 """
 
 import ast
@@ -195,3 +196,16 @@ def test_caught_exceptions_are_not_mutated(path):
         and isinstance(node.value, ast.Name) and node.value.id == handler.name
     ]
     assert mutated == [], f"{path.name} sets attributes on caught exceptions: {mutated}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_arrays_turn_read_only_through_setflags(path):
+    # numpy's flags.writeable setter looks setflags up by a new name string on
+    # every call, and the interpreter's type attribute cache keeps such strings
+    # alive: a benchmark fit's tracemalloc peak held several KB of them, a
+    # different amount in each process
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+             and node.attr == "writeable"]
+    assert lines == [], f"{path.name} sets flags.writeable on lines {lines}; use setflags(write=False)"

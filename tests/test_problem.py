@@ -130,7 +130,7 @@ class TestProblemData:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("shape", [(1, 5), (7, 1), (50, 3), (2000, 41), (2000, 301)])
     def test_blocked_norms_match_linalg(self, order, shape):
-        # 2000 x 301 takes nine column blocks, shared by two threads
+        # 2000 x 301 takes nine column blocks, run on two threads
         from ssnpath.problem import _column_pass
 
         X = np.array(np.random.default_rng(31).standard_normal(shape), order=order)

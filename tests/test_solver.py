@@ -6,13 +6,16 @@ import pytest
 from ssnpath import (
     CgBreakdown,
     DimensionMismatch,
+    PathConfig,
     ProblemData,
     SsnConfig,
     StopReason,
     cd_solve,
+    default_lambda0,
     objective,
     refresh_dual,
     soft_threshold_vec,
+    solve_path,
     ssn_solve,
 )
 from ssnpath import solver
@@ -292,6 +295,15 @@ class TestSsnSolve:
         out = ssn_solve(prob, cold_start(prob), SsnConfig(lam=lam, max_iter=5, sparsity_cap=3))
         assert out.stop_reason is StopReason.SPARSITY_CAP
         np.testing.assert_array_equal(out.state.beta, np.zeros(prob.p))
+
+    def test_default_sparsity_cap_is_none_for_a_solve_and_half_of_n_for_a_path(self):
+        prob, _ = random_instance(40, 60, seed=0)
+        lam0 = default_lambda0(prob)
+        out = ssn_solve(prob, None, SsnConfig(lam=lam0 / 50, max_iter=20))
+        assert out.stop_reason is not StopReason.SPARSITY_CAP and out.active.size == 60
+        path = solve_path(prob, PathConfig(lambda0=lam0, gamma=0.8, num_knots=30))
+        assert path.terminated_at is not None
+        assert max(r.active_size for r in path.records) <= 20  # ceil(n/2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
