@@ -39,6 +39,18 @@ Otherwise, or when a gathered dual lies within 2 err of ``lam``, the
 complement dual is built and masked as usual. Every way gives the same
 partition bit for bit.
 
+A screen runs down to a floor, the lowest penalty at which the state will be
+read: the solver passes the next knot's penalty, since a knot's last
+partition is also the next knot's first. The sphere, the choice between
+tiers 2 and 3 and the gather all use the floor in place of ``lam``, so the
+candidates hold every coordinate off A whose dual can pass the floor. They
+and their gathered duals stay on the state as its cache (:class:`_Screen`,
+O(|A| + |S|)), and a later partition at any penalty from the floor up is
+read from the pinned values and that cache, with no sphere, gather or pass.
+A cache read checks its own penalty's band, and a partition below the floor,
+or one whose band holds a candidate, screens the state again. Building the
+dual drops the cache.
+
 Every state is pinned; a constructor state on every coordinate, so its
 given vectors are the pinned ones and nothing is left to build or screen.
 """
@@ -70,6 +82,11 @@ _U32 = 2.0**-24
 _TINY32 = 2.0**-126
 _TINY64 = 2.0**-1022
 _F32_MAX = float(np.finfo(np.float32).max)
+# No candidate, and the screened duals of no candidate.
+_NONE = np.zeros(0, dtype=np.intp)
+_EMPTY = np.zeros(0)
+_NONE.setflags(write=False)
+_EMPTY.setflags(write=False)
 
 
 class PrimalDualState:
@@ -81,7 +98,8 @@ class PrimalDualState:
     arrays (not copies) as its pinned values, so an in-place edit is seen by
     every read. A state made by :func:`ssnpath.solver.ssn_update` holds
     only the O(n + |A|) numbers its update left, plus its
-    |A| x |A| Gram block until the next update takes it. It builds each
+    |A| x |A| Gram block until the next update takes it and, once a
+    partition screened it, that screen's O(|A| + |S|) cache. It builds each
     length-p vector on its first read: ``beta`` by scattering the pinned
     coefficients, ``dual`` with one ``X'u`` product. The solver itself reads
     neither ``beta`` (:func:`beta_on` reads it on an active set) nor, where a
@@ -95,7 +113,7 @@ class PrimalDualState:
     be (X'y - X'u)/n for any u.
     """
 
-    __slots__ = ("_beta", "_dual", "_pinning", "_certificate")
+    __slots__ = ("_beta", "_dual", "_pinning", "_certificate", "_screen")
 
     def __init__(self, beta, dual):
         beta = np.asarray(beta, dtype=np.float64)
@@ -107,7 +125,7 @@ class PrimalDualState:
         self._beta = beta
         self._dual = dual
         self._pinning = _Pinning(None, np.arange(beta.shape[0]), beta, dual, None, None)
-        self._certificate = None
+        self._certificate = self._screen = None
 
     @property
     def beta(self):
@@ -126,6 +144,7 @@ class PrimalDualState:
             dual = _pinned_dual(pin.prob, pin.active, pin.beta, pin.dual, pin.u)
             self._certify(dual, pin.err)
             self._dual = dual
+            self._screen = None
         return self._dual
 
     def _certify(self, dual, err):
@@ -247,23 +266,27 @@ def updated_state(prob, state, A, beta_A, dual_A, gram, level=0.0):
 
     ``level`` is lam - shift when ``dual_A`` is level * sign(beta + dual) of
     the update, as :func:`ssnpath.solver.ssn_update` passes it (see
-    :class:`_Pinning`). ``A`` and ``beta_A`` are shared as they are when
-    read-only, as a partition's active set and the update's own coefficients
-    are, and kept as read-only views otherwise, so neither the knot records
-    that share them (:func:`knot_fit`) nor the solver, which reads ``beta_A``
-    in place (:func:`beta_on`), can change the state. The state carries
-    ``state``'s certificate when that was built on ``prob`` itself: a
-    certificate's dual screens the duals of its own data only.
+    :class:`_Pinning`). ``A``, ``beta_A`` and ``dual_A`` are shared as they
+    are when read-only, as a partition's active set and the update's own
+    coefficients and dual are, and kept as read-only views otherwise, so
+    neither the knot records that share them (:func:`knot_fit`), nor the
+    solver, which reads ``beta_A`` in place (:func:`beta_on`), nor a caller
+    of a partition that returns the pinned arrays (:meth:`_Screen.read`) can
+    change the state. The state carries ``state``'s certificate when that was
+    built on ``prob`` itself: a certificate's dual screens the duals of its
+    own data only.
     """
     if not np.isfinite(beta_A).all():
         raise ValueError("state vectors must be finite")
     cert = state._certificate
     cert = cert if cert is not None and cert.pin.prob is prob else None
-    A, beta_A = (a.view() if a.flags.writeable else a for a in (A, beta_A))
-    A.setflags(write=False)
-    beta_A.setflags(write=False)
+    if A.flags.writeable or beta_A.flags.writeable or dual_A.flags.writeable:
+        A, beta_A, dual_A = (a.view() if a.flags.writeable else a for a in (A, beta_A, dual_A))
+        for a in (A, beta_A, dual_A):
+            a.setflags(write=False)
     new = object.__new__(PrimalDualState)
-    new._beta, new._dual, new._certificate = None, None, cert
+    new._beta = new._dual = new._screen = None
+    new._certificate = cert
     new._pinning = _Pinning(prob, A, beta_A, dual_A, _columns_times(prob.X, A, beta_A), gram,
                             level)
     return new
@@ -281,7 +304,7 @@ def held_gram(prob, state, A, release=False):
     from 0.68 to 0.83 MB.
     """
     pin = state._pinning
-    gram = pin.gram if pin.prob is prob and np.array_equal(pin.active, A) else None
+    gram = pin.gram if pin.prob is prob and _same_indices(pin.active, A) else None
     if release:
         pin.gram = None
     return gram
@@ -303,26 +326,58 @@ def beta_on(state, A):
     for a solver-made state, the caller's own ``beta`` for a constructor state.
     """
     pin = state._pinning
-    if np.array_equal(A, pin.active):
+    if _same_indices(A, pin.active):
         return pin.beta
+    if not pin.active.shape[0]:
+        return np.zeros(A.shape[0])
     at, hit = _find(pin.active, A)
-    out = np.zeros(A.shape[0])
-    out[hit] = pin.beta[at[hit]]
-    return out
+    return np.where(hit, pin.beta[at], 0.0)
+
+
+def _pinned_at(state, part, level):
+    """Whether ``part``'s dual is ``level`` times the signs of beta + dual on its active set.
+
+    The update is a function of the active set AND the sign pattern, so a
+    set repeat with flipped signs (possible on badly conditioned starts) is
+    not a fixed point. One test covers both cases: after an update on the
+    repeated set, the partition returns that update's pinned dual
+    (lam - shift) * prev_signs bit for bit, which equals (lam - shift) *
+    signs exactly when the signs repeat. A warm start passes only if its
+    dual is pinned at this (lam, shift) already. When the partition returns
+    the pinned dual itself, every entry is +-``level`` of the update that
+    pinned it (:class:`_Pinning`), so another level settles the test at once.
+    """
+    pin = state._pinning
+    if part.dual is pin.dual and 0.0 != pin.level != level:
+        return False
+    signs = np.sign(beta_on(state, part.active) + part.dual)
+    return bool((part.dual == level * signs).all())
+
+
+def _same_indices(a, b):
+    """Whether index arrays ``a`` and ``b`` are equal; the same array is, with no comparison.
+
+    A partition that keeps the pinned active set returns that array itself
+    (:meth:`_Screen.read`), so the solver's tests of it against the pinned
+    set start with ``is``.
+    """
+    return a is b or (a.shape == b.shape and bool((a == b).all()))
 
 
 def _find(ids, query):
-    """``(at, hit)``: where each of ``query`` sorts into sorted ``ids``, and whether it is there."""
-    at = np.searchsorted(ids, query)
-    hit = at < ids.shape[0]
-    hit[hit] = ids[at[hit]] == query[hit]
-    return at, hit
+    """``(at, hit)``: where each of ``query`` sorts into sorted, non-empty ``ids`` (clipped to the
+    last index), and whether it is there."""
+    at = np.minimum(np.searchsorted(ids, query), ids.shape[0] - 1)
+    return at, ids[at] == query
 
 
 def support(state):
-    """Sorted indices of the nonzero ``beta`` entries, in O(|A|) for a solver-made state."""
+    """Sorted indices of the nonzero ``beta`` entries, in O(|A|) for a solver-made state.
+
+    When every pinned coefficient is nonzero this is the pinned active set itself.
+    """
     pin = state._pinning
-    return pin.active[pin.beta != 0]
+    return pin.active if pin.beta.all() else pin.active[pin.beta != 0]
 
 
 def knot_fit(prob, state):
@@ -379,7 +434,8 @@ class Work:
     - ``refreshes``: full ``X'u`` products that built a state's dual because a
       partition could not be read without it;
     - ``screened``: complement duals computed one by one from gathered
-      columns instead (tiers 2 and 3 of the module docstring);
+      columns instead (tiers 2 and 3 of the module docstring), down to the
+      screen's floor; a partition read from a state's cache gathers none;
     - ``corrected``: float32 correction passes (tier 3);
     - ``reused``: updates that solved with the Gram block the update before
       them left (:func:`held_gram`).
@@ -406,7 +462,9 @@ class ActivePartition:
     ``dual`` is the state's dual on ``active``, as the partition read it, and
     ``work`` (:class:`Work`) what reading it cost. :func:`active_partition`
     returns ``active`` read-only, so the state an update on it leaves shares
-    it (:func:`updated_state`).
+    it (:func:`updated_state`). A screened partition that keeps the pinned
+    active set and admits none returns the state's pinned active set and
+    dual themselves, both read-only.
     """
 
     active: np.ndarray
@@ -418,28 +476,36 @@ class ActivePartition:
         return self.active.shape[0]
 
 
-def active_partition(state, lam):
+def active_partition(state, lam, _floor=math.inf):
     """Split coordinates by |beta_j + dual_j| > lam (ties go inactive).
 
     An unbuilt solver-made state is screened first by the tiers of the module
     docstring, which read the partition its built dual would give from its
-    pinned values and a few candidate duals whenever they can.
+    pinned values and a few candidate duals whenever they can. ``_floor``
+    (private, at most ``lam``) is the lowest penalty at which the state will
+    be read: the screen runs down to it, and a later partition at or above it
+    is read from the state's cache with no sphere, gather or pass.
     """
+    screen = state._screen
+    if screen is not None and not lam < screen.floor:
+        read = screen.read(state._pinning, lam)
+        if read is not None:
+            return ActivePartition(*read)
+    floor = min(lam, _floor)
     S = reference = None
-    sphere = _sphere(state, lam)
+    sphere = _sphere(state, floor)
     if sphere is not None:
         S, du, _ = sphere
         if S is None or S.shape[0] > SCREEN_MAX_SHARE * state._pinning.prob.p:
-            reference = _corrected(state, du, lam)
+            reference = _corrected(state, du, floor)
             S = None if reference is None else reference[0]
     work = Work(screened=0 if S is None else S.shape[0], corrected=int(reference is not None))
     if S is not None:
-        read = _screened_partition(state, S, lam, reference)
+        read = _screened_partition(state, S, lam, floor, reference)
         if read is not None:
-            read[0].setflags(write=False)
             return ActivePartition(*read, work)
     # an unbuilt dual costs one X'u unless its active set is empty (X'y/n)
-    work += Work(refreshes=int(state._dual is None and state._pinning.active.shape[0] > 0))
+    work.refreshes = int(state._dual is None and state._pinning.active.shape[0] > 0)
     dual, pin = state.dual, state._pinning
     # beta is zero off the pinned active set, and the dual is pinned on it
     mask = np.abs(dual) > lam
@@ -471,8 +537,8 @@ def _sphere(state, lam):
         S = None
     elif not cert.top + r > lam:
         # |dual_ref_j| + r <= top + r <= lam for every j off A_ref, as rounding is
-        # monotone: the candidates are A_ref less A
-        S = ref.active[~_find(pin.active, ref.active)[1]]
+        # monotone: the candidates are A_ref less A, none when the update kept A_ref
+        S = _NONE if ref.active is pin.active else ref.active[~_find(pin.active, ref.active)[1]]
     else:
         S = _off_pinned(np.abs(cert.dual) + r > lam, ref, pin)
     return S, du, r
@@ -573,35 +639,84 @@ def _correction_bound(prob, scaled, exp):
     return (rel * c * norm + tiny) * (1.0 + _gamma(n + 8)) / n + 2.0 * _TINY64
 
 
-def _screened_partition(state, S, lam, reference=None):
+def _screened_partition(state, S, lam, floor, reference=None):
     """The partition's ``(active, dual)`` from the pinned values on A and the duals of ``S``.
 
     The candidate duals are (X_S'y - X_S'u)/n, with X_S'u summed by the
-    blocked :func:`ssnpath.problem._columns_dot`; each lies within ``err`` of
-    the exact dual, as does the built one, so a candidate more than 2 err from
-    ``lam`` falls on the same side of it in both; None when one lies within
-    that band. The partition's dual is the pinned one on A and an entering
-    candidate's own: of the built dual's sign, not always its bits. With
+    blocked :func:`ssnpath.problem._columns_dot`, each within ``err`` of the
+    exact dual; None when one lies in the band :meth:`_Screen.read` leaves
+    unread at ``lam``. Otherwise ``S`` and its duals stay on the state as its
+    cache, read by every later partition at or above ``floor``. With
     ``reference`` (tier 3's ``(S, dual, err)``), the gathered and pinned
     duals are written into that dual and the state becomes the reference of
     the states after it.
     """
     pin = state._pinning
-    keep = np.abs(pin.beta + pin.dual) > lam
-    if S.shape[0] == 0 and reference is None:
-        return pin.active[keep], pin.dual[keep]
     prob = pin.prob
-    dual_S = (prob.xty[S] - _columns_dot(prob.X, S, pin.u)) / prob.n
-    mag = np.abs(dual_S)
-    if (np.abs(mag - lam) <= 2.0 * pin.err).any():
+    dual_S = _EMPTY
+    if S.shape[0]:
+        dual_S = (prob.xty[S] - _columns_dot(prob.X, S, pin.u)) / prob.n
+    screen = _Screen(floor, pin, S, dual_S)
+    read = screen.read(pin, lam)
+    if read is None:
         return None
     if reference is not None:
         _, corrected, err = reference
         corrected[S] = dual_S
         corrected[pin.active] = pin.dual
         state._certify(corrected, max(err, pin.err))
-    enter = mag > lam
-    active = np.concatenate([pin.active[keep], S[enter]])
-    order = np.argsort(active)
-    dual = np.concatenate([pin.dual[keep], dual_S[enter]])
-    return active[order], dual[order]
+    state._screen = screen
+    return read
+
+
+class _Screen:
+    """A screened state's cache: its candidates ``S`` off the pinned active set and their
+    gathered duals, which hold every coordinate whose dual can pass ``floor``.
+
+    ``mag`` holds the candidates' |dual_j| and ``top`` the largest of them
+    (-inf for none); ``kept`` holds |beta_j + dual_j| on the pinned active
+    set and ``low`` the smallest. The two scalars settle a partition that
+    keeps every pinned coordinate and admits none without a numpy call. All
+    of it is O(|A| + |S|).
+    """
+
+    __slots__ = ("floor", "S", "dual", "mag", "top", "kept", "low")
+
+    def __init__(self, floor, pin, S, dual_S):
+        self.floor, self.S, self.dual = floor, S, dual_S
+        self.mag, self.top = _EMPTY, -math.inf
+        if S.shape[0]:
+            self.mag = np.abs(dual_S)
+            self.top = float(self.mag.max())
+        self.kept = np.abs(pin.beta + pin.dual)
+        self.low = float(self.kept.min())
+
+    def read(self, pin, lam):
+        """``(active, dual)`` at ``lam``, from the pinned values on A and the candidates' duals.
+
+        Each gathered dual lies within ``err`` of the exact dual, as does the
+        built one, so a candidate more than 2 err from ``lam`` falls on the
+        same side of it in both; None when one lies within that band. When
+        every candidate lies below ``lam``, the largest is the one nearest
+        it, since rounding is monotone, so ``top`` alone settles the band.
+        The dual is the pinned one on A and an entering candidate's own: of
+        the built dual's sign, not always its bits. ``active`` is read-only;
+        a partition that keeps every pinned coordinate and admits none
+        returns the pinned arrays themselves.
+        """
+        band, enter = 2.0 * pin.err, None
+        if not (self.top < lam and abs(self.top - lam) > band):
+            if (np.abs(self.mag - lam) <= band).any():
+                return None
+            enter = self.mag > lam
+        active, dual = pin.active, pin.dual
+        if not self.low > lam:
+            keep = self.kept > lam
+            active, dual = active[keep], dual[keep]
+        if enter is not None and enter.any():
+            active = np.concatenate([active, self.S[enter]])
+            order = np.argsort(active)
+            active, dual = active[order], np.concatenate([dual, self.dual[enter]])[order]
+        if active is not pin.active:
+            active.setflags(write=False)
+        return active, dual

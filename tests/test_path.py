@@ -317,6 +317,31 @@ class TestWalk:
         assert path.wall_time_s > 0
 
 
+class TestFixedCostPerKnot:
+    # Python calls per knot, counted by cProfile on a fixed seeded shifted path of
+    # the small preset: deterministic, so it gates the per-knot fixed cost where a
+    # timing could not. 124.5 per knot with numpy 2.4 (205 before each state was
+    # screened once and the knot loop kept integer counters); the bound leaves
+    # about 3% for another numpy's own Python wrappers.
+    CALLS_PER_KNOT = 128
+
+    def test_calls_per_knot_stay_under_the_bound(self):
+        import cProfile
+        import pstats
+
+        prob, _ = make_instance(replace(PRESETS["small"][0], seed=(0, 0)))
+        cfg = PathConfig(lambda0=default_lambda0(prob), gamma=1e-3 ** (1 / 99), num_knots=100,
+                         shift_schedule="shifted")
+        solve_path(prob, cfg)  # warm: first calls import and cache
+        profile = cProfile.Profile()
+        profile.enable()
+        path = solve_path(prob, cfg)
+        profile.disable()
+        assert len(path) == 100 and sum(rec.iterations for rec in path.records) == 99
+        calls = pstats.Stats(profile).total_calls
+        assert calls <= self.CALLS_PER_KNOT * len(path), calls / len(path)
+
+
 class TestRecordDual:
     @pytest.mark.parametrize("schedule", ["zero", "shifted"])
     @pytest.mark.parametrize("alpha", [0.0, 0.1])

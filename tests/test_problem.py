@@ -46,6 +46,32 @@ class TestNormalize:
         with pytest.raises(DimensionMismatch):
             normalize([[1.0], [2.0]], [1.0, 2.0, 3.0])
 
+    def test_one_column_block_runs_on_the_calling_thread(self, monkeypatch):
+        # a 20 x 10 design is one column block: no executor starts, and the
+        # instance is bitwise the whole-array expressions the blocked pass equals
+        from ssnpath import problem
+
+        class NoExecutor:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a one-block pass started an executor")
+
+        rng = np.random.default_rng(5)
+        X, y = rng.standard_normal((20, 10)), rng.standard_normal(20)
+        assert len(problem._column_blocks(X)) == 1
+        monkeypatch.setattr(problem, "ThreadPoolExecutor", NoExecutor)
+        prob = normalize(X, y, alpha=0.5)
+        centered = X - X.mean(axis=0)
+        want = centered * (np.sqrt(20) / np.linalg.norm(centered, axis=0))
+        want = ProblemData(np.asfortranarray(want), y - y.mean(), 0.5)
+        for name in ("X", "X32", "y", "xty"):
+            got, ref = getattr(prob, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.tobytes(order="A") == ref.tobytes(order="A")
+        assert prob.max_col_norm == want.max_col_norm and prob.alpha == 0.5 and prob.normalized
+        X[:, 3] = 2.0
+        with pytest.raises(ZeroVarianceColumn) as err:
+            normalize(X, y)
+        assert err.value.column == 3
+
     def test_y_centered_and_xty_consistent(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((20, 7))
