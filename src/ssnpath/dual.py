@@ -97,9 +97,9 @@ class PrimalDualState:
     constructor state on every coordinate, with the caller's own float64
     arrays (not copies) as its pinned values, so an in-place edit is seen by
     every read. A state made by :func:`ssnpath.solver.ssn_update` holds
-    only the O(n + |A|) numbers its update left, plus its
-    |A| x |A| Gram block until the next update takes it and, once a
-    partition screened it, that screen's O(|A| + |S|) cache. It builds each
+    only the O(n + |A|) numbers its update left, plus, once a partition
+    screened it, that screen's O(|A| + |S|) cache; the solver, not the
+    state, keeps the update's Gram block. It builds each
     length-p vector on its first read: ``beta`` by scattering the pinned
     coefficients, ``dual`` with one ``X'u`` product. The solver itself reads
     neither ``beta`` (:func:`beta_on` reads it on an active set) nor, where a
@@ -124,7 +124,7 @@ class PrimalDualState:
             raise ValueError("state vectors must be finite")
         self._beta = beta
         self._dual = dual
-        self._pinning = _Pinning(None, np.arange(beta.shape[0]), beta, dual, None, None)
+        self._pinning = _Pinning(None, np.arange(beta.shape[0]), beta, dual, None)
         self._certificate = self._screen = None
 
     @property
@@ -159,12 +159,6 @@ class _Pinning:
     """What an active-set update leaves: its dual is ``dual`` on ``active`` and
     (X'y - X'u)/n elsewhere, with ``u = X_A beta`` for the coefficients ``beta``.
 
-    ``gram`` is the block X_A'X_A + alpha I the update solved with, kept for
-    the next update until one releases it (:func:`held_gram`); None after that.
-    The next update releases it before it forms a block of its own, which
-    itself holds one k-by-k array (:func:`ssnpath.problem._gram`), so at most
-    one block is alive (:func:`held_gram` gives the measured cost of two).
-
     ``err`` bounds the rounding error of every built dual entry off
     ``active``, measured from the exact (X_j'y - X_j'u)/n of the stored u:
     2 gamma_{n+|A|+4} c (||y|| + 2 c ||beta||_1)/n with c = ``max_col_norm``,
@@ -178,19 +172,18 @@ class _Pinning:
     constructor state's dual is given.
 
     Every state is pinned; a constructor state on every coordinate, with
-    ``prob``, ``u`` and ``gram`` None: its dual is given whole, so nothing
+    ``prob`` and ``u`` None: its dual is given whole, so nothing
     is left to build, bound or screen. ``p`` is the length of the state.
     """
 
-    __slots__ = ("prob", "p", "active", "beta", "dual", "u", "err", "gram", "level")
+    __slots__ = ("prob", "p", "active", "beta", "dual", "u", "err", "level")
 
-    def __init__(self, prob, active, beta, dual, u, gram, level=0.0):
+    def __init__(self, prob, active, beta, dual, u, level=0.0):
         self.prob = prob
         self.active = active
         self.beta = beta
         self.dual = dual
         self.u = u
-        self.gram = gram
         self.level = level
         if prob is None:
             self.p, self.err = active.shape[0], 0.0
@@ -256,13 +249,13 @@ def cold_start(prob):
     dual.setflags(write=False)
     state = PrimalDualState(beta, dual)
     empty = np.zeros(0)
-    state._pinning = _Pinning(prob, empty.astype(np.intp), empty, empty, np.zeros(prob.n), None)
+    state._pinning = _Pinning(prob, empty.astype(np.intp), empty, empty, np.zeros(prob.n))
     return state
 
 
-def updated_state(prob, state, A, beta_A, dual_A, gram, level=0.0):
-    """The state an update from ``state`` left: ``beta_A`` and ``dual_A`` on ``A``, and the
-    Gram block ``gram`` it solved with. u = X_A beta_A is computed as :func:`_pinned_dual` does.
+def updated_state(prob, state, A, beta_A, dual_A, level=0.0):
+    """The state an update from ``state`` left: ``beta_A`` and ``dual_A`` on ``A``.
+    u = X_A beta_A is computed as :func:`_pinned_dual` does.
 
     ``level`` is lam - shift when ``dual_A`` is level * sign(beta + dual) of
     the update, as :func:`ssnpath.solver.ssn_update` passes it (see
@@ -287,27 +280,8 @@ def updated_state(prob, state, A, beta_A, dual_A, gram, level=0.0):
     new = object.__new__(PrimalDualState)
     new._beta = new._dual = new._screen = None
     new._certificate = cert
-    new._pinning = _Pinning(prob, A, beta_A, dual_A, _columns_times(prob.X, A, beta_A), gram,
-                            level)
+    new._pinning = _Pinning(prob, A, beta_A, dual_A, _columns_times(prob.X, A, beta_A), level)
     return new
-
-
-def held_gram(prob, state, A, release=False):
-    """The Gram block of the update that made ``state`` if it ran on ``prob`` with active set ``A``.
-
-    None when there is no such block: ``state`` is not solver-made, its
-    update ran on other data or another active set, or the block was
-    released. With ``release``, ``state`` gives its block up either way, so
-    an update that calls this before forming a block of its own leaves at
-    most one block alive. Released after the formation instead, the two
-    blocks overlap: the benchmark's ``table1`` ``fit_peak_mb`` on seed 0 rose
-    from 0.68 to 0.83 MB.
-    """
-    pin = state._pinning
-    gram = pin.gram if pin.prob is prob and _same_indices(pin.active, A) else None
-    if release:
-        pin.gram = None
-    return gram
 
 
 def check_length(prob, state):
@@ -437,8 +411,8 @@ class Work:
       columns instead (tiers 2 and 3 of the module docstring), down to the
       screen's floor; a partition read from a state's cache gathers none;
     - ``corrected``: float32 correction passes (tier 3);
-    - ``reused``: updates that solved with the Gram block the update before
-      them left (:func:`held_gram`).
+    - ``reused``: updates that solved with the Gram block of the update before
+      them, which the solver holds (:class:`ssnpath.solver._HeldBlock`).
 
     ``a + b`` adds field by field into a new value and leaves both as they
     were. A knot no partition read, such as a coordinate-descent knot, holds

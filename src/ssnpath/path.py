@@ -21,7 +21,7 @@ import numpy as np
 
 from .dual import PrimalDualState, Work, knot_fit
 from .errors import DegenerateResponse, NoiseTooLarge
-from .solver import StopReason, _ssn_solve, ssn_solve
+from .solver import StopReason, _HeldBlock, _ssn_solve, ssn_solve
 
 # ssn_solve is re-exported: the benchmark's tracer wraps it here by name. Each
 # knot calls the private solve it wraps, so that wrapper times no knot.
@@ -307,11 +307,14 @@ def solve_path(prob, config):
     """
 
     last = config.num_knots - 1
+    # one Gram block holder for the whole path: a knot's first update reuses
+    # the last update's block when its active set repeats
+    held = _HeldBlock()
 
     def solve_knot(t, lam, cap, state):
         # the state this knot returns opens the next one, at the next penalty
         floor = config.lam(t + 1) if t < last else lam
-        out = _ssn_solve(prob, state, lam, config.shift(t), config.max_inner, cap, floor)
+        out = _ssn_solve(prob, state, lam, config.shift(t), config.max_inner, cap, floor, held)
         if out.stop_reason is StopReason.SPARSITY_CAP:
             return None, None
         indices, values, u, source = knot_fit(prob, out.state)

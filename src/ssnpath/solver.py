@@ -19,14 +19,16 @@ themselves, so the repeat test and the held-block test start with ``is``.
 Every update solves its restricted system G x = rhs, with the block
 G = X_A'X_A + alpha I, exactly by a dense factorization (``np.linalg.solve``),
 as the one-step local convergence of the Newton update needs. Forming G
-costs O(n|A|^2), so G is kept on the state the update leaves and reused by
-the next update when that one runs on the same problem with an equal active
-set, as about 60% of the updates on the benchmark's shifted paths do (see
-:func:`ssnpath.dual.held_gram`). A fresh G and the product u = X_A beta_A
-are formed by :mod:`ssnpath.problem`'s blocked products, the only code that
-knows how X is cut into blocks, so the n x |A| gather is never made whole.
-Forming G holds one |A| x |A| array, and at most one Gram block is alive
-along a solve; only the factorization's LAPACK workspace copies G. A block the
+costs O(n|A|^2), so one solver-side holder (:class:`_HeldBlock`) keeps the
+last update's active set and G, and the next update solves with that G when
+its active set is equal, as about 60% of the updates on the benchmark's
+shifted paths do. A path keeps one holder across its knots and
+:func:`ssn_solve` one per call; a state keeps no G. A fresh G and the
+product u = X_A beta_A are formed by :mod:`ssnpath.problem`'s blocked
+products, the only code that knows how X is cut into blocks, so the n x |A|
+gather is never made whole. Forming G holds one |A| x |A| array, and the
+holder gives its block up before a new one is formed, so at most one Gram
+block is alive; only the factorization's LAPACK workspace copies G. A block the
 factorization finds singular (alpha = 0 with duplicated active columns)
 raises :class:`ssnpath.CgBreakdown`. ``_cg`` is a stub kept only for the
 benchmark's tracer; nothing calls it.
@@ -44,8 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import (ActivePartition, PrimalDualState, Work, _pinned_at, _same_indices,
-                   active_partition, beta_on, check_length, cold_start, held_gram, support,
-                   updated_state)
+                   active_partition, beta_on, check_length, cold_start, support, updated_state)
 from .errors import CgBreakdown
 from .problem import _gram
 
@@ -123,18 +124,47 @@ def _solve_restricted(prob, A, rhs, gram=None):
         raise CgBreakdown(f"restricted Gram block is singular: {exc}") from exc
 
 
-def ssn_update(prob, state, part, lam, shift=0.0):
+class _HeldBlock:
+    """The last update's active set ``active`` and the Gram block ``gram`` it solved with.
+
+    One holder serves one path or one :func:`ssn_solve` call, so every update
+    it sees runs on one problem. ``reused`` counts the updates that solved
+    with the held block.
+    """
+
+    __slots__ = ("active", "gram", "reused")
+
+    def __init__(self):
+        self.active = self.gram = None
+        self.reused = 0
+
+    def solve(self, prob, A, rhs):
+        """:func:`_solve_restricted` on active set ``A``, with the held block when ``A`` is the
+        held active set. Otherwise the held block is given up before a new one is formed, so
+        at most one block is alive; given up after, the two overlap (the benchmark's
+        ``table1`` ``fit_peak_mb`` on seed 0 rose from 0.68 to 0.83 MB).
+        """
+        if self.gram is not None and _same_indices(A, self.active):
+            self.reused += 1
+        else:
+            self.gram = None
+        x, self.gram = _solve_restricted(prob, A, rhs, self.gram)
+        self.active = A
+        return x
+
+
+def ssn_update(prob, state, part, lam, shift=0.0, held=None):
     """One active-set Newton update from ``state`` under the given partition.
 
     ``part`` must carry the state's dual on its active set, as
     :func:`ssnpath.dual.active_partition` returns it. Sets beta to zero off the
     active set, pins the active dual to (lam - shift) * sign(beta + dual)
     using the incoming state's signs, and solves the restricted system for
-    the active coefficients exactly, with the Gram block the incoming state
-    holds when its update ran on ``prob`` with the same active set (the
-    incoming state gives its block up either way). The inactive dual is built
-    when first read; the new state carries the incoming state's certificate
-    when that was built on ``prob`` itself (see :class:`ssnpath.dual.PrimalDualState`).
+    the active coefficients exactly through ``held`` (a :class:`_HeldBlock`;
+    None means a fresh one), which reuses its block when its last update had
+    the same active set. The inactive dual is built when first read; the new
+    state carries the incoming state's certificate when that was built on
+    ``prob`` itself (see :class:`ssnpath.dual.PrimalDualState`).
 
     Raises
     ------
@@ -148,11 +178,11 @@ def ssn_update(prob, state, part, lam, shift=0.0):
     A, level = part.active, lam - shift
     dual_active = level * np.sign(beta_on(state, A) + part.dual)
     rhs = prob.xty[A] - prob.n * dual_active
-    beta_active, gram = _solve_restricted(prob, A, rhs, held_gram(prob, state, A, release=True))
+    beta_active = (_HeldBlock() if held is None else held).solve(prob, A, rhs)
     # the new state and the knot records share the solve's own coefficients and dual
     beta_active.setflags(write=False)
     dual_active.setflags(write=False)
-    return updated_state(prob, state, A, beta_active, dual_active, gram, level)
+    return updated_state(prob, state, A, beta_active, dual_active, level)
 
 
 def ssn_solve(prob, init, config):
@@ -167,7 +197,9 @@ def ssn_solve(prob, init, config):
     alpha > 0 and an ``ACTIVE_SET_REPEATED`` stop, the returned state
     satisfies the stationarity system to solver accuracy (see
     :func:`ssnpath.kkt.kkt_residual`). An ``init`` not of length p raises
-    :class:`ssnpath.DimensionMismatch`.
+    :class:`ssnpath.DimensionMismatch`. Each call holds its own Gram block
+    (:class:`_HeldBlock`) and the returned state keeps none, so a call
+    warm-started from an earlier outcome's state forms its first block fresh.
 
     Returns
     -------
@@ -178,12 +210,13 @@ def ssn_solve(prob, init, config):
         the last state below the cap.
     """
     return _ssn_solve(prob, init, config.lam, config.shift, config.max_iter,
-                      config.sparsity_cap, config.lam)
+                      config.sparsity_cap, config.lam, _HeldBlock())
 
 
-def _ssn_solve(prob, init, lam, shift, max_iter, cap, floor):
+def _ssn_solve(prob, init, lam, shift, max_iter, cap, floor, held):
     """:func:`ssn_solve` with its config's fields as arguments, every partition screened down to
-    ``floor`` (at most ``lam``): the penalty of the next knot on a path.
+    ``floor`` (at most ``lam``): the penalty of the next knot on a path. Every update solves
+    through ``held``, the :class:`_HeldBlock` a path keeps across its knots.
 
     The partition that ends the solve is the one the next knot opens with,
     so screening it down to ``floor`` lets that knot read its opening
@@ -193,7 +226,8 @@ def _ssn_solve(prob, init, lam, shift, max_iter, cap, floor):
     check_length(prob, state)
     prev_active = support(state)
     level = lam - shift
-    refreshes = screened = corrected = reused = 0
+    refreshes = screened = corrected = 0
+    reused = held.reused  # a path's holder counts across its knots
     # each pass of the loop returns or makes one update, so k counts them
     for k in range(max_iter + 1):
         part = active_partition(state, lam, floor)
@@ -208,9 +242,9 @@ def _ssn_solve(prob, init, lam, shift, max_iter, cap, floor):
         elif k >= max_iter:
             stop = StopReason.MAX_ITER
         else:
-            reused += held_gram(prob, state, part.active) is not None
-            state = ssn_update(prob, state, part, lam, shift)
+            state = ssn_update(prob, state, part, lam, shift, held)
             prev_active = part.active
             continue
-        return SsnOutcome(state, k, stop, part, Work(refreshes, screened, corrected, reused))
+        return SsnOutcome(state, k, stop, part, Work(refreshes, screened, corrected,
+                                                   held.reused - reused))
     raise AssertionError("unreachable: loop always returns at k == max_iter")

@@ -423,19 +423,20 @@ class TestScreenCache:
         # holds nothing below its floor: the knot after it, lower still, screens
         prob, _ = random_instance(60, 300, seed=21, T=6)
         lam = 0.5 * default_lambda0(prob)
-        first = solver._ssn_solve(prob, None, lam, 0.0, 30, None, 0.9 * lam)
+        held = solver._HeldBlock()  # one holder, as a path keeps
+        first = solver._ssn_solve(prob, None, lam, 0.0, 30, None, 0.9 * lam, held)
         state = first.state
         assert first.stop_reason is solver.StopReason.ACTIVE_SET_REPEATED
         assert state._dual is None and state._screen.floor == 0.9 * lam
         calls = []
         with _recorded_partitions(calls):
-            again = solver._ssn_solve(prob, state, lam, 0.0, 30, None, 0.8 * lam)
+            again = solver._ssn_solve(prob, state, lam, 0.0, 30, None, 0.8 * lam, held)
         assert again.iterations == 0 and again.state is state
         assert [(work, spheres) for *_, work, spheres in calls] == [(lazy_dual.Work(), 0)]
         assert state._screen.floor == 0.9 * lam
         calls = []
         with _recorded_partitions(calls):
-            below = solver._ssn_solve(prob, state, 0.85 * lam, 0.0, 30, None, 0.8 * lam)
+            below = solver._ssn_solve(prob, state, 0.85 * lam, 0.0, 30, None, 0.8 * lam, held)
         assert below.iterations > 0
         assert calls[0][0] is state and calls[0][4] == 1
         assert state._dual is None and state._screen.floor == 0.8 * lam
@@ -449,7 +450,7 @@ class TestScreenCache:
         first = ssn_solve(prob, None, config)
         assert first.stop_reason is solver.StopReason.ACTIVE_SET_REPEATED
         pin = first.state._pinning
-        twin = lazy_dual.updated_state(prob, first.state, pin.active, pin.beta, pin.dual, None)
+        twin = lazy_dual.updated_state(prob, first.state, pin.active, pin.beta, pin.dual)
         assert twin._pinning.level == 0.0 and twin._certificate is not None
         again = ssn_solve(prob, twin, config)
         assert again.active.dual is twin._pinning.dual
@@ -743,10 +744,9 @@ class TestCorrectionBound:
     def _state(prob, u, u_ref, ref_dual, err_ref):
         """An unbuilt state on A = {0} with u, screened against a reference on A = {0}."""
         A = np.array([0])
-        ref = lazy_dual._Pinning(prob, A, np.array([1.0]), ref_dual[A], u_ref, None)
+        ref = lazy_dual._Pinning(prob, A, np.array([1.0]), ref_dual[A], u_ref)
         cert = lazy_dual._Certificate(ref, ref_dual, err_ref)
-        state = lazy_dual.updated_state(prob, cold_start(prob), A, np.array([1.0]), ref_dual[A],
-                                        None)
+        state = lazy_dual.updated_state(prob, cold_start(prob), A, np.array([1.0]), ref_dual[A])
         state._pinning.u = u
         state._certificate = cert
         return state
@@ -875,10 +875,9 @@ def sphere_cases(draw):
     grid = st.sampled_from([-0.75, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 0.75])
     ref_dual = np.array([draw(grid) for _ in range(p)])
     err_ref = draw(st.sampled_from([0.0, 2.0**-30, 0.01]))
-    ref = lazy_dual._Pinning(prob, A_ref, np.ones(A_ref.shape[0]), ref_dual[A_ref], np.zeros(n),
-                             None)
+    ref = lazy_dual._Pinning(prob, A_ref, np.ones(A_ref.shape[0]), ref_dual[A_ref], np.zeros(n))
     state = lazy_dual.updated_state(prob, cold_start(prob), A, np.ones(A.shape[0]),
-                                    np.full(A.shape[0], 0.5), None)
+                                    np.full(A.shape[0], 0.5))
     u = 10.0 ** -draw(st.integers(1, 6)) * rng.standard_normal(n)
     u[0] = draw(st.sampled_from([u[0], 0.0, math.inf, -math.inf, math.nan]))
     state._pinning.u = u
@@ -913,9 +912,8 @@ class TestSphereExit:
         prob = ProblemData(np.eye(3), np.array([1.0, 2.0, 3.0]))
         A, A_ref = np.array([0]), np.array([1])
         ref_dual = np.array([0.5, -0.75, 0.25])
-        ref = lazy_dual._Pinning(prob, A_ref, np.ones(1), ref_dual[A_ref], np.zeros(3), None)
-        state = lazy_dual.updated_state(prob, cold_start(prob), A, np.ones(1), np.full(1, 0.5),
-                                        None)
+        ref = lazy_dual._Pinning(prob, A_ref, np.ones(1), ref_dual[A_ref], np.zeros(3))
+        state = lazy_dual.updated_state(prob, cold_start(prob), A, np.ones(1), np.full(1, 0.5))
         state._pinning.u = np.zeros(3)
         state._certificate = lazy_dual._Certificate(ref, ref_dual, 0.0)
         r = _radius(state)

@@ -5,9 +5,10 @@ package ``__init__`` may instead re-export it through ``__all__``),
 ``__all__`` must list each public name once and only names that exist,
 every function the package defines must be named somewhere outside the tests,
 no package module but ``problem.py`` may import how the design is cut into
-blocks, no package module may read or write a private attribute that no class
-of its own declares, none may set an attribute on an exception it caught, and
-none may set ``flags.writeable``.
+blocks, none but ``solver.py`` may reach the restricted Gram block (and
+``dual.py``, which holds the state, names none), no package module may read
+or write a private attribute that no class of its own declares, none may set
+an attribute on an exception it caught, and none may set ``flags.writeable``.
 """
 
 import ast
@@ -163,6 +164,30 @@ def test_only_problem_knows_how_the_design_is_blocked(path):
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     leaked = sorted(names & {"_row_blocks", "_BLOCK_ENTRIES", "_column_blocks", "_PASS_ENTRIES"})
     assert leaked == [], f"{path.name} reads how problem.py blocks the design: {leaked}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.stem != "solver"], ids=lambda p: p.name
+)
+def test_only_the_solver_holds_the_gram_block(path):
+    # the solver's one holder forms, keeps and gives up the restricted Gram block
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {name for name, _ in _imported_names(tree)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    leaked = sorted(names & {"_gram", "_solve_restricted"})
+    assert leaked == [], f"{path.name} reaches the solver's Gram block: {leaked}"
+
+
+def test_the_state_names_no_gram_block():
+    # a state is what an update left; the block the update solved with stays in the solver
+    tree = ast.parse((PACKAGE_DIR / "dual.py").read_text())
+    # identifiers, and strings that could be one: __slots__ entries, getattr names
+    names = {getattr(node, field, None) for node in ast.walk(tree)
+             for field in ("id", "arg", "attr", "name")}
+    names |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    gram = sorted(name for name in names
+                  if isinstance(name, str) and name.isidentifier() and "gram" in name.lower())
+    assert gram == [], f"dual.py names a Gram block: {gram}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

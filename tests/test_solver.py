@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from ssnpath import (
     ssn_solve,
 )
 from ssnpath import solver
-from ssnpath.dual import PrimalDualState, active_partition, cold_start, held_gram
+from ssnpath.dual import PrimalDualState, active_partition, cold_start
 from ssnpath.problem import _GRAM_ENTRIES
 from ssnpath.solver import ssn_update
 from conftest import random_instance
@@ -102,34 +104,40 @@ class TestSolveRestricted:
     def test_repeated_active_set_reuses_the_block_bitwise(self):
         prob, _ = random_instance(600, 200, alpha=0.1, seed=22, T=40)
         lam = 0.1 * float(np.max(np.abs(prob.xty))) / prob.n
-        state, prev = cold_start(prob), None
+        state, prev, held = cold_start(prob), None, solver._HeldBlock()
         for _ in range(20):
             part = active_partition(state, lam)
             if prev is not None and np.array_equal(part.active, prev):
                 break
-            state, prev = ssn_update(prob, state, part, lam), part.active
+            state, prev = ssn_update(prob, state, part, lam, 0.0, held), part.active
         else:
             pytest.fail("no active set repeated")
         assert part.size > 33
-        block = held_gram(prob, state, part.active)
+        block, reused = held.gram, held.reused
         assert block is not None
         fresh = PrimalDualState(state.beta.copy(), state.dual.copy())
-        out = ssn_update(prob, state, part, lam, shift=0.5 * lam)
+        out = ssn_update(prob, state, part, lam, 0.5 * lam, held)
         ref = ssn_update(prob, fresh, part, lam, shift=0.5 * lam)
-        assert held_gram(prob, state, part.active) is None
-        assert held_gram(prob, out, part.active) is block
+        assert held.gram is block and held.reused == reused + 1
         assert out.beta.tobytes() == ref.beta.tobytes()
         assert out.dual.tobytes() == ref.dual.tobytes()
 
-    def test_block_is_held_only_for_its_own_problem_and_active_set(self):
+    def test_block_is_held_only_for_its_own_active_set(self):
         prob, _ = random_instance(40, 30, alpha=0.1, seed=23)
-        state = PrimalDualState(np.zeros(prob.p), np.where(np.arange(prob.p) < 5, 2.0, 0.0))
-        out = ssn_update(prob, state, active_partition(state, 1.0), 1.0)
-        A = np.arange(5)
-        assert held_gram(prob, out, A) is not None
-        assert held_gram(prob, out, A[:4]) is None
-        other = ProblemData(prob.X, prob.y, alpha=0.2)
-        assert held_gram(other, out, A) is None
+        held = solver._HeldBlock()
+
+        def update(size):
+            # the first ``size`` coordinates are active at lam = 1
+            state = PrimalDualState(np.zeros(prob.p), 2.0 * (np.arange(prob.p) < size))
+            ssn_update(prob, state, active_partition(state, 1.0), 1.0, 0.0, held)
+            return held.gram
+
+        block = update(5)
+        np.testing.assert_array_equal(held.active, np.arange(5))
+        assert block.shape == (5, 5) and held.reused == 0
+        smaller = update(4)
+        assert smaller is not block and smaller.shape == (4, 4) and held.reused == 0
+        assert update(4) is smaller and held.reused == 1
 
     def test_update_peak_stays_below_one_active_gather(self):
         # 8 n k bytes is the n x k gather X[:, A]; a row block holds 327 rows
@@ -150,8 +158,8 @@ class TestSolveRestricted:
     def test_update_keeps_at_most_one_gram_block_alive(self):
         # 8 k^2 bytes is one Gram block. Forming a block holds G and at most
         # 8 _GRAM_ENTRIES bytes (320 KiB) besides: the first row block of X[:, A],
-        # or a later one and the panel buffer its X_b'X_b goes through. An
-        # incoming state's block still alive would add 8 k^2 more. The solve's
+        # or a later one and the panel buffer its X_b'X_b goes through. The
+        # held block still alive would add 8 k^2 more. The solve's
         # copy of G is LAPACK workspace, which tracemalloc does not see
         n, k = 600, 500
         rng = np.random.default_rng(25)
@@ -159,21 +167,39 @@ class TestSolveRestricted:
         first = PrimalDualState(np.zeros(2 * k), np.where(np.arange(2 * k) < k, 2.0, 0.0))
         second = PrimalDualState(np.zeros(2 * k), np.where(np.arange(2 * k) < k, 0.0, 2.0))
         part = active_partition(second, 1.0)
+        held = solver._HeldBlock()
         tracemalloc.start()
         try:
-            state = ssn_update(prob, first, active_partition(first, 1.0), 1.0)
-            assert held_gram(prob, state, np.arange(k)) is not None
+            state = ssn_update(prob, first, active_partition(first, 1.0), 1.0, 0.0, held)
+            assert held.gram is not None
             tracemalloc.reset_peak()
-            ssn_update(prob, state, part, 1.0)
+            ssn_update(prob, state, part, 1.0, 0.0, held)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert part.size == k and held_gram(prob, state, np.arange(k)) is None
+        assert part.size == k and held.gram.shape == (k, k) and held.reused == 0
         # measured: 8 k^2 + 357,441 bytes (the row block, the buffer and the update's vectors)
         assert peak < 8 * k * k + 8 * _GRAM_ENTRIES + 64 * 1024
 
 
 class TestSsnSolve:
+    def test_returned_state_pins_no_gram_block(self, monkeypatch):
+        # the solve's holder keeps its blocks, not the states its updates
+        # leave: once the outcome is all that is left, every block is freed
+        prob, _ = random_instance(60, 120, alpha=0.1, seed=17, T=8)
+        real, blocks = solver._solve_restricted, []
+
+        def recording(prob, A, rhs, gram=None):
+            x, gram = real(prob, A, rhs, gram)
+            blocks.append(weakref.ref(gram))
+            return x, gram
+
+        monkeypatch.setattr(solver, "_solve_restricted", recording)
+        out = ssn_solve(prob, None, SsnConfig(lam=0.3 * default_lambda0(prob), max_iter=10))
+        assert out.iterations > 0 and out.state.beta.any()
+        gc.collect()
+        assert blocks and all(block() is None for block in blocks)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_no_init_is_the_cold_start_bit_for_bit(self, alpha):
         prob, _ = random_instance(30, 60, alpha=alpha, seed=14, T=4)

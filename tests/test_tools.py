@@ -1,7 +1,7 @@
 """``tools/compare_paths.py`` passes a checkout against itself and catches one ulp, and its
 ``--models`` mode catches a sign flip; ``tools/loc.py`` counts the lines a code token touches
-and the names ``__all__`` lists; ``tools/ab.py`` pairs alternating runs and claims no win
-for a checkout against itself."""
+and the names ``__all__`` lists; ``tools/ab.py`` pairs alternating runs, prints each pair's
+setup ratio as a load check and claims no win for a checkout against itself."""
 
 import dataclasses
 import importlib.util
@@ -216,6 +216,20 @@ def test_ab_summarizes_canned_result_lines():
     assert line.split()[0] == "setup_s" and line.endswith(" 9/10  gain")
 
 
+def test_ab_load_check_is_each_pairs_setup_ratio():
+    ab = _tool(AB)
+    old = json.loads(_result_line(setup_s=0.40, fit_s=0.03))
+    slowed = json.loads(_result_line(setup_s=0.54, fit_s=0.04))
+    assert ab.LOAD_CHECK == "setup_s"
+    assert ab.load_ratio(old, slowed) == 0.54 / 0.40
+    assert ab.load_ratio(slowed, old) == 0.40 / 0.54
+    # a run that did not measure setup, or measured it as 0, gives no ratio
+    assert ab.load_ratio(old, json.loads(_result_line(fit_s=0.03))) is None
+    assert ab.load_ratio(json.loads(_result_line(setup_s=0.0)), old) is None
+    # the check only reports: it leaves the claim to the summary's rule
+    assert ab.summarize([old] * 10, [slowed] * 10, {"fit_s": "lower"})[0]["claim"] == "loss"
+
+
 def test_ab_same_checkout_claims_no_win(tmp_path):
     # The stub benchmark reads faster on every run, as a host drifting
     # faster would; with the order alternating, NEW wins half the pairs.
@@ -237,6 +251,10 @@ print(json.dumps({{"correct": True, "attempted": 12, "failed": 0, "metrics": {{
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stdout + run.stderr
     assert (tmp_path / "perfbench" / "count").read_text() == "20"
+    # OLD runs first in pair 1 (value 1.0), NEW second (0.99)
+    first = run.stdout.splitlines()[0]
+    assert first.startswith("pair 1/10: setup_s 1 -> 0.99; ")
+    assert first.endswith("; load check setup_s NEW/OLD 0.99")
     rows = {line.split()[0]: line for line in run.stdout.splitlines()[-3:]}
     assert rows.keys() == {"setup_s", "fit_s", "ae"}
     assert rows["setup_s"].endswith(" 5/10  -") and rows["fit_s"].endswith(" 5/10  -")

@@ -8,7 +8,10 @@ checkouts run ``perfbench/run.py --workload W --seed 0 --seconds S --trace 0``
 in a subprocess, one after the other, so both time the same instances. OLD
 goes first in even pairs and NEW in odd ones, so a drift in machine speed
 favours neither side. The JSON object on the last line of each run's output
-holds its metrics.
+holds its metrics. Each pair's line also prints NEW's ``setup_s`` over OLD's
+as a load check: building the instances is code most changes leave alone, so
+a ratio far from 1 marks a pair that outside load slowed on one side. The
+check only reports; it changes no claim.
 
 For every gated metric (the ``end_to_end`` list of this checkout's
 ``BENCHMARK.json``, with its ``better`` direction) it prints each side's
@@ -33,6 +36,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Share of the pairs one side must win to claim a gain, the other's to claim a loss.
 CLAIM_WINS = 0.9
+
+# The metric whose NEW/OLD ratio each pair prints as a load check.
+LOAD_CHECK = "setup_s"
 
 
 def gated_metrics():
@@ -60,6 +66,12 @@ def _value(result, name):
 
 def _show(value):
     return "null" if value is None else f"{value:.5g}"
+
+
+def load_ratio(old, new):
+    """NEW's ``LOAD_CHECK`` value over OLD's in one pair; None if a side lacks it or OLD's is 0."""
+    a, b = _value(old, LOAD_CHECK), _value(new, LOAD_CHECK)
+    return None if not a or b is None else b / a
 
 
 def _iqr(values):
@@ -131,7 +143,8 @@ def main(argv=None):
             results.append(run_once(root, args.workload, args.seconds))
         print(f"pair {k + 1}/{args.pairs}: " + "; ".join(
             f"{name} {_show(_value(old[-1], name))} -> {_show(_value(new[-1], name))}"
-            for name in metrics),
+            for name in metrics)
+            + f"; load check {LOAD_CHECK} NEW/OLD {_show(load_ratio(old[-1], new[-1]))}",
             flush=True)
     for line in report(summarize(old, new, metrics)):
         print(line)
