@@ -412,7 +412,9 @@ class Work:
       screen's floor; a partition read from a state's cache gathers none;
     - ``corrected``: float32 correction passes (tier 3);
     - ``reused``: updates that solved with the Gram block of the update before
-      them, which the solver holds (:class:`ssnpath.solver._HeldBlock`).
+      them, which the solver holds (:class:`ssnpath.solver._HeldBlock`); an
+      update whose active set changed is not counted, whether its block was
+      bordered from the held one or formed fresh.
 
     ``a + b`` adds field by field into a new value and leaves both as they
     were. A knot no partition read, such as a coordinate-descent knot, holds

@@ -218,6 +218,31 @@ def _gram(X, cols, alpha):
     return gram
 
 
+def _gram_border(X, cols, new, entries):
+    """``X[:, cols]'X[:, cols[new]]``, summed over row blocks into one k-by-e array.
+
+    ``new`` holds the positions in ``cols`` of the e columns that join a held
+    Gram block; the result is the new block's k x e border. The sum holds at
+    most ``entries`` entries at a time, the result included, or one row block
+    of a single row when that is more: the result, a row block of
+    ``X[:, cols]`` with its e entering columns, and a reused k x e buffer
+    that each later block's product goes through. So the n x k gather is
+    never made whole.
+    """
+    n, k, e = X.shape[0], cols.shape[0], new.shape[0]
+    height = max(1, (entries - 2 * k * e) // (k + e))
+    border = buffer = None
+    for start in range(0, n, height):
+        block = X[start : start + height, cols]
+        if border is None:
+            border = block.T @ block[:, new]
+        else:
+            buffer = np.matmul(block.T, block[:, new], out=buffer)
+            border += buffer
+        del block  # before the next row block is gathered
+    return border
+
+
 def _columns_dot(X, cols, v):
     """``X[:, cols]'v``, a block of columns of about ``_BLOCK_ENTRIES`` entries at a time."""
     out = np.empty(cols.shape[0])

@@ -22,16 +22,25 @@ as the one-step local convergence of the Newton update needs. Forming G
 costs O(n|A|^2), so one solver-side holder (:class:`_HeldBlock`) keeps the
 last update's active set and G, and the next update solves with that G when
 its active set is equal, as about 60% of the updates on the benchmark's
-shifted paths do. A path keeps one holder across its knots and
-:func:`ssn_solve` one per call; a state keeps no G. A fresh G and the
-product u = X_A beta_A are formed by :mod:`ssnpath.problem`'s blocked
+shifted paths do. When the active set changed, the holder borders the held
+G instead, as LARS updates its system when columns enter and leave: it
+copies the entries of the kept columns and sums only the entering columns'
+products with the new active set, at O(n|A|e) for e entering columns. It
+does so only where a fresh G would take more than one row block and the
+old block leaves room for the border beside it; every other changed block
+is formed fresh. A path keeps one holder across its knots and
+:func:`ssn_solve` one per call; a state keeps no G. A fresh G, a border and
+the product u = X_A beta_A are formed by :mod:`ssnpath.problem`'s blocked
 products, the only code that knows how X is cut into blocks, so the n x |A|
 gather is never made whole. Forming G holds one |A| x |A| array, and the
-holder gives its block up before a new one is formed, so at most one Gram
-block is alive; only the factorization's LAPACK workspace copies G. A block the
-factorization finds singular (alpha = 0 with duplicated active columns)
-raises :class:`ssnpath.CgBreakdown`. ``_cg`` is a stub kept only for the
-benchmark's tracer; nothing calls it.
+holder gives its block up before a new one is formed, or, when it borders,
+as soon as the kept entries are copied, so a changed block never holds more
+than a fresh formation does; only the factorization's LAPACK workspace
+copies G. A block the factorization finds singular (alpha = 0 with
+duplicated active columns) raises :class:`ssnpath.CgBreakdown`, and so does
+a bordered block in which an entering column is parallel to another active
+column to within rounding. ``_cg`` is a stub kept only for the benchmark's
+tracer; nothing calls it.
 
 What a solve spends besides its updates (dual builds, screened columns,
 float32 correction passes) and how many updates reused a Gram block are
@@ -48,7 +57,7 @@ import numpy as np
 from .dual import (ActivePartition, PrimalDualState, Work, _pinned_at, _same_indices,
                    active_partition, beta_on, check_length, cold_start, support, updated_state)
 from .errors import CgBreakdown
-from .problem import _gram
+from .problem import _GRAM_ENTRIES, _gamma, _gram, _gram_border
 
 
 class StopReason(enum.Enum):
@@ -129,7 +138,8 @@ class _HeldBlock:
 
     One holder serves one path or one :func:`ssn_solve` call, so every update
     it sees runs on one problem. ``reused`` counts the updates that solved
-    with the held block.
+    with the held block; an update whose block was bordered from it is not
+    counted.
     """
 
     __slots__ = ("active", "gram", "reused")
@@ -140,17 +150,85 @@ class _HeldBlock:
 
     def solve(self, prob, A, rhs):
         """:func:`_solve_restricted` on active set ``A``, with the held block when ``A`` is the
-        held active set. Otherwise the held block is given up before a new one is formed, so
-        at most one block is alive; given up after, the two overlap (the benchmark's
-        ``table1`` ``fit_peak_mb`` on seed 0 rose from 0.68 to 0.83 MB).
+        held active set, or else with a block bordered from it where :meth:`_border` allows.
+        Otherwise the held block is given up before a new one is formed, so at most one block
+        is alive; given up after, the two overlap (the benchmark's ``table1`` ``fit_peak_mb``
+        on seed 0 rose from 0.68 to 0.83 MB).
         """
         if self.gram is not None and _same_indices(A, self.active):
             self.reused += 1
-        else:
-            self.gram = None
+        elif self.gram is not None:
+            self.gram = self._border(prob, A)
         x, self.gram = _solve_restricted(prob, A, rhs, self.gram)
         self.active = A
         return x
+
+    def _border(self, prob, A):
+        """G for active set ``A`` bordered from the held block, or None where G is formed fresh.
+
+        The held block is given up here either way. Its entries for the
+        columns ``A`` keeps are copied into a new block in ``A``'s sorted
+        order, so the rows and columns of leaving columns drop out, and the
+        entering columns' products with ``A`` are summed over row blocks by
+        :func:`ssnpath.problem._gram_border`: O(n k e) for e entering columns
+        against O(n k^2) for a fresh G. A border is built only where a fresh G
+        would take more than one row block (n k > ``_GRAM_ENTRIES``), where
+        some column is kept, and where ``room``, what ``_GRAM_ENTRIES`` leaves
+        beside the held block, holds one row of the border's row block with
+        its two k x e arrays. The copy then holds the two blocks and pieces of
+        kept rows of at most ``room / 2`` entries; the sum, after the held
+        block is given up, the new block and at most ``room``. Forming G fresh
+        holds the new block and ``_GRAM_ENTRIES`` besides, so a border never
+        holds more, and an ``enet``-size held block (k ~ 300) leaves no room.
+
+        The bordered block is exactly symmetric, but its entries are summed
+        in other orders than a fresh block's, so an entering column that
+        duplicates an active one leaves it singular only to rounding, which
+        the factorization does not see. So each entering column's products
+        with the other active columns are checked against their norms, and a
+        pair parallel to within rounding raises :class:`ssnpath.CgBreakdown`.
+        """
+        held, self.gram = self.gram, None
+        old, n, k = self.active, prob.n, A.shape[0]
+        room = _GRAM_ENTRIES - held.size
+        # refused before any array is made, so a refusal leaves numpy's caches as they were
+        if n * k <= _GRAM_ENTRIES or room < k or not old.size:
+            return None
+        at = np.searchsorted(old, A)
+        kept = old[np.minimum(at, old.size - 1)] == A
+        new = np.flatnonzero(~kept)
+        if new.size == k or room < k + new.size * (2 * k + 1):
+            return None
+        to, at = np.flatnonzero(kept), at[kept]
+        gram = np.empty((k, k))
+        # a piece of kept rows goes through three arrays: as held, its kept entries, as placed
+        rows = max(1, room // (2 * (old.size + to.size + k)))
+        for a in range(0, to.size, rows):
+            piece = np.empty((min(rows, to.size - a), k))
+            piece[:, to] = held[at[a : a + rows]][:, at]
+            gram[to[a : a + rows]] = piece
+        del held, piece  # before the border's row blocks are gathered
+        if new.size:
+            border = _gram_border(prob.X, A, new, room)
+            # the e x e block of entering columns, made exactly symmetric
+            square = border[new]
+            square += square.T
+            square *= 0.5
+            square.reshape(-1)[:: new.size + 1] += prob.alpha
+            border[new] = square
+            gram[:, new] = border
+            gram[new] = border.T
+            # (x'y)^2 / (x'x y'y) is 1 only for parallel columns; the computed ratio is
+            # within 4 gamma_(n+1) of it (alpha > 0 adds to x'x and keeps it below)
+            diag = gram.diagonal()
+            border *= border
+            np.divide(border, diag[:, None], out=border, where=diag[:, None] > 0.0)
+            np.divide(border, diag[new], out=border, where=diag[new] > 0.0)
+            border[new, np.arange(new.size)] = 0.0
+            if border.max() >= 1.0 - 4.0 * _gamma(n + 1):
+                raise CgBreakdown("restricted Gram block is singular: an entering column is "
+                                  "parallel to another active column")
+        return gram
 
 
 def ssn_update(prob, state, part, lam, shift=0.0, held=None):
@@ -162,9 +240,10 @@ def ssn_update(prob, state, part, lam, shift=0.0, held=None):
     using the incoming state's signs, and solves the restricted system for
     the active coefficients exactly through ``held`` (a :class:`_HeldBlock`;
     None means a fresh one), which reuses its block when its last update had
-    the same active set. The inactive dual is built when first read; the new
-    state carries the incoming state's certificate when that was built on
-    ``prob`` itself (see :class:`ssnpath.dual.PrimalDualState`).
+    the same active set and may border it when the set changed. The inactive
+    dual is built when first read; the new state carries the incoming state's
+    certificate when that was built on ``prob`` itself (see
+    :class:`ssnpath.dual.PrimalDualState`).
 
     Raises
     ------
@@ -172,7 +251,8 @@ def ssn_update(prob, state, part, lam, shift=0.0, held=None):
         If ``state`` is not of length p.
     CgBreakdown
         If the factorization finds the restricted Gram block singular
-        (alpha = 0 with duplicated active columns).
+        (alpha = 0 with duplicated active columns), or a bordered block has
+        an entering column parallel to another active one.
     """
     check_length(prob, state)
     A, level = part.active, lam - shift

@@ -170,11 +170,11 @@ def test_only_problem_knows_how_the_design_is_blocked(path):
     "path", [p for p in MODULES if p.stem != "solver"], ids=lambda p: p.name
 )
 def test_only_the_solver_holds_the_gram_block(path):
-    # the solver's one holder forms, keeps and gives up the restricted Gram block
+    # the solver's one holder forms, borders, keeps and gives up the restricted Gram block
     tree = ast.parse(path.read_text(), filename=str(path))
     names = {name for name, _ in _imported_names(tree)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    leaked = sorted(names & {"_gram", "_solve_restricted"})
+    leaked = sorted(names & {"_gram", "_gram_border", "_solve_restricted"})
     assert leaked == [], f"{path.name} reaches the solver's Gram block: {leaked}"
 
 

@@ -284,6 +284,48 @@ class TestGram:
         assert peak < 8 * k * k + 8 * _GRAM_ENTRIES + 8192
 
 
+class TestGramBorder:
+    """``problem._gram_border``: the k x e border X_A'X_E of a held block, over row blocks."""
+
+    # all 600 rows in one row block, blocks of 22 to 39 rows, and blocks of one row
+    @pytest.mark.parametrize("entries", [10**6, 5000, 1])
+    @pytest.mark.parametrize("e", [1, 9])
+    def test_border_is_within_the_rounding_bound(self, entries, e):
+        from ssnpath.problem import _gamma, _gram_border
+
+        n, k = 600, 120
+        X, cols = TestGram._instance(n, k)
+        new = np.sort(np.random.default_rng(e).choice(k, e, replace=False))
+        got = _gram_border(X, cols, new, entries)
+        B = X[:, cols]
+        want = B.T @ B[:, new]
+        assert got.shape == (k, e) and got.dtype == np.float64
+        if entries >= n * (k + e) + 2 * k * e:
+            # one row block: the product of the whole gather
+            assert got.tobytes() == want.tobytes()
+        # each entry, here and in the reference, sums n products in some order
+        bound = 2.0 * _gamma(n) * (np.abs(B).T @ np.abs(B[:, new]))
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("e", [1, 12])
+    def test_sum_holds_at_most_its_entries(self, e):
+        # the result, a row block with its entering columns, and the buffer of a
+        # later block's product, plus 8 KiB for the gathers' index arrays and headers
+        from ssnpath.problem import _gram_border
+
+        n, k, entries = 2000, 150, 20000
+        X, cols = TestGram._instance(n, k)
+        new = np.arange(0, k, k // e)[:e]
+        _gram_border(X, cols, new, entries)
+        tracemalloc.start()
+        try:
+            _gram_border(X, cols, new, entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * entries + 8192
+
+
 class TestObjective:
     def test_zero_vector(self):
         prob, _ = random_instance(12, 5, seed=4)

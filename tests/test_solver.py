@@ -1,9 +1,12 @@
+import functools
 import gc
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssnpath import (
     CgBreakdown,
@@ -22,7 +25,7 @@ from ssnpath import (
 )
 from ssnpath import solver
 from ssnpath.dual import PrimalDualState, active_partition, cold_start
-from ssnpath.problem import _GRAM_ENTRIES
+from ssnpath.problem import _GRAM_ENTRIES, _gamma, _gram
 from ssnpath.solver import ssn_update
 from conftest import random_instance
 from oracles import eager_ssn_solve, newton_step_dense
@@ -180,6 +183,158 @@ class TestSolveRestricted:
         assert part.size == k and held.gram.shape == (k, k) and held.reused == 0
         # measured: 8 k^2 + 357,441 bytes (the row block, the buffer and the update's vectors)
         assert peak < 8 * k * k + 8 * _GRAM_ENTRIES + 64 * 1024
+
+
+@functools.cache
+def _bordering_problem(alpha, n=600, p=360, seed=41):
+    rng = np.random.default_rng(seed)
+    return ProblemData(rng.standard_normal((n, p)), rng.standard_normal(n), alpha)
+
+
+def _moved(cols, enter, leave, p, rng):
+    """``cols`` with ``leave`` of its columns dropped and ``enter`` others added, sorted."""
+    kept = np.delete(cols, rng.choice(cols.size, leave, replace=False))
+    return np.sort(np.r_[kept, rng.choice(np.setdiff1d(np.arange(p), cols), enter,
+                                          replace=False)])
+
+
+def _within_rounding(prob, cols, gram):
+    """Whether ``gram`` is exactly symmetric and, entry by entry, within the rounding bound
+    of two n-term sums of the fresh block: 2 gamma_(n+1) (|X_A|'|X_A| + alpha I)."""
+    B = prob.X[:, cols]
+    bound = 2.0 * _gamma(prob.n + 1) * (np.abs(B).T @ np.abs(B) + prob.alpha * np.eye(cols.size))
+    return np.array_equal(gram, gram.T) and bool(
+        np.all(np.abs(gram - _gram(prob.X, cols, prob.alpha)) <= bound))
+
+
+@pytest.fixture
+def fresh_blocks(monkeypatch):
+    """The active sets of the Gram blocks formed fresh, as the solver forms them."""
+    formed = []
+
+    def recording(X, cols, alpha):
+        formed.append(cols)
+        return _gram(X, cols, alpha)
+
+    monkeypatch.setattr(solver, "_gram", recording)
+    return formed
+
+
+class TestBorderedBlock:
+    """A held Gram block bordered to the next active set, against a fresh ``problem._gram``."""
+
+    @pytest.mark.parametrize("n", [600, 2000])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize("enter, leave", [(9, 0), (0, 7), (12, 5)])
+    def test_bordered_block_is_the_fresh_one_to_rounding(self, fresh_blocks, n, alpha, enter,
+                                                         leave):
+        # n = 600 sums the border over 3 row blocks, n = 2000 over 9; a block that only
+        # loses columns is copied, with no sum
+        prob = _bordering_problem(alpha, n=n)
+        rng = np.random.default_rng(enter + 10 * leave)
+        old = np.sort(rng.choice(prob.p, 100, replace=False))
+        A = _moved(old, enter, leave, prob.p, rng)
+        held = solver._HeldBlock()
+        held.solve(prob, old, np.ones(old.size))
+        rhs = rng.standard_normal(A.size)
+        x = held.solve(prob, A, rhs)
+        assert [cols.size for cols in fresh_blocks] == [old.size]
+        assert held.reused == 0  # a bordered update is not a reuse
+        assert held.active is A and held.gram.shape == (A.size, A.size)
+        assert _within_rounding(prob, A, held.gram)
+        assert x.tobytes() == np.linalg.solve(held.gram, rhs).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=st.sampled_from([0.0, 0.1]), start=st.integers(60, 150),
+           moves=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)), min_size=1,
+                          max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_sequence_of_entering_and_leaving_columns(self, alpha, start, moves, seed):
+        # each update's block, bordered or fresh, is symmetric and within rounding of
+        # a fresh one, whatever the blocks before it were; copied entries carry no
+        # more error than the one sum each came from
+        prob = _bordering_problem(alpha)
+        rng = np.random.default_rng(seed)
+        A = np.sort(rng.choice(prob.p, start, replace=False))
+        held = solver._HeldBlock()
+        for enter, leave in [(0, 0)] + moves:
+            A = _moved(A, enter, min(leave, A.size - 1), prob.p, rng)
+            rhs = rng.standard_normal(A.size)
+            x = held.solve(prob, A, rhs)
+            assert _within_rounding(prob, A, held.gram)
+            assert x.tobytes() == np.linalg.solve(held.gram, rhs).tobytes()
+
+    @pytest.mark.parametrize("twin", ["held", "entering", "negated"])
+    def test_entering_duplicate_column_breaks_down_at_alpha_zero(self, fresh_blocks, twin):
+        # the bordered block is singular only to rounding, which the factorization
+        # would not see; the border's parallel-column check raises instead
+        rng = np.random.default_rng(43)
+        X = rng.standard_normal((600, 200))
+        old = np.arange(0, 200, 2)[:90]
+        copied = {"held": X[:, old[5]], "entering": X[:, 181],
+                  "negated": -X[:, old[5]]}[twin]
+        X[:, 199] = copied
+        A = np.sort(np.r_[old, 181, 199])
+        for alpha in (0.0, 0.1):
+            prob = ProblemData(X, rng.standard_normal(600), alpha)
+            held = solver._HeldBlock()
+            held.solve(prob, old, np.ones(old.size))
+            if alpha == 0.0:
+                with pytest.raises(CgBreakdown, match="parallel"):
+                    held.solve(prob, A, np.ones(A.size))
+                assert held.gram is None
+            else:
+                # the ridge keeps the block well conditioned
+                held.solve(prob, A, np.ones(A.size))
+                assert _within_rounding(prob, A, held.gram)
+        assert [cols.size for cols in fresh_blocks] == [old.size, old.size]
+
+    @pytest.mark.parametrize("n, old_size, kept, entering", [
+        (600, 300, 300, 10),  # an enet-size held block leaves no room beside it
+        (300, 120, 120, 10),  # a fresh block of 300 x 130 takes one row block
+        (600, 150, 0, 80),    # no column is kept
+    ])
+    def test_a_refused_border_forms_the_block_fresh(self, fresh_blocks, n, old_size, kept,
+                                                    entering):
+        prob = _bordering_problem(0.1, n=n, p=700)
+        rng = np.random.default_rng(44)
+        old = np.sort(rng.choice(prob.p, old_size, replace=False))
+        rest = np.setdiff1d(np.arange(prob.p), old)
+        A = np.sort(np.r_[old[:kept], rng.choice(rest, entering, replace=False)])
+        held = solver._HeldBlock()
+        held.solve(prob, old, np.ones(old.size))
+        held.solve(prob, A, np.ones(A.size))
+        assert [cols is A for cols in fresh_blocks] == [False, True]
+        assert held.gram.tobytes() == _gram(prob.X, A, prob.alpha).tobytes()
+
+    def test_bordered_update_holds_less_than_a_fresh_one(self, monkeypatch):
+        # Bordering holds the held block, the new one and a piece of the kept rows,
+        # then the new block, the border and one of its row blocks; forming fresh
+        # holds the new block and _GRAM_ENTRIES besides, after the held one is given
+        # up. So a bordered update stays within the fresh formation's bound
+        prob = _bordering_problem(1.0)
+        rng = np.random.default_rng(45)
+        old = np.sort(rng.choice(prob.p, 150, replace=False))
+        A = _moved(old, 12, 4, prob.p, rng)
+        k = A.size
+
+        def peak(held):
+            tracemalloc.start()
+            try:
+                held.solve(prob, old, np.ones(old.size))
+                tracemalloc.reset_peak()
+                held.solve(prob, A, np.ones(k))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        bordered = peak(solver._HeldBlock())
+        monkeypatch.setattr(solver._HeldBlock, "_border", lambda self, prob, A: None)
+        fresh = peak(solver._HeldBlock())
+        # measured at k = 158: 8 k^2 + 262,038 bytes bordered (the held block and a
+        # piece of kept rows), 8 k^2 + 332,648 fresh (the first row block and more)
+        assert bordered < 8 * k * k + 8 * _GRAM_ENTRIES + 64 * 1024
+        assert bordered < fresh
 
 
 class TestSsnSolve:

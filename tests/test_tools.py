@@ -1,7 +1,8 @@
 """``tools/compare_paths.py`` passes a checkout against itself and catches one ulp, and its
 ``--models`` mode catches a sign flip; ``tools/loc.py`` counts the lines a code token touches
 and the names ``__all__`` lists; ``tools/ab.py`` pairs alternating runs, prints each pair's
-setup ratio as a load check and claims no win for a checkout against itself."""
+setup ratio as a load check, marks each median change against its metric's bound and claims
+no win for a checkout against itself."""
 
 import dataclasses
 import importlib.util
@@ -214,6 +215,37 @@ def test_ab_summarizes_canned_result_lines():
     assert ab.summarize(old, new, {"setup_s": "lower"})[0]["claim"] is None
     line = ab.report(rows)[1]
     assert line.split()[0] == "setup_s" and line.endswith(" 9/10  gain")
+
+
+def test_ab_marks_each_change_against_its_bound():
+    ab = _tool(AB)
+    # a deterministic peak that rose by 90 bytes in every pair, and a fit 30% slower
+    old = [json.loads(_result_line(fit_peak_mb=0.646576, fit_s=0.030, ae=0.5)) for _ in range(10)]
+    new = [json.loads(_result_line(fit_peak_mb=0.646666, fit_s=0.039, ae=0.4)) for _ in range(10)]
+    metrics = {"fit_peak_mb": "lower", "fit_s": "lower", "ae": "lower"}
+    bounds = {"fit_peak_mb": 0.15, "fit_s": 0.25}
+    peak, fit, ae = ab.summarize(old, new, metrics, bounds)
+    assert (peak["claim"], peak["bound"], peak["inside"]) == ("loss", 0.15, True)
+    assert (fit["claim"], fit["bound"], fit["inside"]) == ("loss", 0.25, False)
+    # an improvement lies inside any bound; a metric with no bound is not marked
+    assert (ae["claim"], ae["bound"], ae["inside"]) == ("gain", None, None)
+    assert ab.summarize(new, old, {"fit_s": "lower"}, bounds)[0]["inside"] is True
+    # "higher is better" turns the direction of the worsening around
+    assert ab.summarize(new, old, {"fit_s": "higher"}, {"fit_s": 0.2})[0]["inside"] is False
+    # a change exactly at the bound is inside
+    half = [json.loads(_result_line(fit_s=0.5)) for _ in range(10)]
+    edge = [json.loads(_result_line(fit_s=0.625)) for _ in range(10)]
+    assert ab.summarize(half, edge, {"fit_s": "lower"}, {"fit_s": 0.25})[0]["inside"] is True
+    assert ab.summarize(half, edge, {"fit_s": "lower"}, {"fit_s": 0.24})[0]["inside"] is False
+    lines = ab.report([peak, fit, ae])
+    assert lines[0].split()[-5:] == ["change", "bound", "inside", "wins", "claim"]
+    assert lines[1].split()[-4:] == ["15%", "yes", "0/10", "loss"]
+    assert lines[2].split()[-4:] == ["25%", "NO", "0/10", "loss"]
+    assert lines[3].split()[-4:] == ["-", "-", "10/10", "gain"]
+    # the bounds come from this checkout's BENCHMARK.json
+    better, bounds = ab.gated_metrics()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert bounds == {m["name"]: m["bound"] for m in spec} and better.keys() == bounds.keys()
 
 
 def test_ab_load_check_is_each_pairs_setup_ratio():

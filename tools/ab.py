@@ -14,11 +14,16 @@ a ratio far from 1 marks a pair that outside load slowed on one side. The
 check only reports; it changes no claim.
 
 For every gated metric (the ``end_to_end`` list of this checkout's
-``BENCHMARK.json``, with its ``better`` direction) it prints each side's
-median and interquartile range (IQR) over the pairs, the median change, and
-NEW's wins: the pairs in which NEW is strictly better than OLD. NEW claims a
-gain when it wins at least 9 in 10 of the pairs and its median is better than
-OLD's by more than OLD's IQR; a loss is the same rule with the sides swapped.
+``BENCHMARK.json``, with its ``better`` direction and its ``bound``) it prints
+each side's median and interquartile range (IQR) over the pairs, the median
+change, the bound beside it, whether the change lies inside the bound, and
+NEW's wins: the pairs in which NEW is strictly better than OLD. A change lies
+inside the bound when NEW's median is worse than OLD's by at most that
+fraction of OLD's median; any improvement lies inside. NEW claims a gain when
+it wins at least 9 in 10 of the pairs and its median is better than OLD's by
+more than OLD's IQR; a loss is the same rule with the sides swapped. The
+bound changes no claim: a deterministic metric that rose by a few bytes
+reads ``loss`` and ``inside`` together.
 Neither checkout is written: the runs keep bytecode caching off.
 """
 
@@ -42,9 +47,10 @@ LOAD_CHECK = "setup_s"
 
 
 def gated_metrics():
-    """``{name: better}`` for the end-to-end metrics of this checkout's ``BENCHMARK.json``."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    """``({name: better}, {name: bound})`` for the end-to-end metrics of this checkout's
+    ``BENCHMARK.json``."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    return {m["name"]: m["better"] for m in spec}, {m["name"]: m["bound"] for m in spec}
 
 
 def run_once(root, workload, seconds):
@@ -79,14 +85,17 @@ def _iqr(values):
     return float(q3 - q1)
 
 
-def summarize(old, new, metrics):
+def summarize(old, new, metrics, bounds=None):
     """One row per metric of ``metrics`` (``{name: better}``) over paired results.
 
     ``old[k]`` and ``new[k]`` are the result objects of pair k. A pair where
     either side has no value for a metric is left out of that metric's row.
     Each row is a dict with ``name``, ``pairs``, the sides' ``old_median``,
     ``old_iqr``, ``new_median`` and ``new_iqr``, NEW's ``wins`` and OLD's
-    ``losses`` (ties count for neither), and ``claim``: "gain", "loss" or None.
+    ``losses`` (ties count for neither), ``claim``: "gain", "loss" or None,
+    the metric's ``bound`` from ``bounds`` (``{name: fraction}``; None when it
+    has none) and ``inside``: whether NEW's median is worse than OLD's by at
+    most ``bound`` times OLD's (None without a bound or with OLD's median 0).
     """
     rows = []
     for name, better in metrics.items():
@@ -108,6 +117,10 @@ def summarize(old, new, metrics):
             row["claim"] = "gain"
         elif row["losses"] >= needed and -gap > row["new_iqr"]:
             row["claim"] = "loss"
+        row["bound"] = (bounds or {}).get(name)
+        row["inside"] = None
+        if row["bound"] is not None and row["old_median"]:
+            row["inside"] = bool(-gap <= row["bound"] * abs(row["old_median"]))
         rows.append(row)
     return rows
 
@@ -115,11 +128,14 @@ def summarize(old, new, metrics):
 def report(rows):
     """The summary table as lines of text."""
     lines = [f"{'metric':12s} {'OLD median':>11s} {'(IQR)':>10s} {'NEW median':>11s} "
-             f"{'(IQR)':>10s} {'change':>8s} {'wins':>6s}  claim"]
+             f"{'(IQR)':>10s} {'change':>8s} {'bound':>6s} {'inside':>6s} {'wins':>6s}  claim"]
+    marks = {True: "yes", False: "NO", None: "-"}
     for r in rows:
         change = r["new_median"] / r["old_median"] - 1.0 if r["old_median"] else math.nan
+        bound = "-" if r["bound"] is None else f"{r['bound']:.0%}"
         lines.append(f"{r['name']:12s} {r['old_median']:11.5g} ({r['old_iqr']:8.3g}) "
                      f"{r['new_median']:11.5g} ({r['new_iqr']:8.3g}) {change:+8.1%} "
+                     f"{bound:>6s} {marks[r['inside']]:>6s} "
                      f"{r['wins']:3d}/{r['pairs']:<2d}  {r['claim'] or '-'}")
     return lines
 
@@ -135,7 +151,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    metrics = gated_metrics()
+    metrics, bounds = gated_metrics()
     old, new = [], []
     for k in range(args.pairs):
         sides = [(args.old, old), (args.new, new)]
@@ -146,7 +162,7 @@ def main(argv=None):
             for name in metrics)
             + f"; load check {LOAD_CHECK} NEW/OLD {_show(load_ratio(old[-1], new[-1]))}",
             flush=True)
-    for line in report(summarize(old, new, metrics)):
+    for line in report(summarize(old, new, metrics, bounds)):
         print(line)
     failed = sum(r["failed"] for r in old + new)
     if failed:
